@@ -12,14 +12,12 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 from mechsynth import RunConfig, synth
-from mechsynth.cli import benchmark_names, load_sketch
-from mechsynth.synth import report_to_json
+from mechsynth.cli import benchmark_names, load_sketch, write_outcome
 
 
 def main():
@@ -51,10 +49,7 @@ def main():
         t0 = time.time()
         outcome = synth(sketch, cfg)
         elapsed = time.time() - t0
-        (outdir / f"{name}.json").write_text(report_to_json(outcome.report))
-        (outdir / f"{name}.json.timings.json").write_text(json.dumps(
-            {"seconds": {k: round(v, 3) for k, v in outcome.timings.items()}},
-            indent=2, sort_keys=True) + "\n")
+        write_outcome(outcome, str(outdir / f"{name}.json"))
         survivors = [s["completion"] for s in outcome.report["survivors"]]
         top = survivors[0] if survivors else "-- none --"
         if not survivors:

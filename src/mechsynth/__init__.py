@@ -9,10 +9,10 @@ search over a small expression grammar produces ranked, verified candidates.
 """
 
 from .config import RunConfig
-from .dist import DiscreteExponential, DiscreteLaplace, make_dist, weight_ratio
+from .dist import DiscreteExponential, DiscreteLaplace, make_dist
 from .lang import MechanismSketch, parse_sketch
 from .search import (Example, NoiseRegion, PresampleBank, get_noise_region,
-                     objective, select_examples)
+                     select_examples)
 from .synth import (Grammar, NoiseExpr, RankedCandidate, SynthError,
                     SynthOutcome, final_verify, rank_candidates, synth)
 from .tester import (Counterexample, decision_p, gen_events, gen_input_pairs,
@@ -22,10 +22,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RunConfig",
-    "DiscreteLaplace", "DiscreteExponential", "make_dist", "weight_ratio",
+    "DiscreteLaplace", "DiscreteExponential", "make_dist",
     "MechanismSketch", "parse_sketch",
     "Example", "NoiseRegion", "PresampleBank", "get_noise_region",
-    "objective", "select_examples",
+    "select_examples",
     "Grammar", "NoiseExpr", "RankedCandidate", "SynthError", "SynthOutcome",
     "final_verify", "rank_candidates", "synth",
     "Counterexample", "decision_p", "gen_events", "gen_input_pairs",

@@ -9,7 +9,11 @@ Three subcommands cover the pipeline:
 
 Reports are deterministic for a fixed seed and config; wall-clock timings go
 to a ``.timings.json`` sidecar so the main report stays byte-identical.
-Exit codes: 0 ok; 1 violation found / no candidate survived; 2 usage error.
+Exit codes: 0 ok; 1 violation found (``test``), no candidate survived
+(``synth``) or no challenging example found (``grid``); 2 usage error;
+3 (``test``, ``synth``) runtime fault while running the sketch, such as an
+out-of-range index, a read of an unassigned variable or exhausted noise
+draws, or any other failure inside a synthesis phase.
 """
 
 from __future__ import annotations
@@ -23,12 +27,12 @@ from pathlib import Path
 import click
 
 from .config import RunConfig
-from .lang import MechanismSketch, parse_sketch
+from .lang import LangError, MechanismSketch, parse_sketch
 from .search import PresampleBank, batch_objective, select_examples
-from .synth import SynthError, fix_params, synth
+from .synth import SynthError, fix_params, report_to_json, synth
 from .tester import counterexample_record, decision_p, test_mechanism
 
-__all__ = ["main", "load_sketch", "benchmark_names"]
+__all__ = ["main", "load_sketch", "benchmark_names", "write_outcome"]
 
 
 # ---------------------------------------------------------------------------
@@ -92,27 +96,30 @@ def _parse_noise(value: str, n_holes: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _budget_options(f):
+    d = RunConfig()
     opts = [
-        click.option("--epsilon", default="1/2", callback=_parse_eps,
-                     show_default=True, help="Target privacy budget."),
-        click.option("--seed", default=0, show_default=True, type=int),
-        click.option("--trials", default=20000, show_default=True, type=int,
-                     help="Tester runs per (pair, side)."),
-        click.option("--presamples", default=50000, show_default=True,
+        click.option("--epsilon", default=str(d.epsilon),
+                     callback=_parse_eps, show_default=True,
+                     help="Target privacy budget."),
+        click.option("--seed", default=d.seed, show_default=True, type=int),
+        click.option("--trials", default=d.trials, show_default=True,
+                     type=int, help="Tester runs per (pair, side)."),
+        click.option("--presamples", default=d.presamples, show_default=True,
                      type=int, help="Importance-sampling bank size."),
-        click.option("--lambda", "lam", default=1.0, show_default=True,
+        click.option("--lambda", "lam", default=d.lam, show_default=True,
                      type=float, help="Sparsity regularizer weight."),
-        click.option("--population", default=50, show_default=True, type=int),
-        click.option("--steps", default=500, show_default=True, type=int,
-                     help="Optimizer generations per hole."),
-        click.option("--radius", default=3.0, show_default=True, type=float,
-                     help="Neighborhood L1 radius for pruning."),
-        click.option("--qlen", default=5, show_default=True, type=int,
+        click.option("--population", default=d.population, show_default=True,
+                     type=int),
+        click.option("--steps", default=d.steps_per_hole, show_default=True,
+                     type=int, help="Optimizer generations per hole."),
+        click.option("--radius", default=d.radius, show_default=True,
+                     type=float, help="Neighborhood L1 radius for pruning."),
+        click.option("--qlen", default=d.qlen, show_default=True, type=int,
                      help="Answer-vector length at the fixed binding."),
         click.option("--paper-scale", is_flag=True,
                      help="Raise trials and presamples 5x."),
-        click.option("--threads", default=1, show_default=True, type=int),
-        click.option("--out", default="", help="Output path (default stdout)."),
+        click.option("--out", default=d.out,
+                     help="Output path (default stdout)."),
     ]
     for opt in reversed(opts):
         f = opt(f)
@@ -120,11 +127,10 @@ def _budget_options(f):
 
 
 def _make_config(epsilon, seed, trials, presamples, lam, population, steps,
-                 radius, qlen, paper_scale, threads, out) -> RunConfig:
+                 radius, qlen, paper_scale, out) -> RunConfig:
     cfg = RunConfig(seed=seed, epsilon=epsilon, qlen=qlen, trials=trials,
                     presamples=presamples, lam=lam, population=population,
-                    steps_per_hole=steps, radius=radius, threads=threads,
-                    out=out)
+                    steps_per_hole=steps, radius=radius, out=out)
     if paper_scale:
         cfg = cfg.scaled(5)
     try:
@@ -139,6 +145,17 @@ def _emit(text: str, out: str):
         Path(out).write_text(text)
     else:
         click.echo(text, nl=False)
+
+
+def write_outcome(outcome, out: str):
+    """Write a synthesis report to ``out`` (stdout when empty) and, with an
+    ``out`` path, its wall-clock timings to ``<out>.timings.json``."""
+    _emit(report_to_json(outcome.report), out)
+    if out:
+        sidecar = {"seconds": {k: round(v, 3) for k, v in
+                               outcome.timings.items()}}
+        Path(out + ".timings.json").write_text(
+            json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +179,8 @@ def cmd_synth(sketch, **kw):
         outcome = synth(sk, cfg)
     except SynthError as exc:
         click.echo(f"error in phase {exc.phase}: {exc}", err=True)
-        sys.exit(1)
-    from .synth import report_to_json
-    _emit(report_to_json(outcome.report), cfg.out)
-    if cfg.out:
-        sidecar = {"seconds": {k: round(v, 3) for k, v in
-                               outcome.timings.items()}}
-        Path(cfg.out + ".timings.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+        sys.exit(3)
+    write_outcome(outcome, cfg.out)
     sys.exit(0 if outcome.survivors else 1)
 
 
@@ -185,9 +196,13 @@ def cmd_test(sketch, noise, max_records, **kw):
     cfg = _make_config(**kw)
     sk = _load_or_usage(sketch)
     vec = _parse_noise(noise, sk.n_holes)
-    _, cands = test_mechanism(
-        sk, {a: cfg.fixed_args[a] for a in sk.args}, vec, cfg.epsilon,
-        trials=cfg.trials, seed=cfg.seed, qlen=cfg.qlen, return_all=True)
+    try:
+        _, cands = test_mechanism(
+            sk, {a: cfg.fixed_args[a] for a in sk.args}, vec, cfg.epsilon,
+            trials=cfg.trials, seed=cfg.seed, qlen=cfg.qlen, return_all=True)
+    except LangError as exc:
+        click.echo(f"runtime error in sketch: {exc}", err=True)
+        sys.exit(3)
     dp = decision_p(cands)
     lines = [json.dumps(counterexample_record(cx, cfg.seed), sort_keys=True)
              for cx in cands[:max_records]]

@@ -37,15 +37,13 @@ class RunConfig:
     examples_cap: int = 12                 # per-binding test-example cap
     test_eps: tuple = (Fraction(1, 5), Fraction(1, 2), Fraction(3, 2))
     test_qlens: tuple = (5, 10)
-    test_eps_factors: tuple = (0.8, 1.0, 1.2)
     fixed_args: dict = field(default_factory=lambda: {"T": 2, "N": 1, "M": 2})
-    threads: int = 1
     out: str = ""
 
     def validate(self):
         positive = ["trials", "presamples", "lam", "population", "steps_per_hole",
                     "radius", "proposal_scale", "verify_alpha",
-                    "examples_cap", "qlen", "threads"]
+                    "examples_cap", "qlen"]
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"config field {name} must be positive")
@@ -70,30 +68,19 @@ class RunConfig:
         return self.steps_per_hole * n_holes
 
     def echo(self) -> dict:
-        """Effective values, JSON-ready (rationals rendered exactly)."""
-        return {
-            "seed": self.seed,
-            "epsilon": _frac_str(self.epsilon),
-            "qlen": self.qlen,
-            "trials": self.trials,
-            "presamples": self.presamples,
-            "lambda": self.lam,
-            "population": self.population,
-            "steps_per_hole": self.steps_per_hole,
-            "radius": self.radius,
-            "zone": list(self.zone),
-            "proposal_scale": self.proposal_scale,
-            "scale_grid": list(self.scale_grid),
-            "coeff_range": list(self.coeff_range),
-            "qlen_exp_range": list(self.qlen_exp_range),
-            "inveps_exp_range": list(self.inveps_exp_range),
-            "t_exp_range": list(self.t_exp_range),
-            "event_floor": self.event_floor,
-            "verify_alpha": self.verify_alpha,
-            "examples_cap": self.examples_cap,
-            "test_eps": [_frac_str(e) for e in self.test_eps],
-            "test_qlens": list(self.test_qlens),
-            "test_eps_factors": list(self.test_eps_factors),
-            "fixed_args": dict(sorted(self.fixed_args.items())),
-            "threads": self.threads,
-        }
+        """Effective values of every field but ``out``, JSON-ready:
+        rationals rendered exactly, tuples as lists, ``lam`` as ``lambda``."""
+        out = {}
+        for f in fields(self):
+            if f.name == "out":
+                continue
+            value = getattr(self, f.name)
+            if f.type == "Fraction":
+                value = _frac_str(value)
+            elif isinstance(value, tuple):
+                value = [_frac_str(v) if isinstance(v, Fraction) else v
+                         for v in value]
+            elif isinstance(value, dict):
+                value = dict(sorted(value.items()))
+            out["lambda" if f.name == "lam" else f.name] = value
+        return out

@@ -7,10 +7,11 @@ Two families, both parameterized by a positive ``scale`` b with q = e^(-1/b):
 * one-sided geometric ("discrete exponential"), starting at ``offset``:
   pmf(offset + k) = (1 - q) q^k for k >= 0.
 
-Both expose exact pmf/logpmf, inverse-CDF scalar sampling, vectorized bulk
-sampling, and closed-form importance-weight pieces for reweighting draws from
-one scale to another: per draw v the log weight is ``alpha + beta * |v|``
-with coefficients depending only on the two scales.
+Both expose exact pmf/logpmf/tail (the oracles the samplers and the
+estimator are tested against) and vectorized sampling; closed-form
+importance-weight pieces reweight draws from one scale to another: per draw
+v the log weight is ``alpha + beta * |v|`` with coefficients depending only
+on the two scales.
 """
 
 from __future__ import annotations
@@ -21,16 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DiscreteLaplace", "DiscreteExponential", "make_dist",
-    "weight_ratio", "log_weight_coeffs",
+    "DiscreteLaplace", "DiscreteExponential", "make_dist", "log_weight_coeffs",
 ]
-
-
-def _geometric_icdf(u: float, q: float) -> int:
-    """Quantile of the failures-counting geometric: P[G <= g] = 1 - q^(g+1)."""
-    if u <= 0.0:
-        return 0
-    return int(math.log1p(-u) / math.log(q))
 
 
 @dataclass(frozen=True)
@@ -41,7 +34,7 @@ class DiscreteLaplace:
     mean: int = 0
 
     def __post_init__(self):
-        if not self.scale > 0:
+        if self.scale is None or not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
     @property
@@ -68,11 +61,6 @@ class DiscreteLaplace:
         q = self.q
         return self.norm_const * q**k / (1.0 - q)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        q = self.q
-        step = _geometric_icdf(rng.random(), q) - _geometric_icdf(rng.random(), q)
-        return self.mean + step
-
     def sample_array(self, rng: np.random.Generator, size) -> np.ndarray:
         p = 1.0 - self.q
         steps = rng.geometric(p, size).astype(np.int64) - rng.geometric(p, size)
@@ -87,7 +75,7 @@ class DiscreteExponential:
     offset: int = 0
 
     def __post_init__(self):
-        if not self.scale > 0:
+        if self.scale is None or not self.scale > 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
     @property
@@ -113,9 +101,6 @@ class DiscreteExponential:
         if k < 0:
             return 1.0
         return self.q**k
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.offset + _geometric_icdf(rng.random(), self.q)
 
     def sample_array(self, rng: np.random.Generator, size) -> np.ndarray:
         draws = rng.geometric(1.0 - self.q, size).astype(np.int64) - 1
@@ -146,19 +131,3 @@ def log_weight_coeffs(family: str, target_scale: float, proposal_scale: float):
     beta = 1.0 / proposal_scale - 1.0 / target_scale
     return alpha, beta
 
-
-def weight_ratio(value: int, mean: int, target_scale, proposal_scale: float,
-                 family: str = "lap") -> float:
-    """pmf ratio target(value) / proposal(value), both centered at ``mean``.
-
-    A ``None`` target marks a hole completed with "no noise"; such holes draw
-    nothing, so asking for their ratio is a caller bug.
-    """
-    if target_scale is None:
-        raise ValueError("no-noise holes draw no values; weight ratio undefined")
-    target = make_dist(family, target_scale, mean)
-    proposal = make_dist(family, proposal_scale, mean)
-    lp = proposal.logpmf(value)
-    if lp == -np.inf:
-        raise ValueError(f"value {value} is outside the proposal's support")
-    return float(np.exp(target.logpmf(value) - lp))

@@ -810,7 +810,8 @@ def count_hole_draws(sketch: MechanismSketch, args: dict, qlen: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to a Python closure (fast path; semantics identical to run())
+# Compilation to a Python closure (fast path; same outputs as run(), and
+# RunError wherever run() raises it)
 # ---------------------------------------------------------------------------
 
 def _compile_expr(e: Expr) -> str:
@@ -827,7 +828,10 @@ def _compile_expr(e: Expr) -> str:
     if isinstance(e, Length):
         return f"len({_compile_expr(e.operand)})"
     if isinstance(e, Index):
-        return f"{_compile_expr(e.base)}[{_compile_expr(e.index)} - 1]"
+        # the base is a variable or [], so naming it twice costs nothing
+        base = _compile_expr(e.base)
+        return (f"{base}[_i - 1 if 0 < (_i := {_compile_expr(e.index)}) "
+                f"<= len({base}) else _bad_index(_i, {base})]")
     if isinstance(e, BinOp):
         op = {"mod": None, "/": None, "==": "==", "!=": "!=", "and": "and",
               "or": "or"}.get(e.op, e.op)
@@ -896,13 +900,19 @@ class _Done(Exception):
     pass
 
 
+def _bad_index(i: int, base: list):
+    raise RunError(f"index {i} out of range 1..{len(base)}")
+
+
 def compile_sketch(sketch: MechanismSketch, bottoms=None):
     """Compile to ``fn(args, answers, draws) -> (output, consumed)``.
 
     ``draws`` is a per-hole sequence of pre-drawn values (indexable), and
     ``consumed`` the per-hole number of values read.  Holes marked in
-    ``bottoms`` are compiled out and consume nothing.  Behaviour matches
-    :func:`run` exactly.
+    ``bottoms`` are compiled out and consume nothing.  Outputs match
+    :func:`run`; an out-of-range index, a read of an unassigned variable
+    and a run that needs more draws than ``draws`` holds raise
+    :class:`RunError`, as in :func:`run`.
     """
     if bottoms is None:
         bottoms = [False] * sketch.n_holes
@@ -925,11 +935,17 @@ def compile_sketch(sketch: MechanismSketch, bottoms=None):
     lines.append("        raise RunError('sketch finished without returning')")
     lines.append("    except _Done:")
     lines.append("        pass")
+    # checked indexing leaves reads of ``_draws`` as the only IndexError
+    lines.append("    except IndexError:")
+    lines.append("        raise RunError('noise draws exhausted') from None")
+    lines.append("    except UnboundLocalError as _exc:")
+    lines.append("        raise RunError(f'unassigned variable: {_exc}') from None")
     consumed = ", ".join(f"_c{h}" for h in range(n))
     lines.append("    if isinstance(_out, list):")
     lines.append("        _out = tuple(_out)")
     lines.append(f"    return _out, ({consumed}{',' if n == 1 else ''})")
 
-    namespace = {"_idiv": _idiv, "_imod": _imod, "RunError": RunError, "_Done": _Done}
+    namespace = {"_idiv": _idiv, "_imod": _imod, "RunError": RunError,
+                 "_Done": _Done, "_bad_index": _bad_index}
     exec(compile("\n".join(lines), f"<sketch:{sketch.name}>", "exec"), namespace)
     return namespace["_mech"]

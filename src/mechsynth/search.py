@@ -46,17 +46,13 @@ from .tester import test_mechanism
 
 __all__ = [
     "Example", "PresampleBank", "NoiseRegion",
-    "directions", "select_examples", "estimate_event_prob",
-    "objective", "batch_objective", "example_losses",
+    "directions", "select_examples", "batch_objective", "example_losses",
     "example_losses_with_se", "get_noise_region",
-    "SNAP_THRESHOLD", "BOX_MAX", "DEFAULT_PROPOSAL_SCALE",
+    "SNAP_THRESHOLD", "BOX_MAX",
 ]
 
 SNAP_THRESHOLD = 0.25
 BOX_MAX = 16.0
-DEFAULT_PROPOSAL_SCALE = 4.0
-DEFAULT_SCALE_GRID = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
-DEFAULT_ZONE = (0.05, 0.9)
 
 
 @dataclass(frozen=True)
@@ -82,8 +78,8 @@ def directions(n_holes: int) -> list:
 
 
 def select_examples(sketch: MechanismSketch, args: dict, direction_set=None,
-                    scale_grid=DEFAULT_SCALE_GRID, trials: int = 20000,
-                    seed: int = 0, zone=DEFAULT_ZONE) -> list:
+                    *, scale_grid, trials: int = 20000, seed: int = 0,
+                    zone) -> list:
     """Line-search direction multiples through the tester; keep zone hits
     plus every decision cell that the tester flagged as a violation.
 
@@ -156,8 +152,8 @@ class PresampleBank:
     the candidate and the mixture are expressed against."""
 
     def __init__(self, sketch: MechanismSketch, args: dict, qlen: int,
-                 m: int = 50000, proposal_scale: float = DEFAULT_PROPOSAL_SCALE,
-                 seed: int = 0, mixture=None):
+                 m: int = 50000, *, proposal_scale: float, seed: int = 0,
+                 mixture=None):
         self.sketch = sketch
         self.args = {a: args[a] for a in sketch.args}
         self.qlen = qlen
@@ -263,26 +259,6 @@ class PresampleBank:
             self._indicators[key] = hit
         return hit
 
-    def _indicator_matrix(self, answers: tuple, mask: tuple,
-                          events: tuple) -> np.ndarray:
-        key = (tuple(answers), mask, events)
-        hit = self._ind_mats.get(key)
-        if hit is None:
-            hit = np.stack([self.indicator(answers, mask, e) for e in events])
-            self._ind_mats[key] = hit
-        return hit
-
-    def _weights(self, stats: np.ndarray, coeffs: np.ndarray,
-                 mixrel: Optional[np.ndarray] = None):
-        """Normalized importance weights per candidate column: (m, B) float32
-        weights and their (B,) column sums."""
-        logw = stats @ coeffs
-        if mixrel is not None:
-            logw -= mixrel[:, None]
-        logw -= logw.max(axis=0, keepdims=True)
-        w = np.exp(logw, out=logw).astype(np.float32)
-        return w, w.sum(axis=0, dtype=np.float64)
-
     def weight_coeffs(self, candidates) -> np.ndarray:
         """(2n, B) coefficient matrix: column b scores candidate b's draws."""
         n = self.sketch.n_holes
@@ -302,26 +278,45 @@ class PresampleBank:
         lo = 1.0 / (10 * self.m)
         return lo, 1.0 - lo
 
-    def estimate_batch(self, answers: tuple, events: list, mask: tuple,
-                       coeffs: np.ndarray) -> np.ndarray:
-        """Clamped probability estimates, shape (len(events), B)."""
-        answers = tuple(answers)
-        _, stats = self.runs_for(answers, mask)
-        w, den = self._weights(stats, coeffs, self._mixrel.get((answers, mask)))
-        ind = self._indicator_matrix(answers, mask, tuple(events))
+    def estimate(self, side_events: dict, candidates) -> tuple:
+        """Self-normalized importance estimates of event probabilities.
+
+        ``side_events`` maps each input side to the events estimated on it;
+        ``candidates`` are noise vectors sharing one off-mask.  Returns
+        ``(est, weights)``: ``est[(side, event)]`` is the (B,) row of
+        estimates, clamped to :attr:`clamp`, and ``weights[side]`` is the
+        pair of (m, B) float32 importance weights and their (B,) column
+        sums.  Sides whose runs consumed identical draws share one pair
+        object, computed once."""
+        candidates = [tuple(c) for c in candidates]
+        if any(len(c) != self.sketch.n_holes for c in candidates):
+            raise ValueError("candidate length must match the hole count")
+        mask = _as_mask(candidates[0])
+        if any(_as_mask(c) != mask for c in candidates):
+            raise ValueError("candidates must share one off-mask")
+        coeffs = self.weight_coeffs(candidates)
         lo, hi = self.clamp
-        return np.clip((ind @ w) / den, lo, hi)
-
-
-def estimate_event_prob(bank: PresampleBank, d, event, candidate) -> float:
-    """Self-normalized importance estimate of P[mech(d) in event] under the
-    candidate noise vector, clamped away from 0 and 1."""
-    candidate = tuple(candidate)
-    if len(candidate) != bank.sketch.n_holes:
-        raise ValueError("candidate length must match the hole count")
-    mask = _as_mask(candidate)
-    coeffs = bank.weight_coeffs([candidate])
-    return float(bank.estimate_batch(tuple(d), [event], mask, coeffs)[0, 0])
+        by_fp, weights, est = {}, {}, {}
+        for side, events in side_events.items():
+            events = tuple(events)
+            key = (side, mask)
+            _, stats = self.runs_for(side, mask)
+            fp = self._stats_fp[key]
+            if fp not in by_fp:
+                logw = stats @ coeffs
+                if key in self._mixrel:
+                    logw -= self._mixrel[key][:, None]
+                logw -= logw.max(axis=0, keepdims=True)
+                w = np.exp(logw, out=logw).astype(np.float32)
+                by_fp[fp] = (w, w.sum(axis=0, dtype=np.float64))
+            w, den = weights[side] = by_fp[fp]
+            ind = self._ind_mats.get(key + (events,))
+            if ind is None:
+                ind = self._ind_mats[key + (events,)] = np.stack(
+                    [self.indicator(side, mask, e) for e in events])
+            for event, row in zip(events, np.clip((ind @ w) / den, lo, hi)):
+                est[(side, event)] = row
+        return est, weights
 
 
 _CHUNK = 256
@@ -375,25 +370,11 @@ def _example_losses(bank, examples, candidates, floor, z):
             side_events.setdefault(side, set()).add(ex.event)
     side_events = {side: tuple(sorted(events, key=repr))
                    for side, events in side_events.items()}
-    clamp_lo, clamp_hi = bank.clamp
     for mask, idxs in by_mask.items():
         for lo in range(0, len(idxs), _CHUNK):
             chunk = idxs[lo:lo + _CHUNK]
-            coeffs = bank.weight_coeffs([candidates[i] for i in chunk])
-            w_by_fp = {}
-            fps = {}
-            est = {}
-            for side, ev_list in side_events.items():
-                _, stats = bank.runs_for(side, mask)
-                fp = fps[side] = bank._stats_fp[(side, mask)]
-                if fp not in w_by_fp:
-                    w_by_fp[fp] = bank._weights(
-                        stats, coeffs, bank._mixrel.get((side, mask)))
-                w, den = w_by_fp[fp]
-                ind = bank._indicator_matrix(side, mask, ev_list)
-                block = np.clip((ind @ w) / den, clamp_lo, clamp_hi)
-                for row, ev in zip(block, ev_list):
-                    est[(side, ev)] = row
+            est, weights = bank.estimate(side_events,
+                                         [candidates[i] for i in chunk])
             r1 = np.stack([est[(ex.d1, ex.event)] for ex in examples])
             r2 = np.stack([est[(ex.d2, ex.event)] for ex in examples])
             loss_block = np.maximum(r1 / r2, r2 / r1)
@@ -403,7 +384,7 @@ def _example_losses(bank, examples, candidates, floor, z):
             cells = np.ix_(chunk, range(len(examples)))
             losses[cells] = loss_block.T
             if z is not None:
-                se_block = _log_loss_se(bank, examples, mask, fps, w_by_fp,
+                se_block = _log_loss_se(bank, examples, mask, weights,
                                         r1, r2, z)
                 se[cells] = np.where(resolved, se_block, 0.0).T
     return losses, se
@@ -419,9 +400,10 @@ def _influence_dot(fa, fb, q, ra, rb) -> np.ndarray:
             + ra * rb * total) / (ra * rb)
 
 
-def _log_loss_se(bank, examples, mask, fps, w_by_fp, r1, r2, z):
+def _log_loss_se(bank, examples, mask, weights, r1, r2, z):
     """Standard error of log(r1 / r2) per (example, candidate); see
-    :func:`example_losses_with_se`.
+    :func:`example_losses_with_se`.  ``weights`` is the per-side weight
+    map of :meth:`PresampleBank.estimate`.
 
     Draw i moves log r_k by a_ki = w_ki (f_ki - r_k) / (den_k r_k), so the
     variance of the difference is sum_i (a_1i - a_2i)^2 = v11 + v22 - 2 v12,
@@ -429,9 +411,9 @@ def _log_loss_se(bank, examples, mask, fps, w_by_fp, r1, r2, z):
     v11, v22, v12, ess1, ess2 = (np.zeros_like(r1) for _ in range(5))
     groups = {}
     for j, ex in enumerate(examples):
-        groups.setdefault((fps[ex.d1], fps[ex.d2]), []).append(j)
-    for (fp1, fp2), js in groups.items():
-        (w1, den1), (w2, den2) = w_by_fp[fp1], w_by_fp[fp2]
+        w1, w2 = weights[ex.d1], weights[ex.d2]
+        groups.setdefault((id(w1), id(w2)), (w1, w2, []))[2].append(j)
+    for (w1, den1), (w2, den2), js in groups.values():
         f1 = np.stack([bank.indicator(examples[j].d1, mask, examples[j].event)
                        for j in js])
         f2 = np.stack([bank.indicator(examples[j].d2, mask, examples[j].event)
@@ -441,7 +423,7 @@ def _log_loss_se(bank, examples, mask, fps, w_by_fp, r1, r2, z):
         v12[js] = _influence_dot(f1, f2, q, a, b) / (den1 * den2)
         for f, r, w, den, v, ess in ((f1, a, w1, den1, v11, ess1),
                                      (f2, b, w2, den2, v22, ess2)):
-            if fp1 != fp2:
+            if w1 is not w2:
                 q = w * w
             v[js] = _influence_dot(f, f, q, r, r) / den ** 2
             ess[js] = den ** 2 / q.sum(axis=0, dtype=np.float64)
@@ -460,38 +442,19 @@ def _log_loss_se(bank, examples, mask, fps, w_by_fp, r1, r2, z):
     return np.where(dry1 & dry2, 0.0, se)
 
 
-def _group_losses(bank: PresampleBank, examples, candidates,
-                  floor: float = 0.0) -> np.ndarray:
-    """Worst-example loss estimate per candidate, shape (B,)."""
-    return example_losses(bank, examples, candidates, floor=floor).max(axis=1)
-
-
 def batch_objective(bank: PresampleBank, examples, candidates, target_eps,
-                    lam: float = 1.0, log_form: bool = False,
-                    floor: float = 0.0) -> np.ndarray:
+                    lam: float = 1.0, floor: float = 0.0) -> np.ndarray:
     """Objective for many candidates: |worst loss - e^eps| + lam * ||c||_0.
 
-    ``log_form`` swaps the main term for |log(worst loss) - eps| (the
-    diagnostic variant used in grid dumps); ``floor`` is forwarded to
-    :func:`example_losses` so sub-resolution events score neutrally."""
+    ``floor`` is forwarded to :func:`example_losses` so sub-resolution
+    events score neutrally."""
     if not examples:
         raise ValueError("need at least one example to score candidates")
     candidates = [tuple(c) for c in candidates]
-    worst = _group_losses(bank, examples, candidates, floor=floor)
-    eps = float(target_eps)
-    if log_form:
-        main = np.abs(np.log(worst) - eps)
-    else:
-        main = np.abs(worst - math.exp(eps))
+    worst = example_losses(bank, examples, candidates, floor=floor).max(axis=1)
     l0 = np.array([sum(c is not None for c in cand) for cand in candidates],
                   dtype=np.float64)
-    return main + lam * l0
-
-
-def objective(bank: PresampleBank, examples, candidate, target_eps,
-              lam: float = 1.0, floor: float = 0.0) -> float:
-    return float(batch_objective(bank, examples, [candidate], target_eps, lam,
-                                 floor=floor)[0])
+    return np.abs(worst - math.exp(float(target_eps))) + lam * l0
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,10 @@ def render_vector(exprs) -> str:
 
 @dataclass(frozen=True)
 class Grammar:
-    coeff_range: tuple = (1, 4)
-    qlen_exp_range: tuple = (0, 2)
-    inveps_exp_range: tuple = (1, 2)
-    t_exp_range: tuple = (0, 0)
+    coeff_range: tuple
+    qlen_exp_range: tuple
+    inveps_exp_range: tuple
+    t_exp_range: tuple
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "Grammar":
@@ -219,7 +219,7 @@ def _inherit_examples(examples, qlen: int) -> list:
 def _fresh_examples(sketch, binding, best_vector, cfg: RunConfig, seed) -> list:
     """One tester pass at the region's best vector rescaled to the binding's
     epsilon; zone hits become extra test examples."""
-    factor = float(Fraction(1, 2) / Fraction(binding["eps"]))
+    factor = _rescale(cfg, binding["eps"])
     vec = [None if v is None else float(v) * factor for v in best_vector]
     sketch_args = {a: binding[a] for a in sketch.args}
     _, cands = test_mechanism(sketch, sketch_args, vec, binding["eps"],
@@ -450,16 +450,22 @@ def _bindings(sketch: MechanismSketch, cfg: RunConfig) -> list:
     return out
 
 
+def _rescale(cfg: RunConfig, eps) -> float:
+    """Factor carrying a noise scale found at the fixed binding's epsilon to
+    a binding at ``eps`` (scales that suit eps-DP go as 1/eps)."""
+    return float(Fraction(cfg.epsilon) / Fraction(eps))
+
+
 def _proposal_at(cfg: RunConfig, eps) -> float:
     # keep target/proposal scale ratios stable across bindings: the fixed
     # binding uses proposal_scale as-is, others rescale by 1/eps
-    return cfg.proposal_scale * float(Fraction(1, 2) / Fraction(eps))
+    return cfg.proposal_scale * _rescale(cfg, eps)
 
 
 def _mixture_at(cfg: RunConfig, eps) -> tuple:
     # scoring banks cover the whole discovery grid, rescaled to the binding,
     # so candidates far from the central proposal still get stable weights
-    factor = float(Fraction(1, 2) / Fraction(eps))
+    factor = _rescale(cfg, eps)
     return tuple(g * factor for g in cfg.scale_grid)
 
 

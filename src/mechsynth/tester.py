@@ -366,7 +366,6 @@ class Counterexample:
     c1: int = 0
     c2: int = 0
     n_side: int = 0
-    p_by_eps: tuple = ()   # ((eps, p), ...) over the whole test-eps set
     # True for the one cell per (pair, orientation) picked from pilot data
     # alone; accept/reject decisions must read only these cells, because the
     # minimum p over every derived event is multiplicity-biased.
@@ -411,8 +410,7 @@ def _count_floor(n_side: int) -> int:
 
 
 def test_mechanism(sketch: MechanismSketch, args: dict, noise_vector,
-                   target_epsilon, trials: int = 20000,
-                   test_eps_factors=(0.8, 1.0, 1.2), seed: int = 0,
+                   target_epsilon, trials: int = 20000, seed: int = 0,
                    event_cap: int = 64, qlen: Optional[int] = None,
                    return_all: bool = False):
     """Search all pattern pairs and derived events for the strongest
@@ -430,10 +428,6 @@ def test_mechanism(sketch: MechanismSketch, args: dict, noise_vector,
     seed_words = [seed] if isinstance(seed, int) else list(seed)
     qlen = 5 if qlen is None else qlen
     target_eps = float(target_epsilon)
-    test_eps = [f * target_eps for f in test_eps_factors]
-    if not any(abs(e - target_eps) < 1e-12 for e in test_eps):
-        test_eps.append(target_eps)
-    test_eps.sort()
 
     bottoms = [s is None for s in noise_vector]
     runner = compile_sketch(sketch, bottoms)
@@ -489,15 +483,12 @@ def test_mechanism(sketch: MechanismSketch, args: dict, noise_vector,
                     ((d1, d2, c1, c2), (d2, d1, c2, c1))):
                 if ca < cb:
                     continue
-                p_by_eps = tuple((e, hypothesis_test(ca, cb, n_half, e))
-                                 for e in test_eps)
-                p_at_target = next(p for e, p in p_by_eps
-                                   if abs(e - target_eps) < 1e-12)
                 candidates.append(Counterexample(
-                    d1=da, d2=db, event=event, p_value=p_at_target,
+                    d1=da, d2=db, event=event,
+                    p_value=hypothesis_test(ca, cb, n_half, target_eps),
                     test_epsilon=target_eps,
                     rho1=ca / n_half, rho2=cb / n_half,
-                    c1=ca, c2=cb, n_side=n_half, p_by_eps=p_by_eps,
+                    c1=ca, c2=cb, n_side=n_half,
                     decision=decision_event.get(orient) == event))
 
     candidates.sort(key=lambda cx: cx.p_value)

@@ -27,6 +27,17 @@ x <- 0 + Lap(?1)
 return x
 """
 
+# reads y, which only a[1] > 5 assigns: a runtime fault on small answers
+UNASSIGNED_SRC = """mechanism Unassigned
+private a
+adjacency one
+
+if a[1] > 5:
+    y <- 1
+x <- y + Lap(?1)
+return x
+"""
+
 
 def load_benchmark(name: str):
     res = importlib.resources.files("mechsynth") / "benchmarks" / f"{name}.dpm"

@@ -1,12 +1,14 @@
 """Command-line interface tests: exit codes, output formats, usage errors."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
 from mechsynth.cli import benchmark_names, load_sketch, main
-from tests.conftest import BENCHMARK_HOLES, MICRO_SCALAR
+from mechsynth.config import RunConfig
+from tests.conftest import BENCHMARK_HOLES, MICRO_SCALAR, UNASSIGNED_SRC
 
 DUO_SRC = """mechanism Duo
 private a
@@ -120,6 +122,38 @@ def test_cmd_test_usage_errors(runner, micro_path):
 # ---------------------------------------------------------------------------
 # synth subcommand
 # ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def unassigned_path(tmp_path_factory):
+    p = tmp_path_factory.mktemp("sketches") / "unassigned.dpm"
+    p.write_text(UNASSIGNED_SRC)
+    return str(p)
+
+
+@pytest.mark.parametrize("command", [["test", "--noise", "2"], ["synth"]])
+def test_sketch_runtime_fault_exits_3(runner, unassigned_path, command):
+    result = runner.invoke(main, [*command, "--sketch", unassigned_path,
+                                  "--trials", "1000", "--presamples", "1000",
+                                  "--population", "4", "--steps", "1"])
+    assert result.exit_code == 3
+    assert "unassigned variable" in result.output
+
+
+def test_budget_option_defaults_come_from_run_config(runner):
+    result = runner.invoke(main, ["synth", "--help"])
+    assert result.exit_code == 0
+    text = " ".join(result.output.split())
+    cfg = RunConfig()
+    expected = {"epsilon": cfg.epsilon, "seed": cfg.seed, "trials": cfg.trials,
+                "presamples": cfg.presamples, "lambda": cfg.lam,
+                "population": cfg.population, "steps": cfg.steps_per_hole,
+                "radius": cfg.radius, "qlen": cfg.qlen}
+    shown = dict(re.findall(r"--([a-z-]+) [A-Z]+\b[^\[]*\[default: ([^\]]+)\]",
+                            text))
+    assert set(shown) == set(expected)
+    for name, value in expected.items():
+        assert shown[name] == str(value), name
+
 
 def test_cmd_synth_writes_report_and_sidecar(runner, micro_path, tmp_path):
     out = tmp_path / "report.json"

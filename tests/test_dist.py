@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from mechsynth.dist import (DiscreteExponential, DiscreteLaplace,
-                            log_weight_coeffs, make_dist, weight_ratio)
+                            log_weight_coeffs, make_dist)
 
 SCALES = (0.5, 1.0, 2.0, 4.0)
 
@@ -102,23 +102,6 @@ def test_sampler_chi_square_against_pmf():
     assert p > 1e-3
 
 
-def test_scalar_and_bulk_samplers_share_law():
-    # same family check via coarse-bin chi-square on the scalar path
-    d = DiscreteLaplace(1.0, mean=2)
-    rng = np.random.default_rng(11)
-    scalar = np.array([d.sample(rng) for _ in range(20000)])
-    bins = [-np.inf, 0, 1, 2, 3, 4, np.inf]
-    obs = np.histogram(scalar, bins)[0].astype(float)
-    # exact bin masses from pmf/tail
-    mass = [sum(d.pmf(k) for k in range(-30, 0)) + d.tail(33),
-            d.pmf(0), d.pmf(1), d.pmf(2), d.pmf(3),
-            sum(d.pmf(k) for k in range(4, 40)) + d.tail(38)]
-    mass = np.array(mass)
-    mass /= mass.sum()
-    stat, p = chisquare(obs, mass * len(scalar))
-    assert p > 1e-3
-
-
 def test_dexp_sampler_matches_pmf():
     d = DiscreteExponential(2.0, offset=-1)
     rng = np.random.default_rng(3)
@@ -149,32 +132,43 @@ def test_log_weight_coeffs_oracle():
     assert beta == pytest.approx(-0.25, abs=1e-15)
 
 
+# alpha + beta * |v - mean| is the log pmf ratio target / proposal at v,
+# both centered at ``mean``
+
 @given(v=st.integers(-20, 20), mean=st.integers(-3, 3),
        t=st.sampled_from(SCALES), p=st.sampled_from(SCALES))
 def test_weight_ratio_consistent_with_pmfs(v, mean, t, p):
-    expected = (DiscreteLaplace(t, mean=mean).pmf(v)
-                / DiscreteLaplace(p, mean=mean).pmf(v))
-    got = weight_ratio(v, mean, t, p, family="lap")
-    assert got == pytest.approx(expected, rel=1e-10)
+    expected = (DiscreteLaplace(t, mean=mean).logpmf(v)
+                - DiscreteLaplace(p, mean=mean).logpmf(v))
+    alpha, beta = log_weight_coeffs("lap", t, p)
+    assert alpha + beta * abs(v - mean) == pytest.approx(expected, rel=1e-10,
+                                                         abs=1e-12)
 
 
 @given(v=st.integers(0, 20), t=st.sampled_from(SCALES), p=st.sampled_from(SCALES))
 def test_weight_ratio_exp_consistent(v, t, p):
-    expected = (DiscreteExponential(t).pmf(v) / DiscreteExponential(p).pmf(v))
-    got = weight_ratio(v, 0, t, p, family="exp")
-    assert got == pytest.approx(expected, rel=1e-10)
+    expected = (DiscreteExponential(t).logpmf(v)
+                - DiscreteExponential(p).logpmf(v))
+    alpha, beta = log_weight_coeffs("exp", t, p)
+    assert alpha + beta * v == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def test_weight_ratio_bottom_target_rejected():
+    # a no-noise hole draws nothing, so it has no weight to reweight to
     with pytest.raises(ValueError):
-        weight_ratio(1, 0, None, 4.0)
+        log_weight_coeffs("lap", None, 4.0)
 
 
 def test_weight_ratio_out_of_support():
-    with pytest.raises(ValueError):
-        weight_ratio(-1, 0, 2.0, 4.0, family="exp")
+    # exponential draws below the offset have no mass at any scale, so the
+    # weight identity covers v >= 0 only
+    assert DiscreteExponential(2.0).logpmf(-1) == -np.inf
+    assert DiscreteExponential(4.0).logpmf(-1) == -np.inf
 
 
 @given(t=st.sampled_from(SCALES))
 def test_weight_ratio_identity_when_target_is_proposal(t):
-    assert weight_ratio(5, 0, t, t) == pytest.approx(1.0, rel=1e-12)
+    for family in ("lap", "exp"):
+        alpha, beta = log_weight_coeffs(family, t, t)
+        assert alpha == pytest.approx(0.0, abs=1e-12)
+        assert beta == pytest.approx(0.0, abs=1e-12)

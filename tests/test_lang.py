@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mechsynth.lang import (MechanismSketch, NoiseTrace, ParseError, RunError,
                             TypeCheckError, compile_sketch, count_hole_draws,
                             parse_sketch, run)
-from tests.conftest import BENCHMARK_HOLES, MICRO_SCALAR
+from tests.conftest import BENCHMARK_HOLES, MICRO_SCALAR, UNASSIGNED_SRC
 
 SUM_SRC = """mechanism Sum
 private a
@@ -260,3 +260,31 @@ def test_compiled_sum_matches_closed_form(n1, n2, n3):
     got, consumed = fn({}, [1, 1, 1], [[n1, n2, n3]])
     assert got == 3 + n1 + n2 + n3
     assert consumed == (3,)
+
+
+INDEX_SRC = """mechanism Index
+private a
+args K
+adjacency one
+
+x <- a[K] + Lap(?1)
+return x
+"""
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_compiled_index_out_of_range_raises(k):
+    # a[0] must not read the last element through Python's negative index
+    sk = parse_sketch(INDEX_SRC)
+    with pytest.raises(RunError):
+        run(sk, {"K": k}, (1, 2, 3), NoiseTrace([(0,)]))
+    with pytest.raises(RunError):
+        compile_sketch(sk)({"K": k}, [1, 2, 3], [[0]])
+
+
+def test_compiled_runtime_faults_raise_run_error():
+    with pytest.raises(RunError):
+        compile_sketch(parse_sketch(UNASSIGNED_SRC))({}, [1, 1], [[0]])
+    # three loop draws wanted, one supplied
+    with pytest.raises(RunError):
+        compile_sketch(parse_sketch(SUM_SRC))({}, [1, 2, 3], [[5]])

@@ -13,16 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mechsynth.config import RunConfig
 from mechsynth.dist import make_dist
 from mechsynth.lang import parse_sketch
 from mechsynth.search import (BOX_MAX, SNAP_THRESHOLD, Example, NoiseRegion,
                               PresampleBank, batch_objective, directions,
-                              estimate_event_prob, example_losses,
-                              example_losses_with_se, get_noise_region,
-                              objective, select_examples, snap_vector)
+                              example_losses, example_losses_with_se,
+                              get_noise_region, select_examples, snap_vector)
 from mechsynth.tester import HalfLineEvent, ValueEvent
 
 EPS = 0.5
+PROPOSAL = RunConfig().proposal_scale
+ZONE = RunConfig().zone
 D1 = (0, 0, 0, 0, 0)
 D2 = (1, 0, 0, 0, 0)
 SHIFT_EXAMPLE = None  # filled by fixture below
@@ -34,14 +36,21 @@ def _shift_example():
                    direction=(1,), scale=1.0, p_value=0.5)
 
 
+def _estimate(bank, d, event, candidate):
+    est, _ = bank.estimate({d: (event,)}, [candidate])
+    return float(est[(d, event)][0])
+
+
 @pytest.fixture(scope="module")
 def bank(micro_scalar):
-    return PresampleBank(micro_scalar, {}, qlen=5, m=50000, seed=3)
+    return PresampleBank(micro_scalar, {}, qlen=5, m=50000,
+                         proposal_scale=PROPOSAL, seed=3)
 
 
 @pytest.fixture(scope="module")
 def mixture_bank(micro_scalar):
-    return PresampleBank(micro_scalar, {}, qlen=5, m=50000, seed=3,
+    return PresampleBank(micro_scalar, {}, qlen=5, m=50000,
+                         proposal_scale=PROPOSAL, seed=3,
                          mixture=(0.5, 1.0, 2.0, 4.0, 8.0, 12.0))
 
 
@@ -68,7 +77,7 @@ def test_snap_vector_threshold():
 def test_estimate_center_mass_across_scales(bank):
     for scale in (0.5, 1.0, 2.0, 4.0, 8.0):
         want = make_dist("lap", scale).pmf(0)
-        got = estimate_event_prob(bank, D1, ValueEvent(frozenset([0])),
+        got = _estimate(bank, D1, ValueEvent(frozenset([0])),
                                   (scale,))
         assert got == pytest.approx(want, rel=0.05)
 
@@ -79,48 +88,52 @@ def test_estimate_at_proposal_equals_plain_frequency(bank, micro_scalar):
     outputs, _ = bank.runs_for(D1, (False,))
     event = ValueEvent(frozenset([0]))
     freq = sum(event.contains(o) for o in outputs) / bank.m
-    got = estimate_event_prob(bank, D1, event, (bank.proposal_scale,))
+    got = _estimate(bank, D1, event, (bank.proposal_scale,))
     assert got == pytest.approx(freq, rel=1e-9)
 
 
 def test_estimate_certain_event_clamps(bank):
-    got = estimate_event_prob(bank, D1, HalfLineEvent(-(10 ** 9), "ge"),
+    got = _estimate(bank, D1, HalfLineEvent(-(10 ** 9), "ge"),
                               (2.0,))
     assert got == 1.0 - 1.0 / (10 * bank.m)
 
 
 def test_estimate_impossible_event_clamps(bank):
-    got = estimate_event_prob(bank, D1, HalfLineEvent(10 ** 9, "ge"), (2.0,))
+    got = _estimate(bank, D1, HalfLineEvent(10 ** 9, "ge"), (2.0,))
     assert got == 1.0 / (10 * bank.m)
 
 
 def test_estimate_validates_candidate_length(bank):
     with pytest.raises(ValueError):
-        estimate_event_prob(bank, D1, ValueEvent(frozenset([0])), (2.0, 2.0))
+        _estimate(bank, D1, ValueEvent(frozenset([0])), (2.0, 2.0))
+    with pytest.raises(ValueError):
+        bank.estimate({D1: (ValueEvent(frozenset([0])),)}, [(2.0,), (None,)])
 
 
 def test_no_noise_candidate_is_deterministic(bank):
     # the off-mask path re-simulates runs without consuming the trace
-    assert estimate_event_prob(bank, D2, ValueEvent(frozenset([1])),
+    assert _estimate(bank, D2, ValueEvent(frozenset([1])),
                                (None,)) == 1.0 - 1.0 / (10 * bank.m)
-    assert estimate_event_prob(bank, D2, ValueEvent(frozenset([2])),
+    assert _estimate(bank, D2, ValueEvent(frozenset([2])),
                                (None,)) == 1.0 / (10 * bank.m)
 
 
 def test_mixture_bank_accurate_far_from_proposal(mixture_bank):
     for scale in (0.5, 2.0, 12.0):
         want = make_dist("lap", scale).pmf(0)
-        got = estimate_event_prob(mixture_bank, D1,
+        got = _estimate(mixture_bank, D1,
                                   ValueEvent(frozenset([0])), (scale,))
         assert got == pytest.approx(want, rel=0.05)
 
 
 def test_estimates_are_deterministic(micro_scalar):
-    a = PresampleBank(micro_scalar, {}, qlen=5, m=20000, seed=9)
-    b = PresampleBank(micro_scalar, {}, qlen=5, m=20000, seed=9)
+    a = PresampleBank(micro_scalar, {}, qlen=5, m=20000,
+                      proposal_scale=PROPOSAL, seed=9)
+    b = PresampleBank(micro_scalar, {}, qlen=5, m=20000,
+                      proposal_scale=PROPOSAL, seed=9)
     ev = ValueEvent(frozenset([0]))
-    assert (estimate_event_prob(a, D1, ev, (1.5,))
-            == estimate_event_prob(b, D1, ev, (1.5,)))
+    assert (_estimate(a, D1, ev, (1.5,))
+            == _estimate(b, D1, ev, (1.5,)))
 
 
 def test_weight_coeffs_shape(bank):
@@ -198,7 +211,8 @@ def test_log_loss_se_matches_spread_over_banks(micro_scalar, source, event,
                  p_value=0.5)
     log_losses, ses = [], []
     for seed in range(40):
-        bank = PresampleBank(sketch, {}, qlen=5, m=4000, seed=100 + seed,
+        bank = PresampleBank(sketch, {}, qlen=5, m=4000,
+                             proposal_scale=PROPOSAL, seed=100 + seed,
                              mixture=mixture)
         loss, se = example_losses_with_se(bank, [ex], [cand], 2.0)
         log_losses.append(math.log(loss[0, 0]))
@@ -217,20 +231,20 @@ def test_objective_minimized_near_inverse_epsilon(bank):
     ex = [_shift_example()]
     # loss of the one-sided event is exactly e^(1/b): the main term vanishes
     # at b = 1/eps = 2 and only the sparsity charge remains
-    at_two = objective(bank, ex, (2.0,), EPS)
+    at_two = batch_objective(bank, ex, [(2.0,)], EPS)[0]
     assert at_two == pytest.approx(1.0, abs=0.15)
-    assert at_two < objective(bank, ex, (0.5,), EPS)
-    assert at_two < objective(bank, ex, (8.0,), EPS)
+    assert at_two < batch_objective(bank, ex, [(0.5,)], EPS)[0]
+    assert at_two < batch_objective(bank, ex, [(8.0,)], EPS)[0]
 
 
 def test_objective_no_noise_on_separating_example(bank):
-    assert objective(bank, [_shift_example()], (None,), EPS) > 1000.0
+    assert batch_objective(bank, [_shift_example()], [(None,)], EPS)[0] > 1000.0
 
 
 def test_objective_deterministic_with_shared_bank(bank):
     ex = [_shift_example()]
-    assert (objective(bank, ex, (1.3,), EPS, lam=0.0)
-            == objective(bank, ex, (1.3,), EPS, lam=0.0))
+    assert (batch_objective(bank, ex, [(1.3,)], EPS, lam=0.0)[0]
+            == batch_objective(bank, ex, [(1.3,)], EPS, lam=0.0)[0])
 
 
 def test_objective_lower_bound(bank):
@@ -240,14 +254,6 @@ def test_objective_lower_bound(bank):
     objs = batch_objective(bank, ex, cands, EPS, lam=lam)
     l0 = np.array([sum(v is not None for v in c) for c in cands])
     assert (objs >= lam * l0 - 1e-12).all()
-
-
-def test_objective_log_form(bank):
-    ex = [_shift_example()]
-    lin = batch_objective(bank, ex, [(2.0,)], EPS, lam=0.0)[0]
-    log = batch_objective(bank, ex, [(2.0,)], EPS, lam=0.0, log_form=True)[0]
-    assert lin == pytest.approx(abs(math.exp(EPS) - math.exp(EPS)), abs=0.2)
-    assert log == pytest.approx(0.0, abs=0.1)
 
 
 def test_objective_requires_examples(bank):
@@ -332,7 +338,7 @@ def test_region_champions_cover_visited_masks(micro_region):
 def test_select_examples_zone_and_provenance(micro_scalar):
     args = {"eps": 0.5, "qlen": 5}
     found = select_examples(micro_scalar, args, scale_grid=(0.5, 2.0, 8.0),
-                            trials=2000, seed=0)
+                            trials=2000, seed=0, zone=ZONE)
     assert found
     keys = [(ex.d1, ex.d2, ex.event) for ex in found]
     assert len(set(keys)) == len(keys)
@@ -350,12 +356,13 @@ def test_select_examples_zone_and_provenance(micro_scalar):
 def test_select_examples_deterministic(micro_scalar):
     args = {"eps": 0.5, "qlen": 5}
     a = select_examples(micro_scalar, args, scale_grid=(2.0,), trials=2000,
-                        seed=4)
+                        seed=4, zone=ZONE)
     b = select_examples(micro_scalar, args, scale_grid=(2.0,), trials=2000,
-                        seed=4)
+                        seed=4, zone=ZONE)
     assert a == b
 
 
 def test_select_examples_rejects_empty_grid(micro_scalar):
     with pytest.raises(ValueError):
-        select_examples(micro_scalar, {"eps": 0.5, "qlen": 5}, scale_grid=())
+        select_examples(micro_scalar, {"eps": 0.5, "qlen": 5}, scale_grid=(),
+                        zone=ZONE)

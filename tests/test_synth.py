@@ -6,6 +6,7 @@ whose loss at scale b is exactly e^(1/b).
 """
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,10 @@ from scipy.special import ndtri
 from mechsynth.config import RunConfig
 from mechsynth.lang import parse_sketch
 from mechsynth.search import (Example, NoiseRegion, PresampleBank,
-                              estimate_event_prob, example_losses_with_se)
+                              example_losses_with_se)
 from mechsynth.synth import (Grammar, NoiseExpr, RankedCandidate, SynthError,
-                             _bindings, _inherit_examples, _reshape_pair,
+                             _bindings, _inherit_examples, _mixture_at,
+                             _proposal_at, _report, _reshape_pair,
                              enumerate_and_prune, final_verify, fix_params,
                              gamma_vector, rank_candidates, render_vector,
                              synth)
@@ -55,7 +57,7 @@ def test_expr_render():
 
 
 def test_grammar_size_and_order():
-    exprs = Grammar().expressions()
+    exprs = Grammar.from_config(RunConfig()).expressions()
     assert len(exprs) == 25
     assert exprs[0] is None
     assert exprs[1] == NoiseExpr(1, 0, 1)
@@ -65,7 +67,7 @@ def test_grammar_size_and_order():
 
 
 def test_grammar_gammas_positive():
-    for e in Grammar().expressions()[1:]:
+    for e in Grammar.from_config(RunConfig()).expressions()[1:]:
         assert e.gamma(BINDING) > 0
         assert e.gamma({"eps": Fraction(3, 2), "qlen": 10, "T": 2}) > 0
 
@@ -76,7 +78,7 @@ def test_grammar_gammas_positive():
 
 def test_prune_keeps_l1_neighbors():
     region = _region([((2.0, 4.0), 1.0)])
-    grammar = Grammar()
+    grammar = Grammar.from_config(RunConfig())
     kept = enumerate_and_prune(grammar, region, BINDING, radius=3.0)
     gammas = {tuple(gamma_vector(c, BINDING)) for c in kept}
     assert (4.0, 4.0) in gammas  # L1 distance 2
@@ -118,7 +120,7 @@ def test_prune_matches_brute_force(n_holes, seed):
                     for v in rng.uniform(0, 20, n_holes))
         entries.append((vec, float(rng.random())))
     region = _region(entries)
-    grammar = Grammar()
+    grammar = Grammar.from_config(RunConfig())
     fast = enumerate_and_prune(grammar, region, BINDING, radius=3.0)
     slow = _brute_force_prune(grammar, region, BINDING, radius=3.0)
     assert fast == slow
@@ -126,7 +128,7 @@ def test_prune_matches_brute_force(n_holes, seed):
 
 def test_prune_bottom_matching():
     # a no-noise hole matches only region coordinates that snapped to none
-    grammar = Grammar()
+    grammar = Grammar.from_config(RunConfig())
     with_none = _region([((None, 2.0), 1.0)])
     kept = enumerate_and_prune(grammar, with_none, BINDING, radius=3.0)
     assert (None, NoiseExpr(1, 0, 1)) in kept
@@ -136,7 +138,7 @@ def test_prune_bottom_matching():
 
 
 def test_prune_validation():
-    grammar = Grammar()
+    grammar = Grammar.from_config(RunConfig())
     with pytest.raises(ValueError):
         enumerate_and_prune(grammar, _region([]), BINDING, radius=3.0)
     with pytest.raises(ValueError):
@@ -240,6 +242,26 @@ def test_bindings_cover_eps_and_qlen_grid(micro_scalar):
         (e, q) for e in cfg.test_eps for q in cfg.test_qlens}
 
 
+def test_banks_at_the_target_epsilon_use_the_configured_scales():
+    # the fixed binding's epsilon is cfg.epsilon, so its banks must not be
+    # rescaled whatever that epsilon is
+    cfg = RunConfig(epsilon=Fraction(1))
+    assert _proposal_at(cfg, cfg.epsilon) == cfg.proposal_scale
+    assert _mixture_at(cfg, cfg.epsilon) == cfg.scale_grid
+    assert _proposal_at(cfg, Fraction(1, 2)) == 2 * cfg.proposal_scale
+
+
+def test_report_config_block_names_every_field(micro_scalar):
+    cfg = RunConfig()
+    report = _report(micro_scalar, cfg, [], None, [], [], [], [])
+    names = {f.name for f in fields(RunConfig)} - {"out", "lam"}
+    assert set(report["config"]) == names | {"lambda"}
+    assert report["config"]["epsilon"] == "1/2"
+    assert report["config"]["test_eps"] == ["1/5", "1/2", "3/2"]
+    assert report["config"]["zone"] == [0.05, 0.9]
+    assert report["config"]["lambda"] == cfg.lam
+
+
 # ---------------------------------------------------------------------------
 # Ranking
 # ---------------------------------------------------------------------------
@@ -268,7 +290,8 @@ def test_sort_key_ties_losses_within_grain_then_prefers_less_noise():
 @pytest.fixture(scope="module")
 def rank_setup(micro_scalar):
     cfg = RunConfig(event_floor=1e-4)
-    bank = PresampleBank(micro_scalar, {}, qlen=5, m=40000, seed=2,
+    bank = PresampleBank(micro_scalar, {}, qlen=5, m=40000,
+                         proposal_scale=cfg.proposal_scale, seed=2,
                          mixture=(0.5, 1.0, 2.0, 4.0, 8.0))
     example = Example(d1=(0, 0, 0, 0, 0), d2=(1, 0, 0, 0, 0),
                       event=HalfLineEvent(0, "le"), direction=(1,),
@@ -320,13 +343,14 @@ def test_rank_dry_side_gets_a_one_sided_bound(micro_scalar):
     # d1 = (0, ..) when v = k and by d2 = (1, ..) when v = k - 1.  At the
     # first k no draw reaches, d1 is dry while d2 has hits.
     cfg = RunConfig(event_floor=1e-4)
-    bank = PresampleBank(micro_scalar, {}, qlen=5, m=2000, seed=0)
+    bank = PresampleBank(micro_scalar, {}, qlen=5, m=2000,
+                         proposal_scale=cfg.proposal_scale, seed=0)
     d1, d2 = (0, 0, 0, 0, 0), (1, 0, 0, 0, 0)
     dry = bank.clamp[0]
-    k = next(k for k in range(1, 200) if estimate_event_prob(
-        bank, d1, ValueEvent(frozenset([k])), (4.0,)) == dry)
-    event = ValueEvent(frozenset([k]))
-    assert estimate_event_prob(bank, d2, event, (4.0,)) >= cfg.event_floor
+    events = tuple(ValueEvent(frozenset([k])) for k in range(1, 200))
+    est, _ = bank.estimate({d1: events, d2: events}, [(4.0,)])
+    event = next(e for e in events if est[(d1, e)][0] == dry)
+    assert est[(d2, event)][0] >= cfg.event_floor
     example = Example(d1=d1, d2=d2, event=event, direction=(1,), scale=1.0,
                       p_value=0.5)
     binding = {"eps": Fraction(1, 2), "qlen": 5}
