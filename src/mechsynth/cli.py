@@ -11,9 +11,9 @@ Reports are deterministic for a fixed seed and config; wall-clock timings go
 to a ``.timings.json`` sidecar so the main report stays byte-identical.
 Exit codes: 0 ok; 1 violation found (``test``), no candidate survived
 (``synth``) or no challenging example found (``grid``); 2 usage error;
-3 (``test``, ``synth``) runtime fault while running the sketch, such as an
-out-of-range index, a read of an unassigned variable or exhausted noise
-draws, or any other failure inside a synthesis phase.
+3 runtime fault while running the sketch, such as an out-of-range index, a
+read of an unassigned variable, an int64 overflow or exhausted noise draws,
+or (``synth``) any other failure inside a synthesis phase.
 """
 
 from __future__ import annotations
@@ -268,15 +268,6 @@ def cmd_grid(sketch, holes, fix, grid_spec, **kw):
         axis.append(round(v, 9))
         v += step
 
-    binding = fix_params(sk, cfg)
-    examples = select_examples(
-        sk, binding, scale_grid=cfg.scale_grid, trials=cfg.trials,
-        seed=cfg.seed, zone=cfg.zone)
-    if not examples:
-        click.echo("no challenging examples found", err=True)
-        sys.exit(1)
-    bank = PresampleBank(sk, binding, qlen=cfg.qlen, m=cfg.presamples,
-                         proposal_scale=cfg.proposal_scale, seed=cfg.seed)
     points = [(a, b) for a in axis for b in axis]
     cands = []
     for a, b in points:
@@ -285,8 +276,21 @@ def cmd_grid(sketch, holes, fix, grid_spec, **kw):
         for idx, val in fixed.items():
             vec[idx - 1] = val
         cands.append(vec)
-    objs = batch_objective(bank, examples, cands, float(cfg.epsilon), cfg.lam,
-                           floor=cfg.event_floor)
+    binding = fix_params(sk, cfg)
+    try:
+        examples = select_examples(
+            sk, binding, scale_grid=cfg.scale_grid, trials=cfg.trials,
+            seed=cfg.seed, zone=cfg.zone)
+        if not examples:
+            click.echo("no challenging examples found", err=True)
+            sys.exit(1)
+        bank = PresampleBank(sk, binding, qlen=cfg.qlen, m=cfg.presamples,
+                             proposal_scale=cfg.proposal_scale, seed=cfg.seed)
+        objs = batch_objective(bank, examples, cands, float(cfg.epsilon),
+                               cfg.lam, floor=cfg.event_floor)
+    except LangError as exc:
+        click.echo(f"runtime error in sketch: {exc}", err=True)
+        sys.exit(3)
     rows = [f"scale{i},scale{j},objective"]
     rows += [f"{a:g},{b:g},{o:.6f}" for (a, b), o in zip(points, objs)]
     _emit("\n".join(rows) + "\n", cfg.out)

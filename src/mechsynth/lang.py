@@ -4,25 +4,45 @@ Programs are integer-valued, line-oriented, and indentation-structured.  A
 *sketch* is a program whose noise scales are left abstract: every noisy
 assignment names a hole (``x <- e + Lap(?1)``) whose scale is supplied later,
 either as a concrete number or as a symbolic expression.  All randomness is
-externalized: running a sketch consumes pre-drawn integer noise values from a
-:class:`NoiseTrace`, which makes replay fully deterministic.
+externalized: running a sketch consumes pre-drawn integer noise values, which
+makes replay fully deterministic.
 
 Lists are 1-indexed (``a[1]`` is the first element) so that reported indices
-match the usual presentation of mechanisms like noisy-argmax.
+match the usual presentation of mechanisms like noisy-argmax.  Lists are
+values (assignment copies) and an element reads as an integer.  The checker
+gives every variable one type for the whole sketch, every list one element
+type (integer or boolean), and every ``return`` one output type.  Integers
+are int64: a result outside that range is a fault, never a wrapped value.
+
+One engine runs sketches: :func:`compile_sketch` turns a sketch into a
+*lane kernel*, numpy code that executes many runs ("lanes") in lock-step on
+one answer vector.  Hole ``h``'s noise is a ``(lanes, cap)`` int64 matrix,
+lane ``j`` reading row ``j`` in order; the kernel returns the lanes'
+:class:`Outputs` and a ``(lanes, n_holes)`` count of the draws each
+consumed.  Control flow becomes per-lane masks, and a fault (unassigned
+read, index outside ``1..len``, division by zero, int64 overflow, exhausted
+draws, exhausted loop fuel) raises :class:`RunError` as soon as a lane that
+executes the faulting operation reaches it; masked-off lanes and
+short-circuited operands never fault.  The tree interpreter :func:`run`,
+one run over a :class:`NoiseTrace`, is the reference semantics that tests
+hold the kernel to.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
+
+import numpy as np
 
 __all__ = [
     "LangError", "ParseError", "TypeCheckError", "RunError",
     "Var", "IntLit", "BoolLit", "EmptyList", "BinOp", "Not", "Length", "Index",
     "Skip", "Assign", "NoisyAssign", "VecNoisyAssign", "If", "While",
     "Append", "Prepend", "Break", "Return",
-    "Hole", "MechanismSketch", "NoiseTrace",
+    "Hole", "MechanismSketch", "NoiseTrace", "Outputs",
     "parse_sketch", "run", "count_hole_draws", "compile_sketch",
 ]
 
@@ -203,7 +223,7 @@ class NoiseTrace:
     def take(self, hole: int) -> int:
         cur = self.cursors[hole]
         if cur >= len(self.draws[hole]):
-            raise RunError(f"noise trace exhausted for hole {hole + 1}")
+            raise RunError(f"noise draws exhausted for hole {hole + 1}")
         self.cursors[hole] = cur + 1
         return self.draws[hole][cur]
 
@@ -353,6 +373,8 @@ class _ExprParser:
             self.expect(")")
             return Length(e)
         if tok.isdigit():
+            if int(tok) > _I64_MAX:
+                raise ParseError(f"integer literal {tok} exceeds int64", self.lineno, col)
             return IntLit(int(tok))
         if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok) and tok not in _KEYWORDS:
             return Var(tok)
@@ -578,14 +600,55 @@ def _check_expr(e: Expr, types: dict) -> str:
 
 
 def _merge_scopes(outer: dict, t1: dict, t2: dict):
-    for k in set(t1) | set(t2):
-        a, b = t1.get(k), t2.get(k)
-        if a is not None and b is not None and a != b:
-            raise TypeCheckError(f"{k!r} has conflicting types across branches")
-        outer[k] = a if a is not None else b
+    # a variable keeps one type sketch-wide (_Decls), so branches agree
+    outer.update(t1)
+    outer.update(t2)
 
 
-def _check_body(body, types: dict, in_loop: bool):
+class _Decls:
+    """Sketch-wide typing: every variable keeps one type, every list one
+    element type (lists that flow into each other, and every returned list,
+    share it) and every ``return`` one output type."""
+
+    def __init__(self, types: dict):
+        self.types = dict(types)   # name -> _INT | _BOOL | _LIST
+        self.parent = {}           # union-find over list names and "return"
+        self.elem = {}             # root -> element type
+
+    def declare(self, name: str, t: str):
+        old = self.types.setdefault(name, t)
+        if old != t:
+            what = "the output" if name == "return" else repr(name)
+            raise TypeCheckError(f"{what} holds both {old} and {t} values")
+
+    def _root(self, x: str) -> str:
+        while self.parent.get(x, x) != x:
+            x = self.parent[x]
+        return x
+
+    def elements(self, name: str, t: str):
+        root = self._root(name)
+        old = self.elem.setdefault(root, t)
+        if old != t:
+            raise TypeCheckError(f"list {name!r} mixes {old} and {t} elements")
+
+    def link(self, x: str, y: str):
+        rx, ry = self._root(x), self._root(y)
+        if rx != ry:
+            self.parent[rx] = ry
+            if rx in self.elem:
+                self.elements(ry, self.elem.pop(rx))
+
+    def output(self) -> tuple:
+        """(type, boolean): the output type, and whether its values (or its
+        elements, for a list) are booleans."""
+        t = self.types.get("return", _INT)
+        if t == _LIST:
+            return t, self.elem.get(self._root("return")) == _BOOL
+        return t, t == _BOOL
+
+
+def _check_body(body, types: dict, in_loop: bool, decls: _Decls):
     """Single textual pass; branch and loop assignments join the enclosing
     scope (the checker flags typos, the runtime flags genuinely unassigned
     reads)."""
@@ -594,7 +657,10 @@ def _check_body(body, types: dict, in_loop: bool):
             if isinstance(cmd, Break) and not in_loop:
                 raise TypeCheckError("break outside of a loop")
         elif isinstance(cmd, Assign):
-            types[cmd.target] = _check_expr(cmd.expr, types)
+            t = types[cmd.target] = _check_expr(cmd.expr, types)
+            decls.declare(cmd.target, t)
+            if isinstance(cmd.expr, Var) and t == _LIST:
+                decls.link(cmd.target, cmd.expr.name)
         elif isinstance(cmd, (NoisyAssign, VecNoisyAssign)):
             t = _check_expr(cmd.expr, types)
             want = _LIST if isinstance(cmd, VecNoisyAssign) else _INT
@@ -602,40 +668,57 @@ def _check_body(body, types: dict, in_loop: bool):
                 raise TypeCheckError(
                     f"noisy assignment to {cmd.target!r} needs a {want} expression")
             types[cmd.target] = want
+            decls.declare(cmd.target, want)
+            if want == _LIST:
+                decls.elements(cmd.target, _INT)
+                if isinstance(cmd.expr, Var):
+                    decls.elements(cmd.expr.name, _INT)
         elif isinstance(cmd, (Append, Prepend)):
             if types.get(cmd.target) != _LIST:
                 raise TypeCheckError(f"{cmd.target!r} is not a list")
-            if _check_expr(cmd.expr, types) not in (_INT, _BOOL):
+            t = _check_expr(cmd.expr, types)
+            if t not in (_INT, _BOOL):
                 raise TypeCheckError("list elements must be integers or booleans")
+            decls.elements(cmd.target, t)
         elif isinstance(cmd, If):
             if _check_expr(cmd.cond, types) != _BOOL:
                 raise TypeCheckError("if condition must be boolean")
             t1, t2 = dict(types), dict(types)
-            _check_body(cmd.then_body, t1, in_loop)
-            _check_body(cmd.else_body, t2, in_loop)
+            _check_body(cmd.then_body, t1, in_loop, decls)
+            _check_body(cmd.else_body, t2, in_loop, decls)
             _merge_scopes(types, t1, t2)
         elif isinstance(cmd, While):
             if _check_expr(cmd.cond, types) != _BOOL:
                 raise TypeCheckError("while condition must be boolean")
             t1 = dict(types)
-            _check_body(cmd.body, t1, True)
+            _check_body(cmd.body, t1, True, decls)
             _merge_scopes(types, t1, types)
         elif isinstance(cmd, Return):
-            _check_expr(cmd.expr, types)
+            t = _check_expr(cmd.expr, types)
+            decls.declare("return", t)
+            if isinstance(cmd.expr, Var) and t == _LIST:
+                decls.link(cmd.expr.name, "return")
         else:
             raise TypeCheckError(f"unknown command {cmd!r}")
 
 
-def _check_sketch(sketch: MechanismSketch):
+def _check_sketch(sketch: MechanismSketch) -> _Decls:
     types = {sketch.private_input: _LIST, "qlen": _INT, "eps": _INT}
     for a in sketch.args:
         types[a] = _INT
-    _check_body(sketch.body, types, False)
+    decls = _Decls(types)
+    decls.elements(sketch.private_input, _INT)
+    _check_body(sketch.body, types, False, decls)
+    return decls
 
 
 # ---------------------------------------------------------------------------
-# Interpretation
+# Interpretation: the reference semantics, one run at a time (tests check
+# the kernel against it)
 # ---------------------------------------------------------------------------
+
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
 
 class _ReturnSignal(Exception):
     def __init__(self, value):
@@ -646,11 +729,17 @@ class _BreakSignal(Exception):
     pass
 
 
+def _int64(v: int) -> int:
+    if not _I64_MIN <= v <= _I64_MAX:
+        raise RunError("integer overflow")
+    return v
+
+
 def _idiv(a: int, b: int) -> int:
     if b == 0:
         raise RunError("division by zero")
     q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
+    return _int64(q if (a >= 0) == (b >= 0) else -q)
 
 
 def _imod(a: int, b: int) -> int:
@@ -678,7 +767,8 @@ def _eval(e: Expr, mem: dict):
         i = _eval(e.index, mem)
         if not 1 <= i <= len(base):
             raise RunError(f"index {i} out of range 1..{len(base)}")
-        return base[i - 1]
+        # an element reads as an integer, as the checker types it
+        return int(base[i - 1])
     if isinstance(e, BinOp):
         if e.op == "and":
             return _eval(e.left, mem) and _eval(e.right, mem)
@@ -687,11 +777,11 @@ def _eval(e: Expr, mem: dict):
         l = _eval(e.left, mem)
         r = _eval(e.right, mem)
         if e.op == "+":
-            return l + r
+            return _int64(l + r)
         if e.op == "-":
-            return l - r
+            return _int64(l - r)
         if e.op == "*":
-            return l * r
+            return _int64(l * r)
         if e.op == "/":
             return _idiv(l, r)
         if e.op == "mod":
@@ -714,16 +804,20 @@ def _eval(e: Expr, mem: dict):
 def _exec_body(body, mem, trace, fuel_limit, bottoms):
     for cmd in body:
         if isinstance(cmd, Assign):
-            mem[cmd.target] = _eval(cmd.expr, mem)
+            v = _eval(cmd.expr, mem)
+            # lists are values: assignment copies
+            mem[cmd.target] = list(v) if isinstance(v, list) else v
         elif isinstance(cmd, NoisyAssign):
             base = _eval(cmd.expr, mem)
-            mem[cmd.target] = base if bottoms[cmd.hole] else base + trace.take(cmd.hole)
+            mem[cmd.target] = (base if bottoms[cmd.hole]
+                               else _int64(base + trace.take(cmd.hole)))
         elif isinstance(cmd, VecNoisyAssign):
             base = _eval(cmd.expr, mem)
             if bottoms[cmd.hole]:
                 mem[cmd.target] = list(base)
             else:
-                mem[cmd.target] = [v + trace.take(cmd.hole) for v in base]
+                noise = [trace.take(cmd.hole) for _ in base]
+                mem[cmd.target] = [_int64(v + d) for v, d in zip(base, noise)]
         elif isinstance(cmd, If):
             branch = cmd.then_body if _eval(cmd.cond, mem) else cmd.else_body
             _exec_body(branch, mem, trace, fuel_limit, bottoms)
@@ -737,10 +831,10 @@ def _exec_body(body, mem, trace, fuel_limit, bottoms):
                     _exec_body(cmd.body, mem, trace, fuel_limit, bottoms)
                 except _BreakSignal:
                     break
-        elif isinstance(cmd, Append):
-            mem[cmd.target].append(_eval(cmd.expr, mem))
-        elif isinstance(cmd, Prepend):
-            mem[cmd.target].insert(0, _eval(cmd.expr, mem))
+        elif isinstance(cmd, (Append, Prepend)):
+            target = _eval(Var(cmd.target), mem)
+            v = _eval(cmd.expr, mem)
+            target.insert(len(target) if isinstance(cmd, Append) else 0, v)
         elif isinstance(cmd, Break):
             raise _BreakSignal()
         elif isinstance(cmd, Return):
@@ -810,142 +904,565 @@ def count_hole_draws(sketch: MechanismSketch, args: dict, qlen: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to a Python closure (fast path; same outputs as run(), and
-# RunError wherever run() raises it)
+# Lane outputs
 # ---------------------------------------------------------------------------
 
-def _compile_expr(e: Expr) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, IntLit):
-        return repr(e.value)
-    if isinstance(e, BoolLit):
-        return repr(e.value)
-    if isinstance(e, EmptyList):
-        return "[]"
-    if isinstance(e, Not):
-        return f"(not {_compile_expr(e.operand)})"
-    if isinstance(e, Length):
-        return f"len({_compile_expr(e.operand)})"
-    if isinstance(e, Index):
-        # the base is a variable or [], so naming it twice costs nothing
-        base = _compile_expr(e.base)
-        return (f"{base}[_i - 1 if 0 < (_i := {_compile_expr(e.index)}) "
-                f"<= len({base}) else _bad_index(_i, {base})]")
-    if isinstance(e, BinOp):
-        op = {"mod": None, "/": None, "==": "==", "!=": "!=", "and": "and",
-              "or": "or"}.get(e.op, e.op)
-        l, r = _compile_expr(e.left), _compile_expr(e.right)
-        if e.op == "/":
-            return f"_idiv({l}, {r})"
+def _pad(d: np.ndarray, width: int) -> np.ndarray:
+    """``d`` widened with zero columns to at least ``width``."""
+    if d.shape[1] >= width:
+        return d
+    return np.concatenate(
+        [d, np.zeros((len(d), width - d.shape[1]), dtype=np.int64)], axis=1)
+
+
+class Outputs:
+    """The per-lane outputs of one kernel call.
+
+    ``values`` is an int64 array: shape (lanes,) for scalar outputs, or
+    (lanes, width) for list outputs, whose ``lengths`` hold each lane's
+    length (entries at or past it are 0; ``lengths`` is None for scalars).
+    Booleans are stored as 0/1 and flagged by ``boolean``.  Lane ``j``,
+    ``outputs[j]``, is the value :func:`run` returns: an int, a bool, or a
+    tuple of either.  A slice gives the outputs of those lanes."""
+
+    __slots__ = ("values", "lengths", "boolean")
+
+    def __init__(self, values, lengths=None, boolean=False):
+        self.values = values
+        self.lengths = lengths
+        self.boolean = bool(boolean)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Outputs(self.values[key],
+                           None if self.lengths is None else self.lengths[key],
+                           self.boolean)
+        cast = bool if self.boolean else int
+        if self.lengths is None:
+            return cast(self.values[key])
+        return tuple(cast(v) for v in self.values[key, :self.lengths[key]])
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+    @classmethod
+    def concat(cls, parts) -> "Outputs":
+        """The lanes of several outputs of one sketch, in order."""
+        parts = list(parts)
+        if parts[0].lengths is None:
+            return cls(np.concatenate([p.values for p in parts]), None,
+                       parts[0].boolean)
+        width = max(p.values.shape[1] for p in parts)
+        return cls(np.concatenate([_pad(p.values, width) for p in parts]),
+                   np.concatenate([p.lengths for p in parts]),
+                   parts[0].boolean)
+
+    @classmethod
+    def from_values(cls, values) -> "Outputs":
+        """Pack outputs in the form :func:`run` returns them."""
+        values = list(values)
+        if values and isinstance(values[0], tuple):
+            arr = np.zeros((len(values), max(len(v) for v in values)),
+                           dtype=np.int64)
+            for j, v in enumerate(values):
+                arr[j, :len(v)] = v
+            flat = [x for v in values for x in v]
+            return cls(arr, np.array([len(v) for v in values], dtype=np.int64),
+                       bool(flat) and all(isinstance(x, bool) for x in flat))
+        return cls(np.array(values, dtype=np.int64).reshape(len(values)), None,
+                   bool(values) and all(isinstance(x, bool) for x in values))
+
+
+# ---------------------------------------------------------------------------
+# The lane kernel: compile_sketch emits numpy code that runs every lane in
+# lock-step.  These helpers are the kernel's runtime; ``m`` is always the
+# (lanes,) bool mask of the lanes that execute the operation, and a fault
+# raises only when one of those lanes reaches it.
+# ---------------------------------------------------------------------------
+
+def _lane(bad, m) -> int:
+    """First lane active in ``m`` that ``bad`` flags, or -1."""
+    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+        return -1
+    hit = np.flatnonzero(bad & m)
+    return int(hit[0]) if hit.size else -1
+
+
+def _at(x, j: int) -> int:
+    return int(x[j]) if isinstance(x, np.ndarray) else int(x)
+
+
+def _k_const(v: int, m):
+    """A lane-uniform result computed in Python ints."""
+    if not _I64_MIN <= v <= _I64_MAX:
+        if m.any():
+            raise RunError("integer overflow")
+        return 0
+    return v
+
+
+def _k_add(l, r, m):
+    if not isinstance(l, np.ndarray) and not isinstance(r, np.ndarray):
+        return _k_const(l + r, m)
+    s = l + r
+    # the wrapped sum moved against the sign of r
+    if _lane((s < l) != (r < 0), m) >= 0:
+        raise RunError("integer overflow")
+    return s
+
+
+def _k_sub(l, r, m):
+    if not isinstance(l, np.ndarray) and not isinstance(r, np.ndarray):
+        return _k_const(l - r, m)
+    s = l - r
+    if _lane((s > l) != (r < 0), m) >= 0:
+        raise RunError("integer overflow")
+    return s
+
+
+def _k_mul(l, r, m):
+    if not isinstance(l, np.ndarray) and not isinstance(r, np.ndarray):
+        return _k_const(l * r, m)
+    p = l * r
+    # the float product finds the lanes that may have left int64; Python
+    # ints settle them exactly
+    near = np.abs(np.multiply(l, r, dtype=np.float64)) >= 2.0 ** 62
+    if near.any():
+        for j in np.flatnonzero(near & m):
+            if not _I64_MIN <= _at(l, j) * _at(r, j) <= _I64_MAX:
+                raise RunError("integer overflow")
+    return p
+
+
+def _k_div(l, r, m, mod=False):
+    """Division truncating toward zero, or the remainder that goes with it."""
+    if not isinstance(l, np.ndarray) and not isinstance(r, np.ndarray):
+        try:
+            return _imod(l, r) if mod else _idiv(l, r)
+        except RunError:
+            if m.any():
+                raise
+            return 0
+    zero = r == 0
+    if _lane(zero, m) >= 0:
+        raise RunError("division by zero")
+    wrap = (l == _I64_MIN) & (r == -1)
+    if _lane(wrap, m) >= 0:
+        raise RunError("integer overflow")
+    safe = np.where(zero | wrap, 1, r)
+    q = l // safe
+    rem = l - q * safe
+    # floor to truncation: one up where the signs differ and it was inexact
+    q = q + ((rem != 0) & ((l < 0) != (safe < 0)))
+    return l - safe * q if mod else q
+
+
+def _k_read(x, assigned, m, name: str):
+    if _lane(~assigned, m) >= 0:
+        raise RunError(f"read of unassigned variable {name!r}")
+    return x
+
+
+def _k_arg(args: dict, name: str, default=None) -> int:
+    value = args.get(name, default)
+    if value is None:
+        raise RunError(f"missing argument {name!r}")
+    try:
+        return _int64(operator.index(value))
+    except TypeError:
+        raise RunError(f"argument {name!r} must be an integer, "
+                       f"got {value!r}") from None
+
+
+def _k_empty(lanes: int) -> tuple:
+    return (np.zeros((lanes, 1), dtype=np.int64),
+            np.zeros(lanes, dtype=np.int64))
+
+
+def _k_list(values, lanes: int) -> tuple:
+    """The same list on every lane."""
+    row = np.asarray(values, dtype=np.int64).reshape(1, -1)
+    if row.shape[1] == 0:
+        return _k_empty(lanes)
+    return (np.broadcast_to(row, (lanes, row.shape[1])),
+            np.full(lanes, row.shape[1], dtype=np.int64))
+
+
+def _k_index(lst, i, m):
+    d, n = lst
+    j = _lane((i < 1) | (i > n), m)
+    if j >= 0:
+        raise RunError(f"index {_at(i, j)} out of range 1..{int(n[j])}")
+    k = np.clip(np.subtract(i, 1), 0, d.shape[1] - 1)
+    if isinstance(i, np.ndarray):
+        return d[np.arange(len(d)), k]
+    return d[:, k]
+
+
+def _k_leq(a, b):
+    (da, na), (db, nb) = a, b
+    w = max(da.shape[1], db.shape[1])
+    same = (_pad(da, w) == _pad(db, w)) | (np.arange(w) >= na[:, None])
+    return (na == nb) & same.all(axis=1)
+
+
+def _k_lset(m, new, old) -> tuple:
+    (dn, nn), (do, no) = new, old
+    w = max(dn.shape[1], do.shape[1])
+    return (np.where(m[:, None], _pad(dn, w), _pad(do, w)),
+            np.where(m, nn, no))
+
+
+def _k_append(lst, v, m) -> tuple:
+    d, n = lst
+    top = int(n.max()) if len(n) else 0
+    d = _pad(d, top + 1) if top >= d.shape[1] else d.copy()
+    # lanes off the mask get v just past their end, where nothing reads
+    d[np.arange(len(d)), n] = v
+    return d, n + m
+
+
+def _k_prepend(lst, v, m) -> tuple:
+    d, n = lst
+    shifted = np.empty((len(d), d.shape[1] + 1), dtype=np.int64)
+    shifted[:, 0] = v
+    shifted[:, 1:] = d
+    return (np.where(m[:, None], shifted, _pad(d, d.shape[1] + 1)),
+            n + m)
+
+
+def _k_draw(v, draws, cursor, m, hole: int):
+    """``v`` plus each lane's next draw of ``hole``; the advanced cursor."""
+    cap = draws.shape[1]
+    if _lane(cursor >= cap, m) >= 0:
+        raise RunError(f"noise draws exhausted for hole {hole + 1}")
+    if cap == 0:
+        return v, cursor
+    d = draws[np.arange(len(cursor)), np.minimum(cursor, cap - 1)]
+    return _k_add(v, d, m), cursor + m
+
+
+def _k_vdraw(lst, draws, cursor, m, hole: int):
+    """Each element of ``lst`` plus its own draw of ``hole``."""
+    d, n = lst
+    cap = draws.shape[1]
+    if _lane(cursor + n > cap, m) >= 0:
+        raise RunError(f"noise draws exhausted for hole {hole + 1}")
+    if cap == 0:
+        return lst, cursor
+    cols = np.arange(d.shape[1])
+    noise = draws[np.arange(len(d))[:, None],
+                  np.minimum(cursor[:, None] + cols, cap - 1)]
+    s = d + noise
+    live = (cols < n[:, None]) & m[:, None]
+    if (((s < d) != (noise < 0)) & live).any():
+        raise RunError("integer overflow")
+    return (s, n), cursor + np.where(m, n, 0)
+
+
+def _k_matrix(draws, lanes: int, hole: int) -> np.ndarray:
+    arr = np.asarray(draws, dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[0] != lanes:
+        raise ValueError(f"draws of hole {hole + 1} must be a "
+                         f"({lanes}, cap) matrix, got shape {arr.shape}")
+    return arr
+
+
+def _k_finish(out, is_list: bool, boolean: bool) -> Outputs:
+    if not is_list:
+        return Outputs(out, None, boolean)
+    d, n = out
+    w = int(n.max()) if len(n) else 0
+    values = np.where(np.arange(w) < n[:, None], _pad(d, w)[:, :w], 0)
+    return Outputs(values, n, boolean)
+
+
+_KERNEL_NAMES = {k: v for k, v in globals().items() if k.startswith("_k_")}
+
+
+def _contains(cmd, kind, into_loops: bool) -> bool:
+    if isinstance(cmd, kind):
+        return True
+    if isinstance(cmd, If):
+        return any(_contains(c, kind, into_loops)
+                   for c in cmd.then_body + cmd.else_body)
+    if isinstance(cmd, While) and into_loops:
+        return any(_contains(c, kind, into_loops) for c in cmd.body)
+    return False
+
+
+class _Emitter:
+    """Python source of one kernel.
+
+    Sketch variable ``x`` lives in ``v_x``: an int64 or bool (lanes,)
+    array, a Python int for a lane-uniform input, or a ``(data, lengths)``
+    list pair.  ``defd`` sets hold the variables assigned on every path to
+    the current point; a read outside it checks ``_s_x``, the mask of lanes
+    that assigned ``x``, kept only for the variables in ``tracked``."""
+
+    def __init__(self, sketch, bottoms, decls, tracked):
+        self.sketch = sketch
+        self.bottoms = bottoms
+        self.decls = decls
+        self.types = decls.types
+        self.tracked = tracked
+        self.unsafe = set()     # variables read outside ``defd``
+        self.lines = []
+        self.count = 0
+        self.loops = []         # ids of the enclosing loops, innermost last
+
+    def next_id(self) -> int:
+        self.count += 1
+        return self.count
+
+    def fresh(self, stem: str) -> str:
+        return f"_{stem}{self.next_id()}"
+
+    def emit(self, pad: int, text: str):
+        self.lines.append("    " * pad + text)
+
+    # -- expressions -------------------------------------------------------
+
+    def can_fault(self, e, defd) -> bool:
+        if isinstance(e, Var):
+            return e.name not in defd
+        if isinstance(e, (IntLit, BoolLit, EmptyList)):
+            return False
+        if isinstance(e, (Not, Length)):
+            return self.can_fault(e.operand, defd)
+        if isinstance(e, Index):
+            return True
+        if e.op in ("+", "-", "*", "/", "mod"):
+            return True
+        return self.can_fault(e.left, defd) or self.can_fault(e.right, defd)
+
+    def emits(self, e, defd) -> bool:
+        """Whether compiling ``e`` emits statements (a short-circuit whose
+        right operand can fault)."""
+        if isinstance(e, (Not, Length)):
+            return self.emits(e.operand, defd)
+        if isinstance(e, Index):
+            return self.emits(e.base, defd) or self.emits(e.index, defd)
+        if isinstance(e, BinOp):
+            if e.op in ("and", "or") and self.can_fault(e.right, defd):
+                return True
+            return self.emits(e.left, defd) or self.emits(e.right, defd)
+        return False
+
+    def pair(self, left, right, m, pad, defd) -> tuple:
+        """Both operands, left evaluated first as in :func:`run`."""
+        l = self.expr(left, m, pad, defd)
+        if self.emits(right, defd):
+            t = self.fresh("t")
+            self.emit(pad, f"{t} = {l}")
+            l = t
+        return l, self.expr(right, m, pad, defd)
+
+    def expr(self, e, m: str, pad: int, defd) -> str:
+        if isinstance(e, Var):
+            if e.name in defd:
+                return f"v_{e.name}"
+            self.unsafe.add(e.name)
+            return f"_k_read(v_{e.name}, _s_{e.name}, {m}, {e.name!r})"
+        if isinstance(e, (IntLit, BoolLit)):
+            return repr(e.value)
+        if isinstance(e, EmptyList):
+            return "_k_empty(_L)"
+        if isinstance(e, Not):
+            return f"np.logical_not({self.expr(e.operand, m, pad, defd)})"
+        if isinstance(e, Length):
+            return f"{self.expr(e.operand, m, pad, defd)}[1]"
+        if isinstance(e, Index):
+            base, i = self.pair(e.base, e.index, m, pad, defd)
+            return f"_k_index({base}, {i}, {m})"
+        if e.op in ("and", "or"):
+            l = self.expr(e.left, m, pad, defd)
+            op = "&" if e.op == "and" else "|"
+            if not self.can_fault(e.right, defd):
+                return f"({l} {op} {self.expr(e.right, m, pad, defd)})"
+            # the right operand runs only where the left did not decide
+            t, mr = self.fresh("t"), self.fresh("m")
+            self.emit(pad, f"{t} = {l}")
+            gate = t if e.op == "and" else f"np.logical_not({t})"
+            self.emit(pad, f"{mr} = {m} & {gate}")
+            return f"({t} {op} {self.expr(e.right, mr, pad, defd)})"
+        l, r = self.pair(e.left, e.right, m, pad, defd)
         if e.op == "mod":
-            return f"_imod({l}, {r})"
-        return f"({l} {op} {r})"
-    raise LangError(f"cannot compile {e!r}")
+            return f"_k_div({l}, {r}, {m}, True)"
+        fn = {"+": "_k_add", "-": "_k_sub", "*": "_k_mul", "/": "_k_div"}.get(e.op)
+        if fn:
+            return f"{fn}({l}, {r}, {m})"
+        if e.op in ("==", "!=") and _check_expr(e.left, self.types) == _LIST:
+            eq = f"_k_leq({l}, {r})"
+            return eq if e.op == "==" else f"np.logical_not({eq})"
+        return f"({l} {e.op} {r})"
 
+    # -- statements --------------------------------------------------------
 
-def _compile_body(body, lines, indent, bottoms, loop_depth):
-    pad = "    " * indent
-    for cmd in body:
+    def assign(self, name: str, value: str, m: str, pad: int, defd):
+        fn = "_k_lset" if self.types[name] == _LIST else "np.where"
+        self.emit(pad, f"v_{name} = {fn}({m}, {value}, v_{name})")
+        if name in self.tracked:
+            self.emit(pad, f"_s_{name} = _s_{name} | {m}")
+        defd.add(name)
+
+    def block(self, body, m: str, pad: int, defd) -> set:
+        """Emit ``body`` for the lanes in mask variable ``m``, which the
+        block may narrow; returns the variables assigned on every path."""
+        self.emit(pad, "pass")
+        for idx, cmd in enumerate(body):
+            self.stmt(cmd, m, pad, defd)
+            stops = ["_ret"] if _contains(cmd, Return, True) else []
+            if self.loops and _contains(cmd, Break, False):
+                stops.append(f"_brk{self.loops[-1]}")
+            if stops and idx < len(body) - 1:
+                self.emit(pad, f"{m} = {m} & ~({' | '.join(stops)})")
+                self.emit(pad, f"if {m}.any():")
+                pad += 1
+                self.emit(pad, "pass")
+        return defd
+
+    def stmt(self, cmd, m: str, pad: int, defd):
         if isinstance(cmd, Assign):
-            lines.append(f"{pad}{cmd.target} = {_compile_expr(cmd.expr)}")
-        elif isinstance(cmd, NoisyAssign):
+            self.assign(cmd.target, self.expr(cmd.expr, m, pad, defd), m, pad,
+                        defd)
+        elif isinstance(cmd, (NoisyAssign, VecNoisyAssign)):
+            value = self.expr(cmd.expr, m, pad, defd)
             h = cmd.hole
-            if bottoms[h]:
-                lines.append(f"{pad}{cmd.target} = {_compile_expr(cmd.expr)}")
-            else:
-                lines.append(f"{pad}{cmd.target} = {_compile_expr(cmd.expr)} + _d{h}[_c{h}]")
-                lines.append(f"{pad}_c{h} += 1")
-        elif isinstance(cmd, VecNoisyAssign):
-            h = cmd.hole
-            if bottoms[h]:
-                lines.append(f"{pad}{cmd.target} = list({_compile_expr(cmd.expr)})")
-            else:
-                lines.append(f"{pad}_base = {_compile_expr(cmd.expr)}")
-                lines.append(f"{pad}{cmd.target} = [_v + _d{h}[_c{h} + _k] "
-                             f"for _k, _v in enumerate(_base)]")
-                lines.append(f"{pad}_c{h} += len(_base)")
+            if not self.bottoms[h]:
+                fn = "_k_vdraw" if isinstance(cmd, VecNoisyAssign) else "_k_draw"
+                t = self.fresh("t")
+                self.emit(pad, f"{t}, _cur{h} = {fn}({value}, _D{h}, _cur{h}, {m}, {h})")
+                value = t
+            self.assign(cmd.target, value, m, pad, defd)
+        elif isinstance(cmd, (Append, Prepend)):
+            lst, value = self.pair(Var(cmd.target), cmd.expr, m, pad, defd)
+            fn = "_k_append" if isinstance(cmd, Append) else "_k_prepend"
+            self.emit(pad, f"v_{cmd.target} = {fn}({lst}, {value}, {m})")
         elif isinstance(cmd, If):
-            lines.append(f"{pad}if {_compile_expr(cmd.cond)}:")
-            if cmd.then_body:
-                _compile_body(cmd.then_body, lines, indent + 1, bottoms, loop_depth)
-            else:
-                lines.append(f"{pad}    pass")
+            c, mt = self.fresh("c"), self.fresh("m")
+            self.emit(pad, f"{c} = {self.expr(cmd.cond, m, pad, defd)}")
+            self.emit(pad, f"{mt} = {m} & {c}")
+            self.emit(pad, f"if {mt}.any():")
+            then_defd = self.block(cmd.then_body, mt, pad + 1, set(defd))
+            else_defd = set(defd)
             if cmd.else_body:
-                lines.append(f"{pad}else:")
-                _compile_body(cmd.else_body, lines, indent + 1, bottoms, loop_depth)
+                me = self.fresh("m")
+                self.emit(pad, f"{me} = {m} & np.logical_not({c})")
+                self.emit(pad, f"if {me}.any():")
+                else_defd = self.block(cmd.else_body, me, pad + 1, else_defd)
+            defd |= then_defd & else_defd
         elif isinstance(cmd, While):
-            lines.append(f"{pad}_fuel{loop_depth} = _fuel_limit")
-            lines.append(f"{pad}while {_compile_expr(cmd.cond)}:")
-            lines.append(f"{pad}    _fuel{loop_depth} -= 1")
-            lines.append(f"{pad}    if _fuel{loop_depth} < 0:")
-            lines.append(f"{pad}        raise RunError('loop fuel exhausted')")
-            _compile_body(cmd.body, lines, indent + 1, bottoms, loop_depth + 1)
-        elif isinstance(cmd, Append):
-            lines.append(f"{pad}{cmd.target}.append({_compile_expr(cmd.expr)})")
-        elif isinstance(cmd, Prepend):
-            lines.append(f"{pad}{cmd.target}.insert(0, {_compile_expr(cmd.expr)})")
+            k = self.next_id()
+            w, mb = f"_w{k}", f"_mb{k}"
+            self.emit(pad, f"{w} = {m}")
+            self.emit(pad, f"_n{k} = 0")
+            breaks = any(_contains(c, Break, False) for c in cmd.body)
+            if breaks:
+                self.emit(pad, f"_brk{k} = np.zeros(_L, dtype=bool)")
+            self.emit(pad, "while True:")
+            self.emit(pad + 1, f"{w} = {w} & {self.expr(cmd.cond, w, pad + 1, defd)}")
+            self.emit(pad + 1, f"if not {w}.any():")
+            self.emit(pad + 2, "break")
+            self.emit(pad + 1, f"_n{k} += 1")
+            self.emit(pad + 1, f"if _n{k} > _fuel:")
+            self.emit(pad + 2, "raise RunError('loop fuel exhausted')")
+            self.emit(pad + 1, f"{mb} = {w}")
+            self.loops.append(k)
+            self.block(cmd.body, mb, pad + 1, set(defd))
+            self.loops.pop()
+            stops = ([f"_brk{k}"] if breaks else []) + (
+                ["_ret"] if any(_contains(c, Return, True) for c in cmd.body)
+                else [])
+            if stops:
+                self.emit(pad + 1, f"{w} = {w} & ~({' | '.join(stops)})")
         elif isinstance(cmd, Break):
-            lines.append(f"{pad}break")
+            b = f"_brk{self.loops[-1]}"
+            self.emit(pad, f"{b} = {b} | {m}")
         elif isinstance(cmd, Return):
-            lines.append(f"{pad}_out = {_compile_expr(cmd.expr)}")
-            lines.append(f"{pad}raise _Done()")
-        elif isinstance(cmd, Skip):
-            lines.append(f"{pad}pass")
-        else:
+            value = self.expr(cmd.expr, m, pad, defd)
+            is_list = _check_expr(cmd.expr, self.types) == _LIST
+            fn = "_k_lset" if is_list else "np.where"
+            self.emit(pad, f"_out = {fn}({m}, {value}, _out)")
+            self.emit(pad, f"_ret = _ret | {m}")
+        elif not isinstance(cmd, Skip):
             raise LangError(f"cannot compile {cmd!r}")
 
-
-class _Done(Exception):
-    pass
-
-
-def _bad_index(i: int, base: list):
-    raise RunError(f"index {i} out of range 1..{len(base)}")
+    def kernel(self) -> str:
+        sk = self.sketch
+        out_type, boolean = self.decls.output()
+        inputs = {sk.private_input, "qlen", "eps", *sk.args}
+        self.emit(1, "_L = len(_draws[0])")
+        self.emit(1, f"if len(_draws) != {sk.n_holes}:")
+        self.emit(2, f"raise ValueError('need draws for {sk.n_holes} hole(s)')")
+        for a in sk.args:
+            self.emit(1, f"v_{a} = _k_arg(_args, {a!r})")
+        self.emit(1, f"v_{sk.private_input} = _k_list(_answers, _L)")
+        self.emit(1, "v_qlen = len(_answers)")
+        self.emit(1, "v_eps = _k_arg(_args, 'eps', 0)")
+        self.emit(1, "_fuel = 10 * len(_answers) + 100")
+        for h in range(sk.n_holes):
+            self.emit(1, f"_cur{h} = np.zeros(_L, dtype=np.int64)")
+            if not self.bottoms[h]:
+                self.emit(1, f"_D{h} = _k_matrix(_draws[{h}], _L, {h})")
+        for name, t in self.types.items():
+            if name in inputs or name == "return":
+                continue
+            init = {_INT: "np.zeros(_L, dtype=np.int64)",
+                    _BOOL: "np.zeros(_L, dtype=bool)",
+                    _LIST: "_k_empty(_L)"}[t]
+            self.emit(1, f"v_{name} = {init}")
+            if name in self.tracked:
+                self.emit(1, f"_s_{name} = np.zeros(_L, dtype=bool)")
+        is_list = out_type == _LIST
+        self.emit(1, "_out = " + ("_k_empty(_L)" if is_list
+                                  else "np.zeros(_L, dtype=np.int64)"))
+        self.emit(1, "_ret = np.zeros(_L, dtype=bool)")
+        self.emit(1, "_m0 = np.ones(_L, dtype=bool)")
+        self.block(sk.body, "_m0", 1, set(inputs))
+        self.emit(1, "if not _ret.all():")
+        self.emit(2, f"raise RunError({f'sketch {sk.name} finished without returning'!r})")
+        cursors = ", ".join(f"_cur{h}" for h in range(sk.n_holes))
+        self.emit(1, f"return (_k_finish(_out, {is_list}, {boolean}), "
+                     f"np.stack([{cursors}], axis=1))")
+        return "\n".join(["def _kernel(_args, _answers, _draws):"] + self.lines)
 
 
 def compile_sketch(sketch: MechanismSketch, bottoms=None):
-    """Compile to ``fn(args, answers, draws) -> (output, consumed)``.
+    """Compile to the lane kernel ``fn(args, answers, draws) -> (outputs,
+    consumed)``, which runs many runs of the sketch at once.
 
-    ``draws`` is a per-hole sequence of pre-drawn values (indexable), and
-    ``consumed`` the per-hole number of values read.  Holes marked in
-    ``bottoms`` are compiled out and consume nothing.  Outputs match
-    :func:`run`; an out-of-range index, a read of an unassigned variable
-    and a run that needs more draws than ``draws`` holds raise
-    :class:`RunError`, as in :func:`run`.
+    Every lane is one run on the same ``answers`` and ``args``; lanes
+    differ only by their noise.  ``draws[h]`` is an int64 ``(lanes, cap)``
+    matrix for hole ``h`` (its row count sets the lane count; holes marked
+    in ``bottoms`` are compiled out, read nothing and may pass ``(lanes,
+    0)``).  Lane ``j`` reads hole ``h``'s draws in order from
+    ``draws[h][j, 0]``, so it consumes exactly the values :func:`run`
+    takes from a trace holding that row.  Returns an :class:`Outputs`,
+    whose lane ``j`` equals :func:`run`'s output, and the ``(lanes,
+    n_holes)`` int64 array of draws each lane consumed.
+
+    The lanes run in lock-step: ``if``, ``while``, ``break`` and
+    ``return`` become per-lane masks.  Values are int64 and booleans.  The
+    call raises :class:`RunError`, with :func:`run`'s message, when any
+    lane that executes an operation faults there: a read of an unassigned
+    variable, an index outside ``1..len``, a division by zero, a result
+    outside int64 (which never wraps), a hole with no draws left or a loop
+    out of fuel.  Lanes masked off by a branch, a loop exit, ``break`` or
+    ``return``, and the right operand of an ``and``/``or`` the left one
+    decided, raise nothing.
     """
     if bottoms is None:
         bottoms = [False] * sketch.n_holes
     bottoms = tuple(bool(b) for b in bottoms)
-
-    n = sketch.n_holes
-    lines = ["def _mech(_args, _answers, _draws):"]
-    lines.append(f"    {sketch.private_input} = _answers")
-    lines.append("    qlen = len(_answers)")
-    lines.append("    eps = _args.get('eps', 0)")
-    for a in sketch.args:
-        lines.append(f"    {a} = _args[{a!r}]")
-    for h in range(n):
-        lines.append(f"    _d{h} = _draws[{h}]")
-        lines.append(f"    _c{h} = 0")
-    lines.append("    _fuel_limit = 10 * qlen + 100")
-    lines.append("    _out = None")
-    lines.append("    try:")
-    _compile_body(sketch.body, lines, 2, bottoms, 0)
-    lines.append("        raise RunError('sketch finished without returning')")
-    lines.append("    except _Done:")
-    lines.append("        pass")
-    # checked indexing leaves reads of ``_draws`` as the only IndexError
-    lines.append("    except IndexError:")
-    lines.append("        raise RunError('noise draws exhausted') from None")
-    lines.append("    except UnboundLocalError as _exc:")
-    lines.append("        raise RunError(f'unassigned variable: {_exc}') from None")
-    consumed = ", ".join(f"_c{h}" for h in range(n))
-    lines.append("    if isinstance(_out, list):")
-    lines.append("        _out = tuple(_out)")
-    lines.append(f"    return _out, ({consumed}{',' if n == 1 else ''})")
-
-    namespace = {"_idiv": _idiv, "_imod": _imod, "RunError": RunError,
-                 "_Done": _Done, "_bad_index": _bad_index}
-    exec(compile("\n".join(lines), f"<sketch:{sketch.name}>", "exec"), namespace)
-    return namespace["_mech"]
+    decls = _check_sketch(sketch)
+    probe = _Emitter(sketch, bottoms, decls, set())
+    probe.kernel()
+    emitter = _Emitter(sketch, bottoms, decls, probe.unsafe)
+    namespace = {"np": np, "RunError": RunError, **_KERNEL_NAMES}
+    exec(compile(emitter.kernel(), f"<sketch:{sketch.name}>", "exec"),
+         namespace)
+    return namespace["_kernel"]

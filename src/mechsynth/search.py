@@ -167,13 +167,13 @@ class PresampleBank:
         if self.mixture is not None:
             comp = np.random.default_rng([seed, 999]).integers(
                 0, len(self.mixture), size=(m, n))
-        self._draws = []        # per hole: list of m rows (python ints)
+        self._draws = []        # per hole: (m, cap) int64 draws
         self._cum_abs = []      # per hole: (m, cap+1) int64 prefix sums of |v|
         self._mix_coeffs = []   # per hole: (2, K) reference-relative coeffs
         for h, hole in enumerate(sketch.holes):
             cap = self.caps[h]
             if cap == 0:
-                self._draws.append([()] * m)
+                self._draws.append(np.zeros((m, 0), dtype=np.int64))
                 self._cum_abs.append(np.zeros((m, 1), dtype=np.int64))
                 self._mix_coeffs.append(None)
                 continue
@@ -195,12 +195,12 @@ class PresampleBank:
                                                  self.proposal_scale)
                                for scale in self.mixture])
                 self._mix_coeffs.append(ab.T.copy())
-            self._draws.append(arr.tolist())
+            self._draws.append(arr)
             cum = np.zeros((m, cap + 1), dtype=np.int64)
             np.cumsum(np.abs(arr), axis=1, out=cum[:, 1:])
             self._cum_abs.append(cum)
         self._runners = {}      # mask -> compiled fn
-        self._runs = {}         # (answers, mask) -> (outputs, stats m x 2n)
+        self._runs = {}         # (answers, mask) -> (Outputs, stats m x 2n)
         self._stats_fp = {}     # (answers, mask) -> digest of stats
         self._mixrel = {}       # (answers, mask) -> (m,) mixture log-density
         self._indicators = {}   # (answers, mask, event) -> float32 (m,)
@@ -213,22 +213,15 @@ class PresampleBank:
         return fn
 
     def runs_for(self, answers: tuple, mask: tuple):
-        """Outputs plus the (m, 2n) matrix of per-hole draw statistics
-        [N_1..N_n, S_1..S_n] for this input side under this off-mask."""
+        """The :class:`Outputs` of the m presampled runs on this input side
+        under this off-mask (one kernel call), plus the (m, 2n) matrix of
+        per-hole draw statistics [N_1..N_n, S_1..S_n]."""
         key = (tuple(answers), mask)
         hit = self._runs.get(key)
         if hit is not None:
             return hit
-        fn = self._runner(mask)
         n = self.sketch.n_holes
-        answers_list = list(answers)
-        outputs = []
-        counts = np.zeros((self.m, n), dtype=np.int64)
-        draws = self._draws
-        for j in range(self.m):
-            out, consumed = fn(self.args, answers_list, [col[j] for col in draws])
-            outputs.append(out)
-            counts[j] = consumed
+        outputs, counts = self._runner(mask)(self.args, answers, self._draws)
         stats = np.empty((self.m, 2 * n), dtype=np.float64)
         stats[:, :n] = counts
         rows = np.arange(self.m)
@@ -254,8 +247,7 @@ class PresampleBank:
         hit = self._indicators.get(key)
         if hit is None:
             outputs, _ = self.runs_for(answers, mask)
-            hit = np.fromiter((event.contains(o) for o in outputs),
-                              dtype=np.float32, count=self.m)
+            hit = event.hits(outputs).astype(np.float32)
             self._indicators[key] = hit
         return hit
 

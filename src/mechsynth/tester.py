@@ -16,6 +16,9 @@ one-sided hypothesis test.  The workflow per input pair:
 
 Small p-values indicate a likely violation at the tested epsilon.  All
 randomness derives from an explicit seed, so repeated calls are bit-stable.
+The pilot and final runs of one input side are one lane-kernel call, events
+are counted with array comparisons (:meth:`hits`), and every pilot and final
+cell of a call is tested in one batched :func:`hypothesis_test`.
 
 The minimum p over every (pair, event, orientation) cell is useful for
 harvesting challenging examples but is biased by multiplicity: with
@@ -28,7 +31,6 @@ cells -- one event per (pair, orientation), selected on pilot counts alone
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -37,7 +39,7 @@ import numpy as np
 from scipy.stats import binom, hypergeom
 
 from .dist import make_dist
-from .lang import MechanismSketch, compile_sketch, count_hole_draws
+from .lang import MechanismSketch, Outputs, compile_sketch, count_hole_draws
 
 __all__ = [
     "AdjacencyPattern", "PATTERN_SETS",
@@ -165,6 +167,19 @@ class ValueEvent:
     def contains(self, out) -> bool:
         return out in self.values
 
+    def hits(self, outputs: Outputs) -> np.ndarray:
+        vals = outputs.values
+        if outputs.lengths is None:
+            members = [v for v in self.values if not isinstance(v, tuple)]
+            if len(members) == 1:
+                return vals == members[0]
+            return np.isin(vals, members)
+        hit = np.zeros(len(vals), dtype=bool)
+        for v in self.values:
+            if isinstance(v, tuple):
+                hit |= _rows_start_with(outputs, v) & (outputs.lengths == len(v))
+        return hit
+
     def describe(self) -> dict:
         return {"kind": "value", "values": sorted(self.values)}
 
@@ -179,6 +194,10 @@ class HalfLineEvent:
     def contains(self, out) -> bool:
         return out >= self.threshold if self.op == "ge" else out <= self.threshold
 
+    def hits(self, outputs: Outputs) -> np.ndarray:
+        vals = outputs.values
+        return vals >= self.threshold if self.op == "ge" else vals <= self.threshold
+
     def describe(self) -> dict:
         return {"kind": "halfline", "op": self.op, "threshold": self.threshold}
 
@@ -192,6 +211,9 @@ class PrefixEvent:
     def contains(self, out) -> bool:
         k = len(self.pattern)
         return len(out) >= k and tuple(out[:k]) == self.pattern
+
+    def hits(self, outputs: Outputs) -> np.ndarray:
+        return _rows_start_with(outputs, self.pattern)
 
     def describe(self) -> dict:
         return {"kind": "prefix", "pattern": list(self.pattern)}
@@ -212,49 +234,25 @@ class CoordEvent:
         v = out[self.coord]
         return v >= self.threshold if self.op == "ge" else v <= self.threshold
 
+    def hits(self, outputs: Outputs) -> np.ndarray:
+        if self.coord >= outputs.values.shape[1]:
+            return np.zeros(len(outputs), dtype=bool)
+        v = outputs.values[:, self.coord]
+        inside = v >= self.threshold if self.op == "ge" else v <= self.threshold
+        return inside & (outputs.lengths > self.coord)
+
     def describe(self) -> dict:
         return {"kind": "coord", "coord": self.coord, "op": self.op,
                 "threshold": self.threshold}
 
 
-class _OutputStats:
-    """Counters over a batch of outputs, enough to count any event quickly."""
-
-    def __init__(self, outputs):
-        self.n = len(outputs)
-        self.full = Counter(outputs)
-        self.coord = {}
-        self.prefix = {}
-        first = outputs[0] if outputs else None
-        if isinstance(first, tuple):
-            if first and all(isinstance(x, bool) for x in first):
-                for k in (1, 2, 3):
-                    self.prefix[k] = Counter(
-                        tuple(o[:k]) for o in outputs if len(o) >= k)
-            else:
-                width = max((len(o) for o in outputs), default=0)
-                for i in range(width):
-                    self.coord[i] = Counter(
-                        o[i] for o in outputs if len(o) > i)
-
-    def count(self, event) -> int:
-        if isinstance(event, ValueEvent):
-            return sum(c for v, c in self.full.items() if v in event.values)
-        if isinstance(event, PrefixEvent):
-            k = len(event.pattern)
-            return self.prefix.get(k, Counter()).get(event.pattern, 0)
-        if isinstance(event, CoordEvent):
-            ctr = self.coord.get(event.coord)
-            if ctr is None:
-                return sum(c for o, c in self.full.items() if event.contains(o))
-            if event.op == "ge":
-                return sum(c for v, c in ctr.items() if v >= event.threshold)
-            return sum(c for v, c in ctr.items() if v <= event.threshold)
-        if isinstance(event, HalfLineEvent):
-            if event.op == "ge":
-                return sum(c for v, c in self.full.items() if v >= event.threshold)
-            return sum(c for v, c in self.full.items() if v <= event.threshold)
-        return sum(c for o, c in self.full.items() if event.contains(o))
+def _rows_start_with(outputs: Outputs, prefix: tuple) -> np.ndarray:
+    """Lanes whose list output begins with ``prefix``."""
+    k = len(prefix)
+    if k > outputs.values.shape[1]:
+        return np.zeros(len(outputs), dtype=bool)
+    head = (outputs.values[:, :k] == np.array(prefix, dtype=np.int64)).all(axis=1)
+    return head & (outputs.lengths >= k)
 
 
 _SINGLETON_CAP = 40
@@ -267,40 +265,51 @@ def _quantile_thresholds(values):
     return sorted({int(arr[min(len(arr) - 1, int(q * len(arr)))]) for q in _QUANTILES})
 
 
+def _most_common(outputs: Outputs, cap: int) -> list:
+    """The ``cap`` most frequent output values, ties in order of first
+    appearance (as ``Counter.most_common`` orders them)."""
+    if outputs.lengths is None:
+        keys = outputs.values
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    else:
+        keys = np.column_stack([outputs.lengths, outputs.values])
+        _, first, counts = np.unique(keys, axis=0, return_index=True,
+                                     return_counts=True)
+    order = np.lexsort((first, -counts))[:cap]
+    return [outputs[int(first[i])] for i in order]
+
+
 def gen_events(sketch, args, sample_outputs) -> list:
     """Candidate output events derived from observed outputs.
 
-    Integer outputs get singleton events over the observed support (most
-    frequent first, capped) plus half-lines at observed quantiles; boolean
-    list outputs get all prefix patterns up to length 3; integer list
-    outputs get per-coordinate threshold events at marginal quantiles.
+    ``sample_outputs`` is an :class:`Outputs` or a list of outputs as
+    :func:`run` returns them.  Integer outputs get singleton events over
+    the observed support (most frequent first, capped) plus half-lines at
+    observed quantiles; boolean list outputs get all prefix patterns up to
+    length 3; integer list outputs get per-coordinate threshold events at
+    marginal quantiles.
     """
-    if not sample_outputs:
+    if not len(sample_outputs):
         raise ValueError("need at least one sample output to derive events")
-    first = sample_outputs[0]
+    outputs = (sample_outputs if isinstance(sample_outputs, Outputs)
+               else Outputs.from_values(sample_outputs))
     events: list = []
-    counts = Counter(sample_outputs)
 
-    if isinstance(first, tuple) and first and all(isinstance(x, bool) for x in first):
+    if outputs.lengths is not None and outputs.boolean:
         for k in (1, 2, 3):
             for bits in range(1 << k):
                 pat = tuple(bool((bits >> j) & 1) for j in range(k))
                 events.append(PrefixEvent(pat))
-        for v, _ in counts.most_common(_SINGLETON_CAP):
-            events.append(ValueEvent(frozenset([v])))
-    elif isinstance(first, tuple):
-        width = max(len(o) for o in sample_outputs)
-        for i in range(min(width, _COORD_CAP)):
-            marginal = [o[i] for o in sample_outputs if len(o) > i]
+    elif outputs.lengths is not None:
+        for i in range(min(int(outputs.lengths.max()), _COORD_CAP)):
+            marginal = outputs.values[outputs.lengths > i, i]
             for t in _quantile_thresholds(marginal):
                 events.append(CoordEvent(i, t, "ge"))
                 events.append(CoordEvent(i, t, "le"))
-        for v, _ in counts.most_common(_SINGLETON_CAP):
-            events.append(ValueEvent(frozenset([v])))
-    else:
-        for v, _ in counts.most_common(_SINGLETON_CAP):
-            events.append(ValueEvent(frozenset([v])))
-        for t in _quantile_thresholds(list(sample_outputs)):
+    for v in _most_common(outputs, _SINGLETON_CAP):
+        events.append(ValueEvent(frozenset([v])))
+    if outputs.lengths is None:
+        for t in _quantile_thresholds(outputs.values):
             events.append(HalfLineEvent(t, "ge"))
             events.append(HalfLineEvent(t, "le"))
 
@@ -324,30 +333,38 @@ _THINNING_U = np.clip(np.random.default_rng(20200817).random(_N_THINNINGS),
                       1e-12, 1 - 1e-12)
 
 
-def _mean_fisher_p(c1_arr, c2_arr, n: int, eps: float):
-    """Vectorized mean-of-thinnings p-value; counts are same-shape arrays."""
-    c1_arr = np.asarray(c1_arr, dtype=np.int64)
-    c2_arr = np.asarray(c2_arr, dtype=np.int64)
-    c1_thin = binom.ppf(_THINNING_U, c1_arr[..., None],
-                        math.exp(-eps)).astype(np.int64)
-    # P[X >= c1'] with X hypergeometric: population 2n, successes c1'+c2, draws n
-    ps = hypergeom.sf(c1_thin - 1, 2 * n, c1_thin + c2_arr[..., None], n)
-    return ps.mean(axis=-1)
-
-
-def hypothesis_test(c1: int, c2: int, n: int, test_epsilon) -> float:
+def hypothesis_test(c1, c2, n: int, test_epsilon):
     """p-value for the null rho1 <= e^eps * rho2 given counts from n trials
     per side.
 
     The c1 side is thinned by e^(-eps) via the Binomial quantile over 20
     shared uniforms; each thinned table gets a one-sided Fisher exact
-    (hypergeometric tail) test and the mean p is returned.
+    (hypergeometric tail) test and the mean p is returned.  ``c1`` and
+    ``c2`` may be same-shape arrays of counts, one cell each, for an array
+    of p-values: each distinct count is thinned once and each distinct
+    thinned table tested once, and every cell's p-value equals the one its
+    own call would return.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if not (0 <= c1 <= n and 0 <= c2 <= n):
+    c1 = np.asarray(c1, dtype=np.int64)
+    c2 = np.asarray(c2, dtype=np.int64)
+    if c1.shape != c2.shape:
+        raise ValueError("count arrays must share one shape")
+    if ((c1 < 0) | (c1 > n) | (c2 < 0) | (c2 > n)).any():
         raise ValueError("counts must lie in [0, n]")
-    return float(_mean_fisher_p(c1, c2, n, float(test_epsilon)))
+    counts, which = np.unique(c1.ravel(), return_inverse=True)
+    thin = binom.ppf(_THINNING_U, counts[:, None],
+                     math.exp(-float(test_epsilon))).astype(np.int64)[which]
+    # P[X >= k] with X hypergeometric: population 2n, successes K = k + c2,
+    # draws n; a table is keyed by k * span + K
+    span = 2 * n + 1
+    tables, where = np.unique(thin * span + thin + c2.reshape(-1, 1),
+                              return_inverse=True)
+    k, K = np.divmod(tables, span)
+    ps = hypergeom.sf(k - 1, 2 * n, K, n)[where].reshape(thin.shape)
+    p = ps.mean(axis=-1).reshape(c1.shape)
+    return float(p) if p.ndim == 0 else p
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +404,17 @@ def counterexample_record(cx: Counterexample, seed) -> dict:
     }
 
 
-def _sample_outputs(runner, sketch, args, answers, scales, n_runs, rng):
-    """Run the compiled mechanism n_runs times on fresh noise."""
-    caps = count_hole_draws(sketch, args, len(answers))
-    draw_cols = []
+def _draw_matrices(sketch, scales, caps, n_runs: int, rng) -> list:
+    """Each hole's (n_runs, cap) noise from ``rng``, holes in order; a hole
+    without noise draws nothing and gets (n_runs, 0)."""
+    mats = []
     for h, hole in enumerate(sketch.holes):
         if scales[h] is None or caps[h] == 0:
-            draw_cols.append([()] * n_runs)
+            mats.append(np.zeros((n_runs, 0), dtype=np.int64))
         else:
             d = make_dist(hole.family, float(scales[h]))
-            draw_cols.append(d.sample_array(rng, (n_runs, caps[h])).tolist())
-    answers = list(answers)
-    outputs = []
-    for j in range(n_runs):
-        out, _ = runner(args, answers, [col[j] for col in draw_cols])
-        outputs.append(out)
-    return outputs
+            mats.append(d.sample_array(rng, (n_runs, caps[h])))
+    return mats
 
 
 def _count_floor(n_side: int) -> int:
@@ -443,53 +455,67 @@ def test_mechanism(sketch: MechanismSketch, args: dict, noise_vector,
 
     n_half = trials // 2
     floor = _count_floor(n_half)
-    candidates = []
+    caps = count_hole_draws(sketch, args, qlen)
 
+    # per pair: its events kept after the pilot, with pilot and final counts
+    # of shape (2 sides, events)
+    tested = []
     for pair_idx, (d1, d2) in enumerate(unordered):
-        sides = (d1, d2)
-        pilot = []
-        for s, answers in enumerate(sides):
-            rng = np.random.default_rng(seed_words + [pair_idx, s, 0])
-            pilot.append(_OutputStats(_sample_outputs(
-                runner, sketch, args, answers, noise_vector, n_half, rng)))
-        merged = list(pilot[0].full.elements()) + list(pilot[1].full.elements())
-        events = gen_events(sketch, args, merged)
-        pcounts = [(pilot[0].count(e), pilot[1].count(e)) for e in events]
-        gaps = sorted((-abs(p1 - p2), e_idx)
-                      for e_idx, (p1, p2) in enumerate(pcounts))
-        keep = [i for _, i in gaps[:event_cap]]
+        pilot, final = [], []
+        for s, answers in enumerate((d1, d2)):
+            # pilot (phase 0) and final (phase 1) runs share one kernel call
+            phases = [_draw_matrices(
+                sketch, noise_vector, caps, n_half,
+                np.random.default_rng(seed_words + [pair_idx, s, phase]))
+                for phase in (0, 1)]
+            outputs, _ = runner(args, answers,
+                                [np.concatenate(m) for m in zip(*phases)])
+            pilot.append(outputs[:n_half])
+            final.append(outputs[n_half:])
+        events = gen_events(sketch, args, Outputs.concat(pilot))
+        pcounts = np.array([[e.hits(out).sum() for e in events]
+                            for out in pilot], dtype=np.int64)
+        keep = np.argsort(-np.abs(pcounts[0] - pcounts[1]),
+                          kind="stable")[:event_cap]
         survivors = [events[i] for i in keep]
-        # one decision event per orientation, chosen on pilot counts alone so
-        # the final-phase p-value for it is selection-free
-        pa = np.array([pcounts[i][0] for i in keep], dtype=np.int64)
-        pb = np.array([pcounts[i][1] for i in keep], dtype=np.int64)
-        decision_event = {}
-        if keep:
-            for orient, (ca_arr, cb_arr) in ((0, (pa, pb)), (1, (pb, pa))):
-                pilot_p = _mean_fisher_p(ca_arr, cb_arr, n_half, target_eps)
-                decision_event[orient] = survivors[int(np.argmin(pilot_p))]
+        fcounts = np.array([[e.hits(out).sum() for e in survivors]
+                            for out in final], dtype=np.int64)
+        tested.append((d1, d2, survivors, pcounts[:, keep], fcounts))
 
-        final = []
-        for s, answers in enumerate(sides):
-            rng = np.random.default_rng(seed_words + [pair_idx, s, 1])
-            final.append(_OutputStats(_sample_outputs(
-                runner, sketch, args, answers, noise_vector, n_half, rng)))
-        for event in survivors:
-            c1 = final[0].count(event)
-            c2 = final[1].count(event)
+    # one Fisher call: the pilot cells of both orientations, which pick one
+    # decision event per orientation, then every final cell that passes the
+    # count floor with the larger count first
+    pilots = [pc for _, _, _, pc, _ in tested]
+    c1s = [pc[o] for pc in pilots for o in (0, 1)]
+    c2s = [pc[1 - o] for pc in pilots for o in (0, 1)]
+    cells = []
+    for pair_no, (_, _, _, _, fc) in enumerate(tested):
+        for k, (c1, c2) in enumerate(fc.T.tolist()):
             if max(c1, c2) < floor:
                 continue
-            for orient, (da, db, ca, cb) in enumerate(
-                    ((d1, d2, c1, c2), (d2, d1, c2, c1))):
-                if ca < cb:
-                    continue
-                candidates.append(Counterexample(
-                    d1=da, d2=db, event=event,
-                    p_value=hypothesis_test(ca, cb, n_half, target_eps),
-                    test_epsilon=target_eps,
-                    rho1=ca / n_half, rho2=cb / n_half,
-                    c1=ca, c2=cb, n_side=n_half,
-                    decision=decision_event.get(orient) == event))
+            for orient, (ca, cb) in enumerate(((c1, c2), (c2, c1))):
+                if ca >= cb:
+                    cells.append((pair_no, k, orient, ca, cb))
+    c1s.append(np.array([c[3] for c in cells], dtype=np.int64))
+    c2s.append(np.array([c[4] for c in cells], dtype=np.int64))
+    p = hypothesis_test(np.concatenate(c1s), np.concatenate(c2s), n_half,
+                        target_eps)
+
+    decision = []               # per pair: decision event index per orient
+    at = 0
+    for pc in pilots:
+        width = pc.shape[1]
+        decision.append([int(np.argmin(p[at + o * width:at + (o + 1) * width]))
+                         if width else None for o in (0, 1)])
+        at += 2 * width
+    candidates = []
+    for (pair_no, k, orient, ca, cb), p_value in zip(cells, p[at:].tolist()):
+        d1, d2, survivors, _, _ = tested[pair_no]
+        candidates.append(Counterexample(
+            d1=d1 if orient == 0 else d2, d2=d2 if orient == 0 else d1,
+            event=survivors[k], p_value=p_value, test_epsilon=target_eps,
+            rho1=ca / n_half, rho2=cb / n_half, c1=ca, c2=cb, n_side=n_half,
+            decision=decision[pair_no][orient] == k))
 
     candidates.sort(key=lambda cx: cx.p_value)
     best = candidates[0] if candidates else None

@@ -130,9 +130,21 @@ def unassigned_path(tmp_path_factory):
     return str(p)
 
 
-@pytest.mark.parametrize("command", [["test", "--noise", "2"], ["synth"]])
-def test_sketch_runtime_fault_exits_3(runner, unassigned_path, command):
-    result = runner.invoke(main, [*command, "--sketch", unassigned_path,
+@pytest.fixture(scope="module")
+def unassigned_two_hole_path(tmp_path_factory):
+    p = tmp_path_factory.mktemp("sketches") / "unassigned2.dpm"
+    p.write_text(UNASSIGNED_SRC.replace("return x", "z <- x + Lap(?2)\nreturn z"))
+    return str(p)
+
+
+@pytest.mark.parametrize("command", [
+    ["test", "--noise", "2"], ["synth"],
+    ["grid", "--holes", "1,2", "--grid", "2:2"]])
+def test_sketch_runtime_fault_exits_3(runner, unassigned_path,
+                                      unassigned_two_hole_path, command):
+    # grid sweeps two holes, so it runs the two-hole variant
+    sketch = unassigned_two_hole_path if command[0] == "grid" else unassigned_path
+    result = runner.invoke(main, [*command, "--sketch", sketch,
                                   "--trials", "1000", "--presamples", "1000",
                                   "--population", "4", "--steps", "1"])
     assert result.exit_code == 3

@@ -1,10 +1,12 @@
-"""Parser, checker, interpreter, and compiler tests.
+"""Parser, checker, interpreter, and kernel tests.
 
 Run oracles were hand-computed by stepping the programs on paper with fixed
-noise queues."""
+noise queues; the interpreter is in turn the oracle of the lane kernel."""
+
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mechsynth.lang import (MechanismSketch, NoiseTrace, ParseError, RunError,
@@ -227,8 +229,54 @@ def test_count_hole_draws_shapes(benchmarks):
 
 
 # ---------------------------------------------------------------------------
-# Compiler agreement with the interpreter
+# Kernel agreement with the interpreter
 # ---------------------------------------------------------------------------
+
+def _assert_lanes_match(sk, args, answers, draws, bottoms=None):
+    """One kernel call over every lane agrees with :func:`run` lane by
+    lane, and raises RunError exactly when some lane's run does; a lane
+    run alone raises run's own message.  Returns the per-lane results of
+    run (a value and its consumption, or the RunError)."""
+    bottoms = [False] * sk.n_holes if bottoms is None else list(bottoms)
+    fn = compile_sketch(sk, bottoms)
+    lanes = len(draws[0])
+    want = []
+    for j in range(lanes):
+        trace = NoiseTrace([row[j].tolist() for row in draws])
+        try:
+            want.append((run(sk, args, answers, trace, bottoms=bottoms),
+                         trace.consumed()))
+        except RunError as exc:
+            want.append(exc)
+    try:
+        outputs, consumed = fn(args, list(answers), draws)
+    except RunError:
+        assert any(isinstance(w, RunError) for w in want)
+        for j, w in enumerate(want):
+            one = [d[j:j + 1] for d in draws]
+            if isinstance(w, RunError):
+                with pytest.raises(RunError) as info:
+                    fn(args, list(answers), one)
+                assert str(info.value) == str(w)
+            else:
+                out, used = fn(args, list(answers), one)
+                _assert_same(out[0], w[0])
+                assert tuple(used[0]) == w[1]
+        return want
+    assert not any(isinstance(w, RunError) for w in want)
+    assert len(outputs) == lanes and consumed.shape == (lanes, sk.n_holes)
+    for j, (value, used) in enumerate(want):
+        _assert_same(outputs[j], value)
+        assert tuple(consumed[j]) == used
+    return want
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert type(got) is type(want)
+    if isinstance(got, tuple):
+        assert [type(x) for x in got] == [type(x) for x in want]
+
 
 @pytest.mark.parametrize("name", sorted(BENCHMARK_HOLES))
 def test_compiled_equals_interpreted(name, benchmarks):
@@ -238,28 +286,23 @@ def test_compiled_equals_interpreted(name, benchmarks):
     rng = np.random.default_rng(123)
     qlen = 5
     caps = count_hole_draws(sk, args, qlen)
-    for trial in range(200):
-        answers = tuple(int(x) for x in rng.integers(0, 3, qlen))
-        draws = [tuple(int(x) for x in rng.integers(-4, 5, c)) for c in caps]
-        masks = [tuple(False for _ in range(sk.n_holes))]
-        if sk.n_holes > 1:
-            masks.append(tuple(h == sk.n_holes - 1 for h in range(sk.n_holes)))
-        for mask in masks:
-            fn = compile_sketch(sk, list(mask))
-            got, consumed = fn(args, list(answers), [list(d) for d in draws])
-            trace = NoiseTrace(draws)
-            want = run(sk, args, answers, trace, bottoms=list(mask))
-            assert got == want, (name, mask, answers, draws)
-            assert consumed == trace.consumed()
+    answers = tuple(int(x) for x in rng.integers(0, 3, qlen))
+    draws = [rng.integers(-4, 5, (200, c)) for c in caps]
+    masks = [tuple(False for _ in range(sk.n_holes))]
+    if sk.n_holes > 1:
+        masks.append(tuple(h == sk.n_holes - 1 for h in range(sk.n_holes)))
+    for mask in masks:
+        want = _assert_lanes_match(sk, args, answers, draws, mask)
+        assert not any(isinstance(w, RunError) for w in want), (name, mask)
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
 def test_compiled_sum_matches_closed_form(n1, n2, n3):
     sk = parse_sketch(SUM_SRC)
     fn = compile_sketch(sk)
-    got, consumed = fn({}, [1, 1, 1], [[n1, n2, n3]])
-    assert got == 3 + n1 + n2 + n3
-    assert consumed == (3,)
+    got, consumed = fn({}, [1, 1, 1], [[[n1, n2, n3]]])
+    assert got[0] == 3 + n1 + n2 + n3
+    assert tuple(consumed[0]) == (3,)
 
 
 INDEX_SRC = """mechanism Index
@@ -279,12 +322,261 @@ def test_compiled_index_out_of_range_raises(k):
     with pytest.raises(RunError):
         run(sk, {"K": k}, (1, 2, 3), NoiseTrace([(0,)]))
     with pytest.raises(RunError):
-        compile_sketch(sk)({"K": k}, [1, 2, 3], [[0]])
+        compile_sketch(sk)({"K": k}, [1, 2, 3], [[[0]]])
+
+
+def test_kernel_arguments_must_be_integers():
+    fn = compile_sketch(parse_sketch(INDEX_SRC))
+    assert fn({"K": 2}, [1, 2, 3], [[[0]]])[0][0] == 2
+    for args in ({}, {"K": 1.0}, {"K": 2 ** 63}):
+        with pytest.raises(RunError):
+            fn(args, [1, 2, 3], [[[0]]])
 
 
 def test_compiled_runtime_faults_raise_run_error():
     with pytest.raises(RunError):
-        compile_sketch(parse_sketch(UNASSIGNED_SRC))({}, [1, 1], [[0]])
+        compile_sketch(parse_sketch(UNASSIGNED_SRC))({}, [1, 1], [[[0]]])
     # three loop draws wanted, one supplied
     with pytest.raises(RunError):
-        compile_sketch(parse_sketch(SUM_SRC))({}, [1, 2, 3], [[5]])
+        compile_sketch(parse_sketch(SUM_SRC))({}, [1, 2, 3], [[[5]]])
+
+
+# ---------------------------------------------------------------------------
+# Fault parity: a fault raises only where a lane that executes it reaches it
+# ---------------------------------------------------------------------------
+
+def _sketch(body: str) -> MechanismSketch:
+    return parse_sketch("mechanism F\nprivate a\nadjacency one\n\n" + body)
+
+
+def _draws(*rows):
+    import numpy as np
+    return [np.array(r, dtype=np.int64).reshape(len(r), -1) for r in rows]
+
+
+def _faults(want):
+    return [str(w) if isinstance(w, RunError) else None for w in want]
+
+
+def test_fault_parity_index_out_of_range_in_one_lane():
+    sk = _sketch("x <- 1 + Lap(?1)\ny <- a[x]\nreturn y\n")
+    want = _assert_lanes_match(sk, {}, (5, 6, 7), _draws([0, 2, 4]))
+    assert _faults(want) == [None, None, "index 5 out of range 1..3"]
+
+
+def test_fault_parity_unassigned_read_in_one_lane():
+    sk = _sketch("x <- 0 + Lap(?1)\nif x > 0:\n    y <- 1\n"
+                 "else:\n    if x == 0:\n        y <- 2\nz <- y + 1\nreturn z\n")
+    want = _assert_lanes_match(sk, {}, (1,), _draws([1, 0, -1]))
+    assert _faults(want) == [None, None, "read of unassigned variable 'y'"]
+
+
+def test_fault_parity_division_by_zero_in_masked_lane_does_not_raise():
+    sk = _sketch("x <- 0 + Lap(?1)\nif x != 0:\n    y <- 12 / x\nelse:\n"
+                 "    y <- 0\nz <- y mod 5\nreturn z\n")
+    want = _assert_lanes_match(sk, {}, (1,), _draws([0, 3, -4, 0]))
+    assert [w[0] for w in want] == [0, 4, -3, 0]
+
+
+def test_fault_parity_short_circuit_at_end_of_list():
+    # at i = len(a) + 1 the left operand decides; a[i] must not be read
+    sk = _sketch("t <- 0 + Lap(?1)\ni <- 1\n"
+                 "while i <= len(a) and a[i] > t:\n    i <- i + 1\nreturn i\n")
+    want = _assert_lanes_match(sk, {}, (2, 3, 4), _draws([0, 3, -5]))
+    assert [w[0] for w in want] == [4, 1, 4]
+
+
+def test_fault_parity_draw_exhaustion_in_one_lane():
+    sk = _sketch("x <- 0 + Lap(?1)\ni <- 1\nwhile i <= len(a) and x > 0:\n"
+                 "    y <- a[i] + Lap(?2)\n    i <- i + 1\nreturn i\n")
+    want = _assert_lanes_match(sk, {}, (1, 1, 1),
+                               _draws([0, 0, 1], [[0, 0]] * 3))
+    assert _faults(want) == [None, None, "noise draws exhausted for hole 2"]
+
+
+def test_fault_parity_squaring_loop_overflows_int64():
+    sk = _sketch("x <- 2 + Lap(?1)\ni <- 0\nwhile i < 7:\n    x <- x * x\n"
+                 "    i <- i + 1\nreturn x\n")
+    want = _assert_lanes_match(sk, {}, (1,), _draws([-2, -1, -3]))
+    assert [w[0] for w in want] == [0, 1, 1]
+    want = _assert_lanes_match(sk, {}, (1,), _draws([-1, 0, -3]))
+    assert _faults(want) == [None, "integer overflow", None]
+
+
+def test_checker_keeps_one_type_per_variable_list_and_output():
+    for body in ("x <- 1 + Lap(?1)\nx <- true\nreturn x\n",
+                 "r <- []\nappend r, true\nappend r, 1 + 0\n"
+                 "x <- 0 + Lap(?1)\nreturn r\n",
+                 "x <- 0 + Lap(?1)\nif x > 0:\n    return true\nreturn x\n",
+                 "r <- []\nappend r, true\nb <- r + LapVec(?1)\nreturn b\n"):
+        with pytest.raises(TypeCheckError):
+            _sketch(body)
+    with pytest.raises(ParseError):
+        _sketch("x <- 9223372036854775808 + Lap(?1)\nreturn x\n")
+
+
+def test_lists_are_values():
+    # appending to a copy leaves the original as it was
+    sk = _sketch("b <- a\nappend b, 9\nx <- len(a) + Lap(?1)\nreturn x\n")
+    assert run(sk, {}, (1, 2), NoiseTrace([(0,)])) == 2
+    assert compile_sketch(sk)({}, [1, 2], [[[0]]])[0][0] == 2
+
+
+# ---------------------------------------------------------------------------
+# Engine equivalence on random sketches
+# ---------------------------------------------------------------------------
+
+_INT_VARS, _BOOL_VARS = ("x", "y", "z"), ("p", "q")
+
+
+def _int_expr(draw, depth):
+    kinds = ["lit", "var", "input"]
+    if depth > 0:
+        kinds += ["len", "index", "arith", "arith"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "lit":
+        return str(draw(st.sampled_from([-3, -1, 0, 1, 2, 3, 3037000500])))
+    if kind == "var":
+        return draw(st.sampled_from(_INT_VARS))
+    if kind == "input":
+        return draw(st.sampled_from(["qlen", "T", "eps"]))
+    if kind == "len":
+        return f"len({_list_expr(draw, draw(st.booleans()))})"
+    if kind == "index":
+        base = _list_expr(draw, draw(st.booleans()))
+        return f"{base}[{_int_expr(draw, depth - 1)}]"
+    op = draw(st.sampled_from(["+", "-", "*", "/", "mod"]))
+    return f"({_int_expr(draw, depth - 1)} {op} {_int_expr(draw, depth - 1)})"
+
+
+def _bool_expr(draw, depth):
+    kinds = ["lit", "var"]
+    if depth > 0:
+        kinds += ["cmp", "cmp", "bcmp", "lcmp", "not", "andor", "andor"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "lit":
+        return draw(st.sampled_from(["true", "false"]))
+    if kind == "var":
+        return draw(st.sampled_from(_BOOL_VARS))
+    if kind == "cmp":
+        op = draw(st.sampled_from(["==", "!=", "<", ">", "<=", ">="]))
+        return f"({_int_expr(draw, depth - 1)} {op} {_int_expr(draw, depth - 1)})"
+    if kind == "bcmp":
+        op = draw(st.sampled_from(["==", "!="]))
+        return f"({_bool_expr(draw, depth - 1)} {op} {_bool_expr(draw, depth - 1)})"
+    if kind == "lcmp":
+        op = draw(st.sampled_from(["==", "!="]))
+        return (f"({_list_expr(draw, draw(st.booleans()))} {op} "
+                f"{_list_expr(draw, draw(st.booleans()))})")
+    if kind == "not":
+        return f"(not {_bool_expr(draw, depth - 1)})"
+    op = draw(st.sampled_from(["and", "or"]))
+    return f"({_bool_expr(draw, depth - 1)} {op} {_bool_expr(draw, depth - 1)})"
+
+
+def _list_expr(draw, boolean):
+    return draw(st.sampled_from(["f", "[]"] if boolean else ["a", "l", "[]"]))
+
+
+def _out_expr(draw, out):
+    if out == "int":
+        return _int_expr(draw, 2)
+    if out == "bool":
+        return _bool_expr(draw, 2)
+    return _list_expr(draw, out == "bools")
+
+
+def _statements(draw, depth, loop, out):
+    lines = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = ["skip", "int", "bool", "list", "noisy", "vec", "add", "return"]
+        if depth > 0:
+            kinds += ["if", "if", "while"]
+        if loop is not None:
+            kinds += ["break"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "skip":
+            lines.append("skip")
+        elif kind == "int":
+            lines.append(f"{draw(st.sampled_from(_INT_VARS))} <- {_int_expr(draw, 2)}")
+        elif kind == "bool":
+            lines.append(f"{draw(st.sampled_from(_BOOL_VARS))} <- {_bool_expr(draw, 2)}")
+        elif kind == "list":
+            boolean = draw(st.booleans())
+            target = "f" if boolean else "l"
+            lines.append(f"{target} <- {_list_expr(draw, boolean)}")
+        elif kind == "noisy":
+            fam = draw(st.sampled_from(["Lap", "Exp"]))
+            lines.append(f"{draw(st.sampled_from(_INT_VARS))} <- "
+                         f"{_int_expr(draw, 1)} + {fam}(?H)")
+        elif kind == "vec":
+            fam = draw(st.sampled_from(["LapVec", "ExpVec"]))
+            lines.append(f"l <- {_list_expr(draw, False)} + {fam}(?H)")
+        elif kind == "add":
+            verb = draw(st.sampled_from(["append", "prepend"]))
+            if draw(st.booleans()):
+                lines.append(f"{verb} f, {_bool_expr(draw, 1)}")
+            else:
+                lines.append(f"{verb} l, {_int_expr(draw, 1)}")
+        elif kind == "return":
+            lines.append(f"return {_out_expr(draw, out)}")
+        elif kind == "break":
+            lines.append("break")
+        elif kind == "if":
+            lines.append(f"if {_bool_expr(draw, 2)}:")
+            lines += ["    " + s for s in _statements(draw, depth - 1, loop, out)]
+            if draw(st.booleans()):
+                lines.append("else:")
+                lines += ["    " + s for s in _statements(draw, depth - 1, loop, out)]
+        else:
+            # a counted loop; now and then an innermost one is left to run
+            # out of fuel
+            k = f"k{depth}"
+            cond = _bool_expr(draw, 1)
+            if depth > 1 or draw(st.integers(0, 4)):
+                lines.append(f"{k} <- 0")
+                cond = f"({k} < 3) and {cond}"
+            lines.append(f"while {cond}:")
+            lines += ["    " + s for s in _statements(draw, depth - 1, k, out)]
+            lines.append(f"    {k} <- {k} + 1")
+    return lines
+
+
+@st.composite
+def random_sketches(draw):
+    """Source of a random well-typed sketch that uses every statement and
+    expression form, with holes numbered in textual order."""
+    out = draw(st.sampled_from(["int", "bool", "ints", "bools"]))
+    # every variable is declared; some only on lanes whose first draw is
+    # positive, so that other lanes read them unassigned
+    lines = ["w <- 0 + Lap(?H)", "k1 <- 0", "k2 <- 0"]
+    for name, init in (("x", "1"), ("y", "a[1]"), ("z", "w"), ("p", "true"),
+                       ("q", "(x < 2)"), ("l", "a"), ("f", "[]")):
+        if draw(st.integers(0, 5)):
+            lines.append(f"{name} <- {init}")
+        else:
+            lines += ["if w > 0:", f"    {name} <- {init}"]
+    lines += _statements(draw, 2, None, out)
+    lines.append(f"return {_out_expr(draw, out)}")
+    count = iter(range(1, 100))
+    body = re.sub(r"\?H", lambda _: f"?{next(count)}", "\n".join(lines))
+    return "mechanism Rand\nprivate a\nargs T\nadjacency one\n\n" + body + "\n"
+
+
+@given(src=random_sketches(), seed=st.integers(0, 2 ** 32 - 1),
+       answers=st.lists(st.integers(-2, 3), min_size=1, max_size=3),
+       T=st.integers(-2, 2), data=st.data())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+def test_kernel_equals_interpreter_on_random_sketches(src, seed, answers, T,
+                                                      data):
+    import numpy as np
+    sk = parse_sketch(src)
+    rng = np.random.default_rng(seed)
+    caps = data.draw(st.lists(st.integers(0, 4), min_size=sk.n_holes,
+                              max_size=sk.n_holes))
+    bottoms = data.draw(st.lists(st.booleans(), min_size=sk.n_holes,
+                                 max_size=sk.n_holes))
+    draws = [rng.integers(-3, 4, (16, c)) for c in caps]
+    _assert_lanes_match(sk, {"T": T}, tuple(answers), draws, bottoms)

@@ -8,15 +8,20 @@ relative, and the constants below are pinned from that cross-check.
 """
 
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mechsynth.config import RunConfig
+from mechsynth.lang import Outputs
 from mechsynth.tester import (CoordEvent, HalfLineEvent, PrefixEvent,
                               ValueEvent, counterexample_record, decision_p,
                               gen_events, gen_input_pairs, hypothesis_test)
 from mechsynth.tester import test_mechanism as run_tester
+from tests.conftest import load_benchmark
 
 # ---------------------------------------------------------------------------
 # hypothesis_test: frozen oracle values
@@ -80,6 +85,28 @@ def test_hypothesis_test_validation():
         hypothesis_test(1001, 0, 1000, 0.5)
     with pytest.raises(ValueError):
         hypothesis_test(-1, 0, 1000, 0.5)
+    with pytest.raises(ValueError):
+        hypothesis_test(np.array([3, 1001]), np.array([0, 0]), 1000, 0.5)
+    with pytest.raises(ValueError):
+        hypothesis_test(np.array([3, 4]), np.array([0, -1]), 1000, 0.5)
+    with pytest.raises(ValueError):
+        hypothesis_test(np.array([3, 4]), np.array([0]), 1000, 0.5)
+
+
+def test_batched_hypothesis_test_equals_one_call_per_cell(micro_scalar):
+    # the cells of a real tester call, repeats included
+    _, cands = run_tester(micro_scalar, {}, [2.0], 0.5, trials=2000, seed=3,
+                          return_all=True)
+    c1 = np.array([cx.c1 for cx in cands] * 2)
+    c2 = np.array([cx.c2 for cx in cands] * 2)
+    n = cands[0].n_side
+    batch = hypothesis_test(c1, c2, n, 0.5)
+    assert batch.shape == c1.shape
+    assert len({(a, b) for a, b in zip(c1, c2)}) < len(c1)
+    for a, b, p in zip(c1.tolist(), c2.tolist(), batch.tolist()):
+        assert p == hypothesis_test(a, b, n, 0.5)
+    grid = hypothesis_test(c1.reshape(2, -1), c2.reshape(2, -1), n, 0.5)
+    assert (grid.ravel() == batch).all()
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +206,42 @@ def test_gen_events_requires_samples(micro_scalar):
         gen_events(micro_scalar, {}, [])
 
 
+@pytest.mark.parametrize("outs", [
+    [3, 1, 3, 2, 1, 5, 2, 2, 0, -1],
+    [(1, 2), (0,), (1, 2), (), (1, 2, 3), (0,), (4, 4)],
+    [(True, False), (False,), (True, False), (True, True, True), (True,)],
+])
+def test_gen_events_singletons_follow_counter_order(micro_scalar, outs):
+    # ties keep the order of first appearance, as Counter.most_common does
+    want = [v for v, _ in Counter(outs).most_common()]
+    events = gen_events(micro_scalar, {}, outs)
+    got = [next(iter(e.values)) for e in events if isinstance(e, ValueEvent)]
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_event_hits_match_contains():
+    cases = [
+        ([3, 1, 3, 2, -4], [ValueEvent(frozenset([3])),
+                            ValueEvent(frozenset([1, 2])),
+                            HalfLineEvent(2, "ge"), HalfLineEvent(1, "le")]),
+        ([(1, 2), (0,), (), (1, 2, 3), (5, 1)],
+         [ValueEvent(frozenset([(1, 2)])), ValueEvent(frozenset([(), (0,)])),
+          ValueEvent(frozenset([(1, 2, 3, 4)])), CoordEvent(1, 2, "ge"),
+          CoordEvent(0, 0, "le"), CoordEvent(5, 0, "ge")]),
+        ([(True, False), (False,), (), (True, False, True)],
+         [PrefixEvent((True,)), PrefixEvent((True, False)),
+          PrefixEvent((False, False, False, False)),
+          ValueEvent(frozenset([(False,)]))]),
+    ]
+    for outs, events in cases:
+        packed = Outputs.from_values(outs)
+        assert list(packed) == outs
+        for event in events:
+            got = event.hits(packed).tolist()
+            assert got == [event.contains(o) for o in outs], event
+
+
 # ---------------------------------------------------------------------------
 # Whole-mechanism testing on micro sketches
 # ---------------------------------------------------------------------------
@@ -262,3 +325,61 @@ def test_counterexample_record_is_json_ready(noiseless_run):
     parsed = json.loads(json.dumps(rec))
     assert parsed["trials"] == 1000
     assert parsed["seed"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Frozen outputs: decision cells at a fixed seed
+# ---------------------------------------------------------------------------
+
+# (d1, d2, c1, c2, p) of every decision cell, in candidate order, and the
+# candidate count, for ``mechsynth test`` at trials 1000, seed 0, eps 1/2
+# and qlen 5; recorded before the lane kernel replaced the per-run engine
+FROZEN_DECISIONS = {
+    ("noisymax1", (4.0,)): (119, [
+        ((1, 1, 1, 1, 1), (2, 0, 2, 0, 2), 91, 59, 0.7685370245569771),
+        ((1, 1, 1, 1, 1), (0, 2, 2, 2, 2), 88, 59, 0.817243899134889),
+        ((2, 2, 0, 0, 0), (1, 1, 1, 1, 1), 126, 85, 0.8535287747897632),
+        ((2, 0, 0, 0, 0), (1, 1, 1, 1, 1), 140, 94, 0.8582598850743508),
+        ((1, 1, 1, 1, 1), (0, 1, 1, 1, 1), 86, 64, 0.930850122888797),
+        ((1, 1, 1, 1, 1), (2, 2, 0, 0, 0), 113, 82, 0.9315961768604011),
+        ((0, 1, 1, 1, 1), (1, 1, 1, 1, 1), 131, 102, 0.9825512636478662),
+        ((1, 1, 1, 1, 1), (2, 0, 0, 0, 0), 98, 82, 0.9897699242059346),
+        ((2, 1, 1, 1, 1), (1, 1, 1, 1, 1), 114, 96, 0.9942663395092464),
+        ((1, 1, 1, 1, 1), (2, 1, 1, 1, 1), 123, 109, 0.9987829674651134),
+        ((0, 2, 2, 2, 2), (1, 1, 1, 1, 1), 121, 117, 0.9998981244033374)]),
+    ("svt", (4.0, 8.0)): (85, [
+        ((1, 1, 1, 1, 1), (0, 2, 2, 2, 2), 74, 52, 0.8615789286200666),
+        ((1, 1, 1, 1, 1), (0, 1, 1, 1, 1), 23, 18, 0.8722768704003621),
+        ((0, 2, 2, 2, 2), (1, 1, 1, 1, 1), 75, 55, 0.9064399463281004),
+        ((1, 1, 1, 1, 1), (2, 2, 0, 0, 0), 66, 50, 0.9227251787753751),
+        ((0, 1, 1, 1, 1), (1, 1, 1, 1, 1), 34, 29, 0.9431442980873406),
+        ((2, 2, 0, 0, 0), (1, 1, 1, 1, 1), 20, 19, 0.9504104088630327),
+        ((0, 0, 0, 0, 0), (1, 1, 1, 1, 1), 78, 61, 0.956133510505316),
+        ((2, 1, 1, 1, 1), (1, 1, 1, 1, 1), 24, 23, 0.9608135210923437),
+        ((1, 1, 1, 1, 1), (2, 0, 2, 0, 2), 33, 31, 0.9718232400402613),
+        ((2, 0, 2, 0, 2), (1, 1, 1, 1, 1), 66, 55, 0.9719255311242223),
+        ((2, 0, 0, 0, 0), (1, 1, 1, 1, 1), 73, 67, 0.9947089271490557)]),
+    ("smartsum", (2.0, 2.0)): (503, [
+        ((0, 1, 1, 1, 1), (1, 1, 1, 1, 1), 83, 40, 0.245246552532828),
+        ((1, 1, 1, 1, 1), (0, 1, 1, 1, 1), 77, 39, 0.3321313299669954),
+        ((1, 2, 1, 1, 1), (1, 1, 1, 1, 1), 204, 117, 0.45936814663502357),
+        ((1, 1, 2, 1, 1), (1, 1, 1, 1, 1), 82, 49, 0.6206285570793776),
+        ((1, 1, 1, 1, 1), (1, 0, 1, 1, 1), 207, 125, 0.6264317581432928),
+        ((1, 1, 1, 1, 1), (2, 1, 1, 1, 1), 180, 109, 0.6370936125403588),
+        ((1, 1, 0, 1, 1), (1, 1, 1, 1, 1), 75, 53, 0.8701788383191706),
+        ((2, 1, 1, 1, 1), (1, 1, 1, 1, 1), 62, 50, 0.9544850667759015),
+        ((1, 1, 1, 1, 1), (1, 1, 0, 1, 1), 147, 110, 0.9719571598583283)]),
+}
+
+
+@pytest.mark.parametrize("name,noise", sorted(FROZEN_DECISIONS))
+def test_decision_cells_frozen_at_seed_0(name, noise):
+    cfg = RunConfig()
+    sk = load_benchmark(name)
+    _, cands = run_tester(sk, {a: cfg.fixed_args[a] for a in sk.args},
+                          list(noise), cfg.epsilon, trials=1000, seed=0,
+                          qlen=5, return_all=True)
+    count, cells = FROZEN_DECISIONS[(name, noise)]
+    assert len(cands) == count
+    assert [(cx.d1, cx.d2, cx.c1, cx.c2, cx.p_value)
+            for cx in cands if cx.decision] == cells
