@@ -7,17 +7,21 @@ Three subcommands cover the pipeline:
 * ``grid``   -- emit the optimization objective over a 2-D lattice of scales
   for two chosen holes (plot data for objective landscapes).
 
-Reports are deterministic for a fixed seed and config; wall-clock timings go
-to a ``.timings.json`` sidecar so the main report stays byte-identical.
-Exit codes: 0 ok; 1 violation found (``test``), no candidate survived
-(``synth``) or no challenging example found (``grid``); 2 usage error;
-3 runtime fault while running the sketch, such as an out-of-range index, a
+Every command runs the sketch under the fixed argument binding that
+``synth.fix_params`` builds from the options: ``eps``, ``qlen`` and a value
+for each argument the sketch declares.  Reports are deterministic for a fixed
+seed and config; wall-clock timings go to a ``.timings.json`` sidecar so the
+main report stays byte-identical.  Exit codes: 0 ok; 1 violation found
+(``test``), no candidate survived (``synth``) or no challenging example
+found (``grid``); 2 usage error; 3 a sketch argument without a fixed value,
+a runtime fault while running the sketch, such as an out-of-range index, a
 read of an unassigned variable, an int64 overflow or exhausted noise draws,
 or (``synth``) any other failure inside a synthesis phase.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
 import json
 import sys
@@ -147,6 +151,20 @@ def _emit(text: str, out: str):
         click.echo(text, nl=False)
 
 
+@contextlib.contextmanager
+def _faults_exit_3():
+    """Report a synthesis-phase error or a sketch runtime fault on stderr
+    and exit 3."""
+    try:
+        yield
+    except SynthError as exc:
+        click.echo(f"error in phase {exc.phase}: {exc}", err=True)
+        sys.exit(3)
+    except LangError as exc:
+        click.echo(f"runtime error in sketch: {exc}", err=True)
+        sys.exit(3)
+
+
 def write_outcome(outcome, out: str):
     """Write a synthesis report to ``out`` (stdout when empty) and, with an
     ``out`` path, its wall-clock timings to ``<out>.timings.json``."""
@@ -175,11 +193,8 @@ def cmd_synth(sketch, **kw):
     """Synthesize noise expressions for every hole of a sketch."""
     cfg = _make_config(**kw)
     sk = _load_or_usage(sketch)
-    try:
+    with _faults_exit_3():
         outcome = synth(sk, cfg)
-    except SynthError as exc:
-        click.echo(f"error in phase {exc.phase}: {exc}", err=True)
-        sys.exit(3)
     write_outcome(outcome, cfg.out)
     sys.exit(0 if outcome.survivors else 1)
 
@@ -196,13 +211,9 @@ def cmd_test(sketch, noise, max_records, **kw):
     cfg = _make_config(**kw)
     sk = _load_or_usage(sketch)
     vec = _parse_noise(noise, sk.n_holes)
-    try:
-        _, cands = test_mechanism(
-            sk, {a: cfg.fixed_args[a] for a in sk.args}, vec, cfg.epsilon,
-            trials=cfg.trials, seed=cfg.seed, qlen=cfg.qlen, return_all=True)
-    except LangError as exc:
-        click.echo(f"runtime error in sketch: {exc}", err=True)
-        sys.exit(3)
+    with _faults_exit_3():
+        cands = test_mechanism(sk, fix_params(sk, cfg), vec,
+                               trials=cfg.trials, seed=cfg.seed)
     dp = decision_p(cands)
     lines = [json.dumps(counterexample_record(cx, cfg.seed), sort_keys=True)
              for cx in cands[:max_records]]
@@ -276,21 +287,18 @@ def cmd_grid(sketch, holes, fix, grid_spec, **kw):
         for idx, val in fixed.items():
             vec[idx - 1] = val
         cands.append(vec)
-    binding = fix_params(sk, cfg)
-    try:
+    with _faults_exit_3():
+        binding = fix_params(sk, cfg)
         examples = select_examples(
             sk, binding, scale_grid=cfg.scale_grid, trials=cfg.trials,
             seed=cfg.seed, zone=cfg.zone)
         if not examples:
             click.echo("no challenging examples found", err=True)
             sys.exit(1)
-        bank = PresampleBank(sk, binding, qlen=cfg.qlen, m=cfg.presamples,
+        bank = PresampleBank(sk, binding, m=cfg.presamples,
                              proposal_scale=cfg.proposal_scale, seed=cfg.seed)
         objs = batch_objective(bank, examples, cands, float(cfg.epsilon),
                                cfg.lam, floor=cfg.event_floor)
-    except LangError as exc:
-        click.echo(f"runtime error in sketch: {exc}", err=True)
-        sys.exit(3)
     rows = [f"scale{i},scale{j},objective"]
     rows += [f"{a:g},{b:g},{o:.6f}" for (a, b), o in zip(points, objs)]
     _emit("\n".join(rows) + "\n", cfg.out)

@@ -31,7 +31,6 @@ class RunConfig:
     coeff_range: tuple = (1, 4)
     qlen_exp_range: tuple = (0, 2)
     inveps_exp_range: tuple = (1, 2)
-    t_exp_range: tuple = (0, 0)            # (0, 1) re-enables T in expressions
     event_floor: float = 1e-4              # min resolvable event probability
     verify_alpha: float = 0.05             # final tester rejection level
     examples_cap: int = 12                 # per-binding test-example cap

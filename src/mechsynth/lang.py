@@ -16,14 +16,15 @@ are int64: a result outside that range is a fault, never a wrapped value.
 
 One engine runs sketches: :func:`compile_sketch` turns a sketch into a
 *lane kernel*, numpy code that executes many runs ("lanes") in lock-step on
-one answer vector.  Hole ``h``'s noise is a ``(lanes, cap)`` int64 matrix,
-lane ``j`` reading row ``j`` in order; the kernel returns the lanes'
-:class:`Outputs` and a ``(lanes, n_holes)`` count of the draws each
-consumed.  Control flow becomes per-lane masks, and a fault (unassigned
-read, index outside ``1..len``, division by zero, int64 overflow, exhausted
-draws, exhausted loop fuel) raises :class:`RunError` as soon as a lane that
-executes the faulting operation reaches it; masked-off lanes and
-short-circuited operands never fault.  The tree interpreter :func:`run`,
+one answer vector, and keeps one kernel per sketch and off-mask.  Hole
+``h``'s noise is a ``(lanes, cap)`` int64 matrix, lane ``j`` reading row
+``j`` in order; the kernel returns the lanes' :class:`Outputs` and a
+``(lanes, n_holes)`` count of the draws each consumed.  Control flow
+becomes per-lane masks, and a fault (unassigned read, index outside
+``1..len``, division by zero, int64 overflow, exhausted draws, exhausted
+loop fuel) raises :class:`RunError` as soon as a lane that executes the
+faulting operation reaches it; masked-off lanes and short-circuited
+operands never fault.  The tree interpreter :func:`run`,
 one run over a :class:`NoiseTrace`, is the reference semantics that tests
 hold the kernel to.
 """
@@ -202,9 +203,6 @@ class MechanismSketch:
     @property
     def n_holes(self) -> int:
         return len(self.holes)
-
-    def all_args(self) -> tuple:
-        return ("qlen", "eps") + tuple(self.args)
 
 
 class NoiseTrace:
@@ -878,7 +876,7 @@ def run(sketch: MechanismSketch, args: dict, answers, trace: NoiseTrace,
 # Draw counting
 # ---------------------------------------------------------------------------
 
-def count_hole_draws(sketch: MechanismSketch, args: dict, qlen: int) -> tuple:
+def count_hole_draws(sketch: MechanismSketch, qlen: int) -> tuple:
     """Per-hole upper bound on draws a single run may consume.
 
     Vector holes and scalar holes under a loop draw up to ``qlen`` values;
@@ -1431,6 +1429,9 @@ class _Emitter:
         return "\n".join(["def _kernel(_args, _answers, _draws):"] + self.lines)
 
 
+_KERNELS = {}   # (sketch, off-mask) -> kernel
+
+
 def compile_sketch(sketch: MechanismSketch, bottoms=None):
     """Compile to the lane kernel ``fn(args, answers, draws) -> (outputs,
     consumed)``, which runs many runs of the sketch at once.
@@ -1454,15 +1455,23 @@ def compile_sketch(sketch: MechanismSketch, bottoms=None):
     out of fuel.  Lanes masked off by a branch, a loop exit, ``break`` or
     ``return``, and the right operand of an ``and``/``or`` the left one
     decided, raise nothing.
+
+    Kernels are memoized for the life of the process on the sketch's value
+    and the off-mask as a tuple of bools: every call with equal arguments
+    returns the same function, and a sketch of n holes has at most 2^n.
     """
     if bottoms is None:
         bottoms = [False] * sketch.n_holes
     bottoms = tuple(bool(b) for b in bottoms)
-    decls = _check_sketch(sketch)
-    probe = _Emitter(sketch, bottoms, decls, set())
-    probe.kernel()
-    emitter = _Emitter(sketch, bottoms, decls, probe.unsafe)
-    namespace = {"np": np, "RunError": RunError, **_KERNEL_NAMES}
-    exec(compile(emitter.kernel(), f"<sketch:{sketch.name}>", "exec"),
-         namespace)
-    return namespace["_kernel"]
+    key = (sketch, bottoms)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        decls = _check_sketch(sketch)
+        probe = _Emitter(sketch, bottoms, decls, set())
+        probe.kernel()
+        emitter = _Emitter(sketch, bottoms, decls, probe.unsafe)
+        namespace = {"np": np, "RunError": RunError, **_KERNEL_NAMES}
+        exec(compile(emitter.kernel(), f"<sketch:{sketch.name}>", "exec"),
+             namespace)
+        kernel = _KERNELS[key] = namespace["_kernel"]
+    return kernel

@@ -6,7 +6,8 @@ Two phases feed the synthesizer:
   (all unit vectors plus all-ones), runs the statistical tester on each
   concretization, and keeps counterexamples whose p-value lands in the "zone
   of confusion" — neither clear violations nor clearly safe, hence the
-  informative boundary cases.
+  informative boundary cases.  The tester samples each unordered input pair
+  once; an example is one orientation (d1, d2) of such a pair.
 
 * ``get_noise_region`` minimizes an L0-regularized privacy-loss objective
   over concrete noise vectors with differential evolution (rand/1/bin).  All
@@ -18,9 +19,12 @@ Two phases feed the synthesizer:
   only on candidate vs proposal scale — so scoring a population is a single
   matrix product.
 
-Candidates may switch off a hole entirely (scales below the snap threshold
-become "no noise"); runs are re-simulated once per distinct off-mask since
-dropping a noise term changes control flow.
+Both phases run the sketch under one argument binding (``eps``, ``qlen`` and
+the sketch's own arguments, as ``synth.fix_params`` builds it).  Candidates
+may switch off a hole entirely (scales below the snap threshold become "no
+noise"); runs are re-simulated once per distinct off-mask since dropping a
+noise term changes control flow, each with the kernel that
+:func:`~mechsynth.lang.compile_sketch` keeps for that off-mask.
 
 A bank may instead draw from a *mixture* of proposal scales (one component
 picked per run and hole).  The mixture log-density is itself a function of
@@ -77,41 +81,34 @@ def directions(n_holes: int) -> list:
     return dirs
 
 
-def select_examples(sketch: MechanismSketch, args: dict, direction_set=None,
-                    *, scale_grid, trials: int = 20000, seed: int = 0,
-                    zone) -> list:
-    """Line-search direction multiples through the tester; keep zone hits
-    plus every decision cell that the tester flagged as a violation.
+def select_examples(sketch: MechanismSketch, binding: dict, *, scale_grid,
+                    trials: int = 20000, seed: int = 0, zone) -> list:
+    """Line-search multiples of the :func:`directions` through the tester;
+    keep zone hits plus every decision cell that the tester flagged as a
+    violation.
 
-    ``args`` must carry the fixed binding, including ``eps`` and ``qlen``.
-    Every distinct zone hit is kept: the set needs both the scale-sensitive
-    tail cells (which steer the optimizer toward the right magnitude) and
-    the weakly-discriminating mode/half-line cells (which blow up when a
-    hole's noise is removed and so keep the L0 reward honest).  Decision
-    cells below the zone are kept as well — an under-provisioned sweep
-    vector (too little noise, or a hole swept at no-noise) produces its
-    strongest separations at p near zero, and those cells are exactly the
-    anchors that stop the optimizer from drifting into a non-private
-    pattern.  When nothing qualifies, the zone widens to [0.01, 0.99] and
-    the trial count doubles, once.
+    ``binding`` is the fixed binding: ``eps``, ``qlen`` and the sketch's
+    arguments.  Every distinct zone hit is kept: the set needs both the
+    scale-sensitive tail cells (which steer the optimizer toward the right
+    magnitude) and the weakly-discriminating mode/half-line cells (which
+    blow up when a hole's noise is removed and so keep the L0 reward
+    honest).  Decision cells below the zone are kept as well — an
+    under-provisioned sweep vector (too little noise, or a hole swept at
+    no-noise) produces its strongest separations at p near zero, and those
+    cells are exactly the anchors that stop the optimizer from drifting
+    into a non-private pattern.  When nothing qualifies, the zone widens to
+    [0.01, 0.99] and the trial count doubles, once.
     """
     if not scale_grid:
         raise ValueError("scale grid must be nonempty")
-    if direction_set is None:
-        direction_set = directions(sketch.n_holes)
-    eps = args["eps"]
-    qlen = args["qlen"]
-    sketch_args = {a: args[a] for a in sketch.args}
 
     def sweep(zone_lo, zone_hi, n_trials):
         found = {}
-        for direction in direction_set:
+        for direction in directions(sketch.n_holes):
             for scale in scale_grid:
                 vec = [scale * u if u else None for u in direction]
-                _, cands = test_mechanism(
-                    sketch, sketch_args, vec, eps, trials=n_trials,
-                    seed=seed, qlen=qlen, return_all=True)
-                for cx in cands:
+                for cx in test_mechanism(sketch, binding, vec,
+                                         trials=n_trials, seed=seed):
                     anchor = cx.decision and cx.p_value < zone_lo
                     if not (zone_lo <= cx.p_value <= zone_hi or anchor):
                         continue
@@ -151,17 +148,15 @@ class PresampleBank:
     the proposal scale then only serves as the reference density that both
     the candidate and the mixture are expressed against."""
 
-    def __init__(self, sketch: MechanismSketch, args: dict, qlen: int,
-                 m: int = 50000, *, proposal_scale: float, seed: int = 0,
-                 mixture=None):
+    def __init__(self, sketch: MechanismSketch, binding: dict, m: int = 50000,
+                 *, proposal_scale: float, seed: int = 0, mixture=None):
         self.sketch = sketch
-        self.args = {a: args[a] for a in sketch.args}
-        self.qlen = qlen
+        self.args = {a: binding[a] for a in sketch.args}
         self.m = m
         self.proposal_scale = float(proposal_scale)
         self.seed = seed
         self.mixture = tuple(float(s) for s in mixture) if mixture else None
-        self.caps = count_hole_draws(sketch, self.args, qlen)
+        self.caps = count_hole_draws(sketch, binding["qlen"])
         n = sketch.n_holes
         comp = None
         if self.mixture is not None:
@@ -199,18 +194,11 @@ class PresampleBank:
             cum = np.zeros((m, cap + 1), dtype=np.int64)
             np.cumsum(np.abs(arr), axis=1, out=cum[:, 1:])
             self._cum_abs.append(cum)
-        self._runners = {}      # mask -> compiled fn
         self._runs = {}         # (answers, mask) -> (Outputs, stats m x 2n)
         self._stats_fp = {}     # (answers, mask) -> digest of stats
         self._mixrel = {}       # (answers, mask) -> (m,) mixture log-density
         self._indicators = {}   # (answers, mask, event) -> float32 (m,)
         self._ind_mats = {}     # (answers, mask, events key) -> float32 (E, m)
-
-    def _runner(self, mask):
-        fn = self._runners.get(mask)
-        if fn is None:
-            fn = self._runners[mask] = compile_sketch(self.sketch, list(mask))
-        return fn
 
     def runs_for(self, answers: tuple, mask: tuple):
         """The :class:`Outputs` of the m presampled runs on this input side
@@ -221,7 +209,8 @@ class PresampleBank:
         if hit is not None:
             return hit
         n = self.sketch.n_holes
-        outputs, counts = self._runner(mask)(self.args, answers, self._draws)
+        kernel = compile_sketch(self.sketch, mask)
+        outputs, counts = kernel(self.args, answers, self._draws)
         stats = np.empty((self.m, 2 * n), dtype=np.float64)
         stats[:, :n] = counts
         rows = np.arange(self.m)

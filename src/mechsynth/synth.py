@@ -19,7 +19,8 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -52,12 +53,11 @@ class SynthError(Exception):
 
 @dataclass(frozen=True)
 class NoiseExpr:
-    """coeff * qlen^q_exp * (1/eps)^inveps_exp * T^t_exp, all exponents >= 0."""
+    """coeff * qlen^q_exp * (1/eps)^inveps_exp, both exponents >= 0."""
 
     coeff: int
     q_exp: int
     inveps_exp: int
-    t_exp: int = 0
 
     def gamma(self, binding: dict) -> Fraction:
         val = Fraction(self.coeff)
@@ -65,8 +65,6 @@ class NoiseExpr:
             val *= Fraction(binding["qlen"]) ** self.q_exp
         if self.inveps_exp:
             val /= Fraction(binding["eps"]) ** self.inveps_exp
-        if self.t_exp:
-            val *= Fraction(binding["T"]) ** self.t_exp
         return val
 
     def render(self) -> str:
@@ -75,10 +73,6 @@ class NoiseExpr:
             num.append("qlen")
         elif self.q_exp > 1:
             num.append(f"qlen^{self.q_exp}")
-        if self.t_exp == 1:
-            num.append("T")
-        elif self.t_exp > 1:
-            num.append(f"T^{self.t_exp}")
         head = "*".join(num) if num else "1"
         if self.inveps_exp == 1:
             return f"{head}/eps"
@@ -96,22 +90,20 @@ class Grammar:
     coeff_range: tuple
     qlen_exp_range: tuple
     inveps_exp_range: tuple
-    t_exp_range: tuple
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "Grammar":
         return cls(tuple(cfg.coeff_range), tuple(cfg.qlen_exp_range),
-                   tuple(cfg.inveps_exp_range), tuple(cfg.t_exp_range))
+                   tuple(cfg.inveps_exp_range))
 
     def expressions(self) -> list:
-        """No-noise first, then lexicographic in (coeff, q_exp, inveps_exp,
-        t_exp) — the tie-break order for all downstream ranking."""
+        """No-noise first, then lexicographic in (coeff, q_exp, inveps_exp)
+        — the tie-break order for all downstream ranking."""
         out = [None]
         for c in range(self.coeff_range[0], self.coeff_range[1] + 1):
             for q in range(self.qlen_exp_range[0], self.qlen_exp_range[1] + 1):
                 for e in range(self.inveps_exp_range[0], self.inveps_exp_range[1] + 1):
-                    for t in range(self.t_exp_range[0], self.t_exp_range[1] + 1):
-                        out.append(NoiseExpr(c, q, e, t))
+                    out.append(NoiseExpr(c, q, e))
         return out
 
 
@@ -221,12 +213,9 @@ def _fresh_examples(sketch, binding, best_vector, cfg: RunConfig, seed) -> list:
     epsilon; zone hits become extra test examples."""
     factor = _rescale(cfg, binding["eps"])
     vec = [None if v is None else float(v) * factor for v in best_vector]
-    sketch_args = {a: binding[a] for a in sketch.args}
-    _, cands = test_mechanism(sketch, sketch_args, vec, binding["eps"],
-                              trials=cfg.trials, seed=seed,
-                              qlen=binding["qlen"], return_all=True)
     out = []
-    for cx in cands:
+    for cx in test_mechanism(sketch, binding, vec, trials=cfg.trials,
+                             seed=seed):
         if cfg.zone[0] <= cx.p_value <= cfg.zone[1]:
             out.append(Example(d1=cx.d1, d2=cx.d2, event=cx.event,
                                direction=(), scale=round(factor, 6),
@@ -300,14 +289,17 @@ class RankedCandidate:
             ],
         }
         if self.verdicts:
-            out = []
-            for k, p, cp in self.verdicts:
-                v = {"binding": k, "min_p": round(float(p), 6)}
-                if cp is not None:
-                    v["confirm_p"] = round(float(cp), 6)
-                out.append(v)
-            d["verdicts"] = out
+            d["verdicts"] = [_verdict_json(v) for v in self.verdicts]
         return d
+
+
+def _verdict_json(verdict) -> dict:
+    """A (binding key, min p, confirm p or None) verdict as a report entry."""
+    key, p, confirm_p = verdict
+    out = {"binding": key, "min_p": round(float(p), 6)}
+    if confirm_p is not None:
+        out["confirm_p"] = round(float(confirm_p), 6)
+    return out
 
 
 def rank_candidates(cands, bindings_data, gamma_binding: dict,
@@ -394,14 +386,11 @@ def final_verify(sketch: MechanismSketch, ranked, bindings, cfg: RunConfig):
         rejected = False
         for b_idx, binding in enumerate(bindings):
             vec = gamma_vector(cand.exprs, binding)
-            sketch_args = {a: binding[a] for a in sketch.args}
 
             def run_once(rep):
-                _, cands = test_mechanism(
-                    sketch, sketch_args, vec, binding["eps"],
-                    trials=cfg.trials, seed=[cfg.seed, 7, c_idx, b_idx, rep],
-                    qlen=binding["qlen"], return_all=True)
-                return decision_p(cands)
+                return decision_p(test_mechanism(
+                    sketch, binding, vec, trials=cfg.trials,
+                    seed=[cfg.seed, 7, c_idx, b_idx, rep]))
 
             min_p = run_once(0)
             confirm_p = None
@@ -411,17 +400,11 @@ def final_verify(sketch: MechanismSketch, ranked, bindings, cfg: RunConfig):
             if confirm_p is not None and confirm_p < cfg.verify_alpha:
                 rejected = True
                 break
-        verified = replace(cand, verdicts=tuple(verdicts))
-        entry = {"candidate": render_vector(cand.exprs), "rejected": rejected,
-                 "verdicts": []}
-        for k, p, cp in verdicts:
-            v = {"binding": k, "min_p": round(p, 6)}
-            if cp is not None:
-                v["confirm_p"] = round(cp, 6)
-            entry["verdicts"].append(v)
-        details.append(entry)
+        details.append({"candidate": render_vector(cand.exprs),
+                        "rejected": rejected,
+                        "verdicts": [_verdict_json(v) for v in verdicts]})
         if not rejected:
-            survivors.append(verified)
+            survivors.append(replace(cand, verdicts=tuple(verdicts)))
     return survivors, details
 
 
@@ -440,14 +423,10 @@ def fix_params(sketch: MechanismSketch, cfg: RunConfig) -> dict:
 
 
 def _bindings(sketch: MechanismSketch, cfg: RunConfig) -> list:
-    out = []
-    for eps in cfg.test_eps:
-        for qlen in cfg.test_qlens:
-            binding = {"eps": eps, "qlen": qlen}
-            for a in sketch.args:
-                binding[a] = cfg.fixed_args[a]
-            out.append(binding)
-    return out
+    """The test bindings: the fixed one at every (test eps, test qlen)."""
+    fixed = fix_params(sketch, cfg)
+    return [dict(fixed, eps=eps, qlen=qlen)
+            for eps in cfg.test_eps for qlen in cfg.test_qlens]
 
 
 def _rescale(cfg: RunConfig, eps) -> float:
@@ -467,6 +446,20 @@ def _mixture_at(cfg: RunConfig, eps) -> tuple:
     # so candidates far from the central proposal still get stable weights
     factor = _rescale(cfg, eps)
     return tuple(g * factor for g in cfg.scale_grid)
+
+
+@contextmanager
+def _phase(name: str, timings: dict):
+    """Time one synthesis phase into ``timings[name]``; any failure inside
+    it but a :class:`SynthError` becomes a ``SynthError`` of that phase."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except SynthError:
+        raise
+    except Exception as exc:
+        raise SynthError(name, str(exc)) from exc
+    timings[name] = time.perf_counter() - t0
 
 
 @dataclass
@@ -491,8 +484,7 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
     t_total = time.perf_counter()
 
     # --- init: fixed binding, examples, primary bank
-    t0 = time.perf_counter()
-    try:
+    with _phase("init", timings):
         gamma_binding = fix_params(sketch, cfg)
         examples = select_examples(
             sketch, gamma_binding, scale_grid=cfg.scale_grid,
@@ -505,7 +497,7 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
             key = (binding["eps"], binding["qlen"], scoring)
             if key not in banks:
                 banks[key] = PresampleBank(
-                    sketch, binding, qlen=binding["qlen"], m=cfg.presamples,
+                    sketch, binding, m=cfg.presamples,
                     proposal_scale=_proposal_at(cfg, binding["eps"]),
                     seed=cfg.seed,
                     mixture=_mixture_at(cfg, binding["eps"]) if scoring
@@ -513,11 +505,6 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
             return banks[key]
 
         primary_bank = bank_for(gamma_binding)
-    except SynthError:
-        raise
-    except Exception as exc:
-        raise SynthError("init", str(exc)) from exc
-    timings["init"] = time.perf_counter() - t0
 
     if not examples:
         timings["total"] = time.perf_counter() - t_total
@@ -526,20 +513,15 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
         return SynthOutcome(report, timings, [], [], None, [])
 
     # --- opti: differential evolution over concrete noise vectors
-    t0 = time.perf_counter()
-    try:
+    with _phase("opti", timings):
         region = get_noise_region(
             primary_bank, examples, sketch.n_holes, float(cfg.epsilon),
             lam=cfg.lam, population=cfg.population,
             steps=cfg.steps(sketch.n_holes), seed=cfg.seed,
             floor=cfg.event_floor)
-    except Exception as exc:
-        raise SynthError("opti", str(exc)) from exc
-    timings["opti"] = time.perf_counter() - t0
 
     # --- enum: prune grammar, build test examples, rank
-    t0 = time.perf_counter()
-    try:
+    with _phase("enum", timings):
         radius_used = cfg.radius
         cands = enumerate_and_prune(grammar, region, gamma_binding, cfg.radius)
         if not cands:
@@ -553,18 +535,11 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
                           test_examples[_binding_key(b)]) for b in bindings]
         ranked = rank_candidates(cands, bindings_data, gamma_binding, cfg) \
             if cands else []
-    except Exception as exc:
-        raise SynthError("enum", str(exc)) from exc
-    timings["enum"] = time.perf_counter() - t0
 
     # --- verify: statistical re-test of the top candidates
-    t0 = time.perf_counter()
-    try:
+    with _phase("verify", timings):
         survivors, verify_details = final_verify(sketch, ranked, bindings, cfg) \
             if ranked else ([], [])
-    except Exception as exc:
-        raise SynthError("verify", str(exc)) from exc
-    timings["verify"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_total
 
     note = "" if survivors else "no candidate survived verification"

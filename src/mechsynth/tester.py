@@ -1,13 +1,15 @@
 """Statistical detector of privacy-loss violations.
 
-Given a concrete mechanism (a sketch plus per-hole noise scales), the tester
-searches for a counterexample to epsilon-DP: an adjacent input pair (d1, d2)
-and an output event E whose probabilities differ by more than e^eps under a
-one-sided hypothesis test.  The workflow per input pair:
+Given a concrete mechanism (a sketch plus per-hole noise scales) under one
+argument binding (``eps``, ``qlen`` and the sketch's own arguments), the
+tester searches for a counterexample to epsilon-DP: an adjacent input pair
+(d1, d2) and an output event E whose probabilities differ by more than e^eps
+under a one-sided hypothesis test.  Input pairs are unordered: each is
+sampled once and tested in both orientations.  The workflow per input pair:
 
 1. run the mechanism n/2 times per side (pilot), derive candidate events
    from the observed outputs, and screen them by the empirical probability
-   gap |rho1 - rho2| (keeping at most ``event_cap``);
+   gap |rho1 - rho2| (keeping at most 64);
 2. run n/2 fresh trials per side and count each surviving event;
 3. for each event and each orientation, thin the larger count by e^(-eps)
    (Binomial quantile coupling, 20 shared uniform draws) and apply a
@@ -31,9 +33,7 @@ cells -- one event per (pair, orientation), selected on pilot counts alone
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import binom, hypergeom
@@ -42,8 +42,7 @@ from .dist import make_dist
 from .lang import MechanismSketch, Outputs, compile_sketch, count_hole_draws
 
 __all__ = [
-    "AdjacencyPattern", "PATTERN_SETS",
-    "ValueEvent", "HalfLineEvent", "PrefixEvent", "CoordEvent",
+    "PATTERN_SETS", "ValueEvent", "HalfLineEvent", "PrefixEvent", "CoordEvent",
     "Counterexample", "gen_input_pairs", "gen_events",
     "hypothesis_test", "test_mechanism", "counterexample_record",
     "decision_p",
@@ -53,21 +52,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Adjacent input pairs
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdjacencyPattern:
-    """A named generator of adjacent answer-vector pairs at a given length."""
-
-    name: str
-    make: Callable[[int], list]
-
-    def pairs(self, length: int) -> list:
-        out = self.make(length)
-        for d1, d2 in out:
-            assert len(d1) == len(d2) == length
-            assert all(abs(x - y) <= 1 for x, y in zip(d1, d2)), (self.name, d1, d2)
-        return out
-
 
 def _ones(length):
     return (1,) * length
@@ -113,45 +97,37 @@ def _p_single_bumps(L):
     return pairs
 
 
-# "one": at most one answer changes between neighbors (sums, histograms);
-# "all": every answer may shift together (counting-query workloads).
+# Pair generators per adjacency, each a function of the answer-vector
+# length.  "one": at most one answer changes between neighbors (sums,
+# histograms); "all": every answer may shift together (counting-query
+# workloads).  New adjacent pairs belong here.
 PATTERN_SETS = {
-    "one": (
-        AdjacencyPattern("single-bump", _p_single_bumps),
-    ),
-    "all": (
-        AdjacencyPattern("all-above", _p_all_above),
-        AdjacencyPattern("one-above", _p_one_above),
-        AdjacencyPattern("one-below", _p_one_below),
-        AdjacencyPattern("one-above-rest-below", _p_one_above_rest_below),
-        AdjacencyPattern("one-below-rest-above", _p_one_below_rest_above),
-        AdjacencyPattern("half-half", _p_half_half),
-        AdjacencyPattern("x-shape", _p_x_shape),
-    ),
+    "one": (_p_single_bumps,),
+    "all": (_p_all_above, _p_one_above, _p_one_below, _p_one_above_rest_below,
+            _p_one_below_rest_above, _p_half_half, _p_x_shape),
 }
 
 
-def gen_input_pairs(pattern_set, length: int) -> list:
-    """All adjacent ordered pairs for the named pattern set at this length.
+def gen_input_pairs(adjacency: str, length: int) -> list:
+    """The adjacent pairs of the named adjacency at this length.
 
-    Both orientations of every pair are emitted; duplicates are removed with
-    order preserved, so the result is deterministic.
+    Pairs are unordered: each appears once, in the orientation and order
+    the patterns first produce it, and the tester runs both orientations
+    from one sample.  The result is deterministic.
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    if isinstance(pattern_set, str):
-        patterns = PATTERN_SETS[pattern_set]
-    else:
-        patterns = tuple(pattern_set)
     seen = set()
-    ordered = []
-    for pat in patterns:
-        for d1, d2 in pat.pairs(length):
-            for pair in ((d1, d2), (d2, d1)):
-                if pair not in seen and pair[0] != pair[1]:
-                    seen.add(pair)
-                    ordered.append(pair)
-    return ordered
+    pairs = []
+    for make in PATTERN_SETS[adjacency]:
+        for d1, d2 in make(length):
+            assert len(d1) == len(d2) == length
+            assert all(abs(x - y) <= 1 for x, y in zip(d1, d2)), (d1, d2)
+            key = frozenset((d1, d2))
+            if d1 != d2 and key not in seen:
+                seen.add(key)
+                pairs.append((d1, d2))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +255,16 @@ def _most_common(outputs: Outputs, cap: int) -> list:
     return [outputs[int(first[i])] for i in order]
 
 
-def gen_events(sketch, args, sample_outputs) -> list:
+def gen_events(outputs: Outputs) -> list:
     """Candidate output events derived from observed outputs.
 
-    ``sample_outputs`` is an :class:`Outputs` or a list of outputs as
-    :func:`run` returns them.  Integer outputs get singleton events over
-    the observed support (most frequent first, capped) plus half-lines at
-    observed quantiles; boolean list outputs get all prefix patterns up to
-    length 3; integer list outputs get per-coordinate threshold events at
-    marginal quantiles.
+    Integer outputs get singleton events over the observed support (most
+    frequent first, capped) plus half-lines at observed quantiles; boolean
+    list outputs get all prefix patterns up to length 3; integer list
+    outputs get per-coordinate threshold events at marginal quantiles.
     """
-    if not len(sample_outputs):
+    if not len(outputs):
         raise ValueError("need at least one sample output to derive events")
-    outputs = (sample_outputs if isinstance(sample_outputs, Outputs)
-               else Outputs.from_values(sample_outputs))
     events: list = []
 
     if outputs.lengths is not None and outputs.boolean:
@@ -417,50 +389,43 @@ def _draw_matrices(sketch, scales, caps, n_runs: int, rng) -> list:
     return mats
 
 
+_EVENT_CAP = 64   # events per input pair kept after the pilot
+
+
 def _count_floor(n_side: int) -> int:
     return max(20, math.ceil(0.003 * n_side))
 
 
-def test_mechanism(sketch: MechanismSketch, args: dict, noise_vector,
-                   target_epsilon, trials: int = 20000, seed: int = 0,
-                   event_cap: int = 64, qlen: Optional[int] = None,
-                   return_all: bool = False):
-    """Search all pattern pairs and derived events for the strongest
-    counterexample at ``target_epsilon``.
+def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
+                   trials: int, seed) -> list:
+    """Every counterexample cell over the adjacent pairs and derived events,
+    sorted by p-value (the strongest first).
 
-    ``noise_vector`` holds one scale per hole (``None`` = the hole's noise
-    term is absent).  Returns the minimum-p :class:`Counterexample`, or
-    ``None`` when no event passes the count floor; with ``return_all`` the
-    full candidate list rides along.
+    ``binding`` holds ``eps``, the tested epsilon, ``qlen``, the
+    answer-vector length, and every argument of the sketch; the sketch
+    receives only its own arguments.  ``noise_vector`` holds one scale per
+    hole (``None`` = the hole's noise term is absent).  The list is empty
+    when no event passes the count floor.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful test")
     if len(noise_vector) != sketch.n_holes:
         raise ValueError("noise vector length must match the hole count")
     seed_words = [seed] if isinstance(seed, int) else list(seed)
-    qlen = 5 if qlen is None else qlen
-    target_eps = float(target_epsilon)
+    qlen = binding["qlen"]
+    target_eps = float(binding["eps"])
+    args = {a: binding[a] for a in sketch.args}
 
-    bottoms = [s is None for s in noise_vector]
-    runner = compile_sketch(sketch, bottoms)
-    ordered_pairs = gen_input_pairs(sketch.adjacency, qlen)
-    # each unordered pair is sampled once; both orientations share the runs
-    unordered = []
-    seen = set()
-    for d1, d2 in ordered_pairs:
-        key = frozenset((d1, d2))
-        if key not in seen:
-            seen.add(key)
-            unordered.append((d1, d2))
-
+    runner = compile_sketch(sketch, [s is None for s in noise_vector])
+    pairs = gen_input_pairs(sketch.adjacency, qlen)
     n_half = trials // 2
     floor = _count_floor(n_half)
-    caps = count_hole_draws(sketch, args, qlen)
+    caps = count_hole_draws(sketch, qlen)
 
     # per pair: its events kept after the pilot, with pilot and final counts
     # of shape (2 sides, events)
     tested = []
-    for pair_idx, (d1, d2) in enumerate(unordered):
+    for pair_idx, (d1, d2) in enumerate(pairs):
         pilot, final = [], []
         for s, answers in enumerate((d1, d2)):
             # pilot (phase 0) and final (phase 1) runs share one kernel call
@@ -472,11 +437,11 @@ def test_mechanism(sketch: MechanismSketch, args: dict, noise_vector,
                                 [np.concatenate(m) for m in zip(*phases)])
             pilot.append(outputs[:n_half])
             final.append(outputs[n_half:])
-        events = gen_events(sketch, args, Outputs.concat(pilot))
+        events = gen_events(Outputs.concat(pilot))
         pcounts = np.array([[e.hits(out).sum() for e in events]
                             for out in pilot], dtype=np.int64)
         keep = np.argsort(-np.abs(pcounts[0] - pcounts[1]),
-                          kind="stable")[:event_cap]
+                          kind="stable")[:_EVENT_CAP]
         survivors = [events[i] for i in keep]
         fcounts = np.array([[e.hits(out).sum() for e in survivors]
                             for out in final], dtype=np.int64)
@@ -518,10 +483,7 @@ def test_mechanism(sketch: MechanismSketch, args: dict, noise_vector,
             decision=decision[pair_no][orient] == k))
 
     candidates.sort(key=lambda cx: cx.p_value)
-    best = candidates[0] if candidates else None
-    if return_all:
-        return best, candidates
-    return best
+    return candidates
 
 
 def decision_p(candidates) -> float:

@@ -151,6 +151,22 @@ def test_sketch_runtime_fault_exits_3(runner, unassigned_path,
     assert "unassigned variable" in result.output
 
 
+@pytest.mark.parametrize("command", [
+    ["test", "--noise", "2,2"], ["synth"],
+    ["grid", "--holes", "1,2", "--grid", "2:2"]])
+def test_unbound_sketch_argument_exits_3(runner, tmp_path, command):
+    # K has no fixed value, so no command can bind the sketch's arguments
+    p = tmp_path / "unbound.dpm"
+    p.write_text(DUO_SRC.replace("private a\n", "private a\nargs K\n")
+                 .replace("a[2]", "a[K]"))
+    result = runner.invoke(main, [*command, "--sketch", str(p),
+                                  "--trials", "1000", "--presamples", "1000",
+                                  "--population", "4", "--steps", "1"])
+    assert result.exit_code == 3
+    assert ("error in phase init: [init] no fixed value for sketch "
+            "argument 'K'") in result.output
+
+
 def test_budget_option_defaults_come_from_run_config(runner):
     result = runner.invoke(main, ["synth", "--help"])
     assert result.exit_code == 0

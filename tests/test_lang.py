@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from mechsynth.lang import (MechanismSketch, NoiseTrace, ParseError, RunError,
                             TypeCheckError, compile_sketch, count_hole_draws,
                             parse_sketch, run)
-from tests.conftest import BENCHMARK_HOLES, MICRO_SCALAR, UNASSIGNED_SRC
+from tests.conftest import (BENCHMARK_HOLES, MICRO_SCALAR, UNASSIGNED_SRC,
+                            load_benchmark)
 
 SUM_SRC = """mechanism Sum
 private a
@@ -222,10 +223,10 @@ return j
 
 
 def test_count_hole_draws_shapes(benchmarks):
-    assert count_hole_draws(benchmarks["sum"], {}, 5) == (5,)
-    assert count_hole_draws(benchmarks["histogram"], {}, 5) == (5,)
-    assert count_hole_draws(benchmarks["noisymax2"], {}, 5) == (5, 1)
-    assert count_hole_draws(benchmarks["abovet2"], {"T": 2}, 7) == (1, 7, 1)
+    assert count_hole_draws(benchmarks["sum"], 5) == (5,)
+    assert count_hole_draws(benchmarks["histogram"], 5) == (5,)
+    assert count_hole_draws(benchmarks["noisymax2"], 5) == (5, 1)
+    assert count_hole_draws(benchmarks["abovet2"], 7) == (1, 7, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +286,7 @@ def test_compiled_equals_interpreted(name, benchmarks):
     args = {k: v for k, v in (("T", 2), ("N", 1), ("M", 2)) if k in sk.args}
     rng = np.random.default_rng(123)
     qlen = 5
-    caps = count_hole_draws(sk, args, qlen)
+    caps = count_hole_draws(sk, qlen)
     answers = tuple(int(x) for x in rng.integers(0, 3, qlen))
     draws = [rng.integers(-4, 5, (200, c)) for c in caps]
     masks = [tuple(False for _ in range(sk.n_holes))]
@@ -294,6 +295,17 @@ def test_compiled_equals_interpreted(name, benchmarks):
     for mask in masks:
         want = _assert_lanes_match(sk, args, answers, draws, mask)
         assert not any(isinstance(w, RunError) for w in want), (name, mask)
+
+
+def test_compile_sketch_returns_one_kernel_per_off_mask(benchmarks):
+    sk = benchmarks["svt"]
+    mask = (False, True)
+    assert compile_sketch(sk, mask) is compile_sketch(sk, list(mask))
+    # equal sketches share a kernel; another off-mask gets its own
+    assert compile_sketch(sk, mask) is compile_sketch(load_benchmark("svt"),
+                                                      mask)
+    assert compile_sketch(sk) is compile_sketch(sk, [False, False])
+    assert compile_sketch(sk) is not compile_sketch(sk, mask)
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))

@@ -43,13 +43,13 @@ def _estimate(bank, d, event, candidate):
 
 @pytest.fixture(scope="module")
 def bank(micro_scalar):
-    return PresampleBank(micro_scalar, {}, qlen=5, m=50000,
+    return PresampleBank(micro_scalar, {"qlen": 5}, m=50000,
                          proposal_scale=PROPOSAL, seed=3)
 
 
 @pytest.fixture(scope="module")
 def mixture_bank(micro_scalar):
-    return PresampleBank(micro_scalar, {}, qlen=5, m=50000,
+    return PresampleBank(micro_scalar, {"qlen": 5}, m=50000,
                          proposal_scale=PROPOSAL, seed=3,
                          mixture=(0.5, 1.0, 2.0, 4.0, 8.0, 12.0))
 
@@ -127,9 +127,9 @@ def test_mixture_bank_accurate_far_from_proposal(mixture_bank):
 
 
 def test_estimates_are_deterministic(micro_scalar):
-    a = PresampleBank(micro_scalar, {}, qlen=5, m=20000,
+    a = PresampleBank(micro_scalar, {"qlen": 5}, m=20000,
                       proposal_scale=PROPOSAL, seed=9)
-    b = PresampleBank(micro_scalar, {}, qlen=5, m=20000,
+    b = PresampleBank(micro_scalar, {"qlen": 5}, m=20000,
                       proposal_scale=PROPOSAL, seed=9)
     ev = ValueEvent(frozenset([0]))
     assert (_estimate(a, D1, ev, (1.5,))
@@ -211,7 +211,7 @@ def test_log_loss_se_matches_spread_over_banks(micro_scalar, source, event,
                  p_value=0.5)
     log_losses, ses = [], []
     for seed in range(40):
-        bank = PresampleBank(sketch, {}, qlen=5, m=4000,
+        bank = PresampleBank(sketch, {"qlen": 5}, m=4000,
                              proposal_scale=PROPOSAL, seed=100 + seed,
                              mixture=mixture)
         loss, se = example_losses_with_se(bank, [ex], [cand], 2.0)

@@ -5,7 +5,9 @@ neighborhood rule; ranking oracles ride the one-sided-event micro mechanism
 whose loss at scale b is exactly e^(1/b).
 """
 
+import hashlib
 import math
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from mechsynth import lang
 from mechsynth.config import RunConfig
 from mechsynth.lang import parse_sketch
 from mechsynth.search import (Example, NoiseRegion, PresampleBank,
@@ -24,7 +27,7 @@ from mechsynth.synth import (Grammar, NoiseExpr, RankedCandidate, SynthError,
                              _proposal_at, _report, _reshape_pair,
                              enumerate_and_prune, final_verify, fix_params,
                              gamma_vector, rank_candidates, render_vector,
-                             synth)
+                             report_to_json, synth)
 from mechsynth.tester import CoordEvent, HalfLineEvent, PrefixEvent, ValueEvent
 
 BINDING = {"eps": Fraction(1, 2), "qlen": 5, "T": 2}
@@ -43,7 +46,6 @@ def _region(entries, **kw):
 def test_expr_gamma_is_exact():
     assert NoiseExpr(2, 0, 1).gamma(BINDING) == Fraction(4)
     assert NoiseExpr(3, 1, 2).gamma(BINDING) == Fraction(60)
-    assert NoiseExpr(1, 2, 1, t_exp=1).gamma(BINDING) == Fraction(100)
     assert isinstance(NoiseExpr(1, 0, 1).gamma(BINDING), Fraction)
 
 
@@ -52,7 +54,6 @@ def test_expr_render():
     assert NoiseExpr(2, 0, 1).render() == "2/eps"
     assert NoiseExpr(1, 1, 1).render() == "qlen/eps"
     assert NoiseExpr(2, 2, 2).render() == "2*qlen^2/eps^2"
-    assert NoiseExpr(3, 0, 1, t_exp=1).render() == "3*T/eps"
     assert render_vector((None, NoiseExpr(2, 0, 1))) == "(bot, 2/eps)"
 
 
@@ -290,7 +291,7 @@ def test_sort_key_ties_losses_within_grain_then_prefers_less_noise():
 @pytest.fixture(scope="module")
 def rank_setup(micro_scalar):
     cfg = RunConfig(event_floor=1e-4)
-    bank = PresampleBank(micro_scalar, {}, qlen=5, m=40000,
+    bank = PresampleBank(micro_scalar, {"qlen": 5}, m=40000,
                          proposal_scale=cfg.proposal_scale, seed=2,
                          mixture=(0.5, 1.0, 2.0, 4.0, 8.0))
     example = Example(d1=(0, 0, 0, 0, 0), d2=(1, 0, 0, 0, 0),
@@ -343,7 +344,7 @@ def test_rank_dry_side_gets_a_one_sided_bound(micro_scalar):
     # d1 = (0, ..) when v = k and by d2 = (1, ..) when v = k - 1.  At the
     # first k no draw reaches, d1 is dry while d2 has hits.
     cfg = RunConfig(event_floor=1e-4)
-    bank = PresampleBank(micro_scalar, {}, qlen=5, m=2000,
+    bank = PresampleBank(micro_scalar, {"qlen": 5}, m=2000,
                          proposal_scale=cfg.proposal_scale, seed=0)
     d1, d2 = (0, 0, 0, 0, 0), (1, 0, 0, 0, 0)
     dry = bank.clamp[0]
@@ -438,3 +439,44 @@ def test_synth_end_to_end_micro(micro_scalar):
     assert set(outcome.timings) == {"init", "opti", "enum", "verify", "total"}
     assert report["region"]["entries"]
     assert report["radius_used"] == cfg.radius
+
+
+# a reduced budget whose run still reaches every phase and both off-masks
+MICRO_BUDGET = dict(trials=1000, presamples=4000, population=6,
+                    steps_per_hole=10, examples_cap=4,
+                    scale_grid=(0.5, 2.0, 8.0),
+                    test_eps=(Fraction(1, 2),), test_qlens=(5,))
+
+
+@pytest.fixture(scope="module")
+def micro_synth_run(micro_scalar):
+    """A micro synth run from an empty kernel cache, with the off-mask of
+    every kernel code-generation pass it made."""
+    masks = []
+    kernel = lang._Emitter.kernel
+
+    def counted(self):
+        masks.append(self.bottoms)
+        return kernel(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lang, "_KERNELS", {})
+        mp.setattr(lang._Emitter, "kernel", counted)
+        outcome = synth(micro_scalar, RunConfig(**MICRO_BUDGET))
+    return outcome, masks
+
+
+def test_synth_compiles_each_off_mask_once(micro_synth_run):
+    _, masks = micro_synth_run
+    # one compilation is two passes: the probe and the final emission
+    assert Counter(masks) == {(False,): 2, (True,): 2}
+
+
+def test_micro_synth_report_is_frozen(micro_synth_run):
+    # the report's digest without its config block, recorded before the
+    # tester, bank and synthesizer took one argument binding
+    report = dict(micro_synth_run[0].report)
+    del report["config"]
+    digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    assert digest == ("c5eb9b61e0ddd25dc6672431bfefff3e"
+                      "fd08dec1be1a1553401efec64330573f")

@@ -15,13 +15,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mechsynth import tester
 from mechsynth.config import RunConfig
 from mechsynth.lang import Outputs
 from mechsynth.tester import (CoordEvent, HalfLineEvent, PrefixEvent,
                               ValueEvent, counterexample_record, decision_p,
                               gen_events, gen_input_pairs, hypothesis_test)
-from mechsynth.tester import test_mechanism as run_tester
 from tests.conftest import load_benchmark
+
+
+def run_tester(sketch, args, noise, eps, *, trials, seed=0, qlen=5,
+               return_all=False):
+    """``test_mechanism`` at the binding of ``eps``, ``qlen`` and the
+    sketch arguments ``args``: the minimum-p counterexample (None when
+    there is none), and with ``return_all`` every candidate as well."""
+    cands = tester.test_mechanism(sketch, {"eps": eps, "qlen": qlen, **args},
+                                  noise, trials=trials, seed=seed)
+    best = cands[0] if cands else None
+    return (best, cands) if return_all else best
+
 
 # ---------------------------------------------------------------------------
 # hypothesis_test: frozen oracle values
@@ -124,7 +136,8 @@ def test_gen_input_pairs_invariants(pattern_set, length):
         assert len(d1) == len(d2) == length
         assert d1 != d2
         assert all(abs(x - y) <= 1 for x, y in zip(d1, d2))
-        assert (d2, d1) in as_set
+        # pairs are unordered: the tester runs both orientations of each
+        assert (d2, d1) not in as_set
 
 
 def test_gen_input_pairs_one_is_single_coordinate():
@@ -135,12 +148,11 @@ def test_gen_input_pairs_one_is_single_coordinate():
 def test_gen_input_pairs_known_shapes():
     pairs = gen_input_pairs("all", 5)
     assert ((0, 0, 0, 0, 0), (1, 1, 1, 1, 1)) in pairs
-    assert ((2, 2, 0, 0, 0), (1, 1, 1, 1, 1)) in pairs
+    assert ((1, 1, 1, 1, 1), (2, 2, 0, 0, 0)) in pairs
 
 
 def test_gen_input_pairs_length_one():
-    pairs = gen_input_pairs("all", 1)
-    assert ((0,), (1,)) in pairs and ((1,), (0,)) in pairs
+    assert gen_input_pairs("all", 1) == [((0,), (1,)), ((1,), (2,))]
 
 
 def test_gen_input_pairs_rejects_zero_length():
@@ -167,9 +179,9 @@ def test_event_membership_semantics():
     assert not CoordEvent(3, 5, "ge").contains((0, 7))
 
 
-def test_gen_events_integer_outputs(micro_scalar):
+def test_gen_events_integer_outputs():
     outs = [0, 0, 1, 1, 1, 2, 5, -3]
-    events = gen_events(micro_scalar, {}, outs)
+    events = gen_events(Outputs.from_values(outs))
     kinds = {type(e) for e in events}
     assert kinds == {ValueEvent, HalfLineEvent}
     assert ValueEvent(frozenset([1])) in events
@@ -180,9 +192,9 @@ def test_gen_events_integer_outputs(micro_scalar):
     assert len(events) == len(set(events))
 
 
-def test_gen_events_boolean_tuple_outputs(micro_scalar):
+def test_gen_events_boolean_tuple_outputs():
     outs = [(False, True), (True,), (False, False, True)]
-    events = gen_events(micro_scalar, {}, outs)
+    events = gen_events(Outputs.from_values(outs))
     prefixes = [e for e in events if isinstance(e, PrefixEvent)]
     # every true/false pattern of lengths one through three appears
     assert len(prefixes) == 2 + 4 + 8
@@ -191,9 +203,9 @@ def test_gen_events_boolean_tuple_outputs(micro_scalar):
     assert PrefixEvent((False, False, True)) in events
 
 
-def test_gen_events_integer_tuple_outputs(micro_scalar):
+def test_gen_events_integer_tuple_outputs():
     outs = [(0, 9), (1, 4), (2, 6), (0, 5)]
-    events = gen_events(micro_scalar, {}, outs)
+    events = gen_events(Outputs.from_values(outs))
     coords = [e for e in events if isinstance(e, CoordEvent)]
     assert coords
     assert {e.coord for e in coords} == {0, 1}
@@ -201,9 +213,9 @@ def test_gen_events_integer_tuple_outputs(micro_scalar):
     assert ValueEvent(frozenset([(0, 9)])) in events
 
 
-def test_gen_events_requires_samples(micro_scalar):
+def test_gen_events_requires_samples():
     with pytest.raises(ValueError):
-        gen_events(micro_scalar, {}, [])
+        gen_events(Outputs.from_values([]))
 
 
 @pytest.mark.parametrize("outs", [
@@ -211,10 +223,10 @@ def test_gen_events_requires_samples(micro_scalar):
     [(1, 2), (0,), (1, 2), (), (1, 2, 3), (0,), (4, 4)],
     [(True, False), (False,), (True, False), (True, True, True), (True,)],
 ])
-def test_gen_events_singletons_follow_counter_order(micro_scalar, outs):
+def test_gen_events_singletons_follow_counter_order(outs):
     # ties keep the order of first appearance, as Counter.most_common does
     want = [v for v, _ in Counter(outs).most_common()]
-    events = gen_events(micro_scalar, {}, outs)
+    events = gen_events(Outputs.from_values(outs))
     got = [next(iter(e.values)) for e in events if isinstance(e, ValueEvent)]
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
