@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import importlib.resources
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +35,8 @@ from .config import RunConfig
 from .lang import LangError, MechanismSketch, parse_sketch
 from .search import PresampleBank, batch_objective, select_examples
 from .synth import SynthError, fix_params, report_to_json, synth
-from .tester import counterexample_record, decision_p, test_mechanism
+from .tester import (FisherMemo, counterexample_record, decision_p,
+                     test_mechanism)
 
 __all__ = ["main", "load_sketch", "benchmark_names", "write_outcome"]
 
@@ -203,7 +205,8 @@ def cmd_synth(sketch, **kw):
 @click.option("--sketch", required=True, help="Sketch file or benchmark name.")
 @click.option("--noise", required=True,
               help="Comma-separated scale per hole; 'bot' = no noise.")
-@click.option("--max-records", default=100, show_default=True, type=int,
+@click.option("--max-records", default=100, show_default=True,
+              type=click.IntRange(min=0),
               help="Cap on printed counterexample records.")
 @_budget_options
 def cmd_test(sketch, noise, max_records, **kw):
@@ -258,7 +261,7 @@ def cmd_grid(sketch, holes, fix, grid_spec, **kw):
         if not 1 <= idx <= sk.n_holes:
             raise click.UsageError(
                 f"hole {idx} out of range for a {sk.n_holes}-hole sketch")
-        fixed[idx] = None if v in ("bot", "none", "_") else float(v)
+        fixed[idx] = _parse_noise(v, 1)[0]
     free = {i, j}
     missing = [h for h in range(1, sk.n_holes + 1)
                if h not in free and h not in fixed]
@@ -269,8 +272,13 @@ def cmd_grid(sketch, holes, fix, grid_spec, **kw):
     parts = grid_spec.split(":")
     if len(parts) not in (2, 3):
         raise click.UsageError(f"cannot parse grid spec {grid_spec!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    step = float(parts[2]) if len(parts) == 3 else 1.0
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+        step = float(parts[2]) if len(parts) == 3 else 1.0
+    except ValueError:
+        raise click.UsageError(f"cannot parse grid spec {grid_spec!r}")
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise click.UsageError("grid bounds and step must be finite")
     if step <= 0 or hi < lo:
         raise click.UsageError("grid requires lo <= hi and step > 0")
     axis = []
@@ -291,7 +299,7 @@ def cmd_grid(sketch, holes, fix, grid_spec, **kw):
         binding = fix_params(sk, cfg)
         examples = select_examples(
             sk, binding, scale_grid=cfg.scale_grid, trials=cfg.trials,
-            seed=cfg.seed, zone=cfg.zone)
+            seed=cfg.seed, zone=cfg.zone, memo=FisherMemo())
         if not examples:
             click.echo("no challenging examples found", err=True)
             sys.exit(1)

@@ -13,6 +13,9 @@ values (assignment copies) and an element reads as an integer.  The checker
 gives every variable one type for the whole sketch, every list one element
 type (integer or boolean), and every ``return`` one output type.  Integers
 are int64: a result outside that range is a fault, never a wrapped value.
+A sketch reads its answer vector, ``qlen`` and its declared arguments; the
+rational ``eps`` appears only in noise-scale expressions, so reading it is a
+check error.
 
 One engine runs sketches: :func:`compile_sketch` turns a sketch into a
 *lane kernel*, numpy code that executes many runs ("lanes") in lock-step on
@@ -193,7 +196,7 @@ class Hole:
 class MechanismSketch:
     name: str
     private_input: str                 # symbol bound to the answer vector
-    args: tuple                        # extra argument names (eps, qlen implicit)
+    args: tuple                        # extra argument names (qlen implicit)
     adjacency: str                     # "one" | "all"
     holes: tuple                       # tuple[Hole, ...]
     body: tuple                        # tuple[Command, ...]
@@ -505,6 +508,9 @@ def parse_sketch(source: str) -> MechanismSketch:
             names = tuple(n.strip() for n in rest.split(","))
             if not all(re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", n) for n in names):
                 raise ParseError("bad argument list", lineno)
+            if {"eps", "qlen"} & set(names):
+                raise ParseError("'eps' and 'qlen' are implicit, not arguments",
+                                 lineno)
             header["args"] = names
         else:
             if not rest or len(rest.split()) != 1:
@@ -553,6 +559,9 @@ _INT, _BOOL, _LIST = "int", "bool", "list"
 
 def _check_expr(e: Expr, types: dict) -> str:
     if isinstance(e, Var):
+        if e.name == "eps" and "eps" not in types:
+            raise TypeCheckError("'eps' is rational and only scales noise; "
+                                 "a sketch cannot read it")
         if e.name not in types:
             raise TypeCheckError(f"undeclared symbol {e.name!r}")
         return types[e.name]
@@ -701,7 +710,7 @@ def _check_body(body, types: dict, in_loop: bool, decls: _Decls):
 
 
 def _check_sketch(sketch: MechanismSketch) -> _Decls:
-    types = {sketch.private_input: _LIST, "qlen": _INT, "eps": _INT}
+    types = {sketch.private_input: _LIST, "qlen": _INT}
     for a in sketch.args:
         types[a] = _INT
     decls = _Decls(types)
@@ -860,9 +869,6 @@ def run(sketch: MechanismSketch, args: dict, answers, trace: NoiseTrace,
         if a not in args:
             raise RunError(f"missing argument {a!r}")
         mem[a] = args[a]
-    # eps participates in scale expressions, not in program control flow;
-    # bind it as 0 if absent so sketches referring to it still run.
-    mem["eps"] = args.get("eps", 0)
     fuel_limit = 10 * len(answers) + 100
     try:
         _exec_body(sketch.body, mem, trace, fuel_limit, bottoms)
@@ -1064,8 +1070,8 @@ def _k_read(x, assigned, m, name: str):
     return x
 
 
-def _k_arg(args: dict, name: str, default=None) -> int:
-    value = args.get(name, default)
+def _k_arg(args: dict, name: str) -> int:
+    value = args.get(name)
     if value is None:
         raise RunError(f"missing argument {name!r}")
     try:
@@ -1392,7 +1398,7 @@ class _Emitter:
     def kernel(self) -> str:
         sk = self.sketch
         out_type, boolean = self.decls.output()
-        inputs = {sk.private_input, "qlen", "eps", *sk.args}
+        inputs = {sk.private_input, "qlen", *sk.args}
         self.emit(1, "_L = len(_draws[0])")
         self.emit(1, f"if len(_draws) != {sk.n_holes}:")
         self.emit(2, f"raise ValueError('need draws for {sk.n_holes} hole(s)')")
@@ -1400,7 +1406,6 @@ class _Emitter:
             self.emit(1, f"v_{a} = _k_arg(_args, {a!r})")
         self.emit(1, f"v_{sk.private_input} = _k_list(_answers, _L)")
         self.emit(1, "v_qlen = len(_answers)")
-        self.emit(1, "v_eps = _k_arg(_args, 'eps', 0)")
         self.emit(1, "_fuel = 10 * len(_answers) + 100")
         for h in range(sk.n_holes):
             self.emit(1, f"_cur{h} = np.zeros(_L, dtype=np.int64)")

@@ -82,7 +82,8 @@ def directions(n_holes: int) -> list:
 
 
 def select_examples(sketch: MechanismSketch, binding: dict, *, scale_grid,
-                    trials: int = 20000, seed: int = 0, zone) -> list:
+                    trials: int = 20000, seed: int = 0, zone,
+                    memo=None) -> list:
     """Line-search multiples of the :func:`directions` through the tester;
     keep zone hits plus every decision cell that the tester flagged as a
     violation.
@@ -97,7 +98,8 @@ def select_examples(sketch: MechanismSketch, binding: dict, *, scale_grid,
     no-noise) produces its strongest separations at p near zero, and those
     cells are exactly the anchors that stop the optimizer from drifting
     into a non-private pattern.  When nothing qualifies, the zone widens to
-    [0.01, 0.99] and the trial count doubles, once.
+    [0.01, 0.99] and the trial count doubles, once.  Every tester call
+    gets ``memo``, the operation's :class:`~mechsynth.tester.FisherMemo`.
     """
     if not scale_grid:
         raise ValueError("scale grid must be nonempty")
@@ -108,7 +110,8 @@ def select_examples(sketch: MechanismSketch, binding: dict, *, scale_grid,
             for scale in scale_grid:
                 vec = [scale * u if u else None for u in direction]
                 for cx in test_mechanism(sketch, binding, vec,
-                                         trials=n_trials, seed=seed):
+                                         trials=n_trials, seed=seed,
+                                         memo=memo):
                     anchor = cx.decision and cx.p_value < zone_lo
                     if not (zone_lo <= cx.p_value <= zone_hi or anchor):
                         continue

@@ -31,8 +31,8 @@ from .config import RunConfig, _frac_str
 from .lang import MechanismSketch
 from .search import (Example, NoiseRegion, PresampleBank,
                      example_losses_with_se, get_noise_region, select_examples)
-from .tester import (CoordEvent, PrefixEvent, ValueEvent, counterexample_record,
-                     decision_p, test_mechanism)
+from .tester import (CoordEvent, FisherMemo, PrefixEvent, ValueEvent,
+                     counterexample_record, decision_p, test_mechanism)
 
 __all__ = [
     "NoiseExpr", "Grammar", "RankedCandidate", "SynthError", "SynthOutcome",
@@ -208,14 +208,15 @@ def _inherit_examples(examples, qlen: int) -> list:
     return out
 
 
-def _fresh_examples(sketch, binding, best_vector, cfg: RunConfig, seed) -> list:
+def _fresh_examples(sketch, binding, best_vector, cfg: RunConfig, seed,
+                    memo) -> list:
     """One tester pass at the region's best vector rescaled to the binding's
     epsilon; zone hits become extra test examples."""
     factor = _rescale(cfg, binding["eps"])
     vec = [None if v is None else float(v) * factor for v in best_vector]
     out = []
     for cx in test_mechanism(sketch, binding, vec, trials=cfg.trials,
-                             seed=seed):
+                             seed=seed, memo=memo):
         if cfg.zone[0] <= cx.p_value <= cfg.zone[1]:
             out.append(Example(d1=cx.d1, d2=cx.d2, event=cx.event,
                                direction=(), scale=round(factor, 6),
@@ -224,14 +225,14 @@ def _fresh_examples(sketch, binding, best_vector, cfg: RunConfig, seed) -> list:
 
 
 def build_test_examples(sketch, examples, region_best, bindings,
-                        cfg: RunConfig) -> dict:
+                        cfg: RunConfig, memo) -> dict:
     """Per binding: inherited example shapes rescaled to the binding's length
     plus fresh zone hits, deduplicated, capped by p-centrality."""
     out = {}
     for b_idx, binding in enumerate(bindings):
         pool = _inherit_examples(examples, binding["qlen"])
         pool += _fresh_examples(sketch, binding, region_best, cfg,
-                                seed=[cfg.seed, 5, b_idx])
+                                seed=[cfg.seed, 5, b_idx], memo=memo)
         seen = {}
         for ex in pool:
             key = (ex.d1, ex.d2, ex.event)
@@ -366,17 +367,20 @@ def rank_candidates(cands, bindings_data, gamma_binding: dict,
 # Final verification
 # ---------------------------------------------------------------------------
 
-def final_verify(sketch: MechanismSketch, ranked, bindings, cfg: RunConfig):
+def final_verify(sketch: MechanismSketch, ranked, bindings, cfg: RunConfig,
+                 memo=None):
     """Re-test the top 5 * #holes candidates with the statistical tester at
     every binding; reject any with a counterexample below ``verify_alpha``.
 
     Rejection reads the tester's decision cells (one pilot-selected event
     per pair and orientation), not the raw minimum over every derived
-    event, which is multiplicity-biased.  A flagged binding additionally
-    only rejects after the result reproduces under an independent seed;
-    real violations sit many orders of magnitude below alpha and confirm
-    trivially.  Returns (survivors, details) with per-binding decision
-    p-values attached; survivor order follows the incoming ranking."""
+    event, which is multiplicity-biased; so the tester computes the final
+    p-values of those cells alone (``decision_only``), sharing ``memo``.
+    A flagged binding additionally only rejects after the result
+    reproduces under an independent seed; real violations sit many orders
+    of magnitude below alpha and confirm trivially.  Returns (survivors,
+    details) with per-binding decision p-values attached; survivor order
+    follows the incoming ranking."""
     budget = 5 * sketch.n_holes
     top = ranked[:budget]
     survivors = []
@@ -390,7 +394,8 @@ def final_verify(sketch: MechanismSketch, ranked, bindings, cfg: RunConfig):
             def run_once(rep):
                 return decision_p(test_mechanism(
                     sketch, binding, vec, trials=cfg.trials,
-                    seed=[cfg.seed, 7, c_idx, b_idx, rep]))
+                    seed=[cfg.seed, 7, c_idx, b_idx, rep],
+                    decision_only=True, memo=memo))
 
             min_p = run_once(0)
             confirm_p = None
@@ -486,9 +491,10 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
     # --- init: fixed binding, examples, primary bank
     with _phase("init", timings):
         gamma_binding = fix_params(sketch, cfg)
+        memo = FisherMemo()     # one per operation: every tester call shares it
         examples = select_examples(
             sketch, gamma_binding, scale_grid=cfg.scale_grid,
-            trials=cfg.trials, seed=cfg.seed, zone=cfg.zone)
+            trials=cfg.trials, seed=cfg.seed, zone=cfg.zone, memo=memo)
         banks = {}
 
         def bank_for(binding, scoring: bool = False):
@@ -530,7 +536,7 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
                                         radius_used)
         bindings = _bindings(sketch, cfg)
         test_examples = build_test_examples(
-            sketch, examples, region.best()[0], bindings, cfg)
+            sketch, examples, region.best()[0], bindings, cfg, memo)
         bindings_data = [(b, bank_for(b, scoring=True),
                           test_examples[_binding_key(b)]) for b in bindings]
         ranked = rank_candidates(cands, bindings_data, gamma_binding, cfg) \
@@ -538,8 +544,8 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
 
     # --- verify: statistical re-test of the top candidates
     with _phase("verify", timings):
-        survivors, verify_details = final_verify(sketch, ranked, bindings, cfg) \
-            if ranked else ([], [])
+        survivors, verify_details = final_verify(
+            sketch, ranked, bindings, cfg, memo) if ranked else ([], [])
     timings["total"] = time.perf_counter() - t_total
 
     note = "" if survivors else "no candidate survived verification"

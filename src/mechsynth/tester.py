@@ -18,9 +18,13 @@ sampled once and tested in both orientations.  The workflow per input pair:
 
 Small p-values indicate a likely violation at the tested epsilon.  All
 randomness derives from an explicit seed, so repeated calls are bit-stable.
-The pilot and final runs of one input side are one lane-kernel call, events
-are counted with array comparisons (:meth:`hits`), and every pilot and final
-cell of a call is tested in one batched :func:`hypothesis_test`.
+The pilot and final runs of one input side are one lane-kernel call and
+events are counted with array comparisons (:meth:`hits`).  A call makes two
+batched :func:`hypothesis_test` calls: one over every pilot cell, which
+picks the decision events, then one over the final cells -- all of them, or
+the decision cells alone when the caller reads nothing else.  A
+:class:`FisherMemo` shared by the calls of one operation computes each
+thinning and each Fisher table once.
 
 The minimum p over every (pair, event, orientation) cell is useful for
 harvesting challenging examples but is biased by multiplicity: with
@@ -43,7 +47,7 @@ from .lang import MechanismSketch, Outputs, compile_sketch, count_hole_draws
 
 __all__ = [
     "PATTERN_SETS", "ValueEvent", "HalfLineEvent", "PrefixEvent", "CoordEvent",
-    "Counterexample", "gen_input_pairs", "gen_events",
+    "Counterexample", "gen_input_pairs", "gen_events", "FisherMemo",
     "hypothesis_test", "test_mechanism", "counterexample_record",
     "decision_p",
 ]
@@ -305,7 +309,58 @@ _THINNING_U = np.clip(np.random.default_rng(20200817).random(_N_THINNINGS),
                       1e-12, 1 - 1e-12)
 
 
-def hypothesis_test(c1, c2, n: int, test_epsilon):
+class FisherMemo:
+    """The thinning rows and Fisher tail values computed so far in one
+    operation.
+
+    The tester calls of one synthesis run see the same counts and the same
+    thinned tables again and again; :func:`hypothesis_test` given a memo
+    computes each only once.  Thinning rows are kept per epsilon and count,
+    tail values per n and table, each store as sorted int64 keys and their
+    values.  A value comes from the same scipy call on the same arguments
+    as a fresh computation, so sharing a memo changes no p-value.  Keep one
+    memo per operation (one ``synth`` call, one command), not per process.
+    """
+
+    def __init__(self):
+        self._rows = {}    # eps -> (counts, (counts, 20) thinned counts)
+        self._tails = {}   # n -> (tables k * (2n + 1) + K, P[X >= k])
+
+    def thinned(self, counts, test_epsilon) -> np.ndarray:
+        """The 20 thinned counts of each sorted distinct count."""
+        q = math.exp(-float(test_epsilon))
+        return _recall(self._rows, float(test_epsilon), counts, lambda c:
+                       binom.ppf(_THINNING_U, c[:, None], q).astype(np.int64))
+
+    def tails(self, n: int, tables) -> np.ndarray:
+        """P[X >= k] of each sorted distinct table ``k * (2n + 1) + K``, X
+        hypergeometric with population 2n, K successes and n draws."""
+        def fisher(t):
+            k, K = np.divmod(t, 2 * n + 1)
+            return hypergeom.sf(k - 1, 2 * n, K, n)
+        return _recall(self._tails, n, tables, fisher)
+
+
+def _recall(store: dict, key, wanted, compute) -> np.ndarray:
+    """The values of the sorted distinct int64 ``wanted`` in ``store[key]``,
+    a pair (sorted keys, values); ``compute`` fills in the missing ones."""
+    keys, values = store.get(key, (None, None))
+    if keys is None:
+        store[key] = wanted, compute(wanted)
+        return store[key][1]
+    at = np.searchsorted(keys, wanted)
+    known = at < len(keys)
+    known[known] = keys[at[known]] == wanted[known]
+    if not known.all():
+        new = wanted[~known]
+        keys = np.insert(keys, at[~known], new)
+        values = np.insert(values, at[~known], compute(new), axis=0)
+        store[key] = keys, values
+        at = np.searchsorted(keys, wanted)
+    return values[at]
+
+
+def hypothesis_test(c1, c2, n: int, test_epsilon, *, memo=None):
     """p-value for the null rho1 <= e^eps * rho2 given counts from n trials
     per side.
 
@@ -315,7 +370,9 @@ def hypothesis_test(c1, c2, n: int, test_epsilon):
     ``c2`` may be same-shape arrays of counts, one cell each, for an array
     of p-values: each distinct count is thinned once and each distinct
     thinned table tested once, and every cell's p-value equals the one its
-    own call would return.
+    own call would return.  ``memo``, a :class:`FisherMemo`, carries the
+    thinnings and tables over to later calls; without one the call starts
+    from a fresh memo.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -325,16 +382,16 @@ def hypothesis_test(c1, c2, n: int, test_epsilon):
         raise ValueError("count arrays must share one shape")
     if ((c1 < 0) | (c1 > n) | (c2 < 0) | (c2 > n)).any():
         raise ValueError("counts must lie in [0, n]")
+    if memo is None:
+        memo = FisherMemo()
     counts, which = np.unique(c1.ravel(), return_inverse=True)
-    thin = binom.ppf(_THINNING_U, counts[:, None],
-                     math.exp(-float(test_epsilon))).astype(np.int64)[which]
-    # P[X >= k] with X hypergeometric: population 2n, successes K = k + c2,
-    # draws n; a table is keyed by k * span + K
+    thin = memo.thinned(counts, test_epsilon)[which]
+    # a table is keyed by k * span + K: the thinned count k and the
+    # successes K = k + c2
     span = 2 * n + 1
     tables, where = np.unique(thin * span + thin + c2.reshape(-1, 1),
                               return_inverse=True)
-    k, K = np.divmod(tables, span)
-    ps = hypergeom.sf(k - 1, 2 * n, K, n)[where].reshape(thin.shape)
+    ps = memo.tails(n, tables)[where].reshape(thin.shape)
     p = ps.mean(axis=-1).reshape(c1.shape)
     return float(p) if p.ndim == 0 else p
 
@@ -397,7 +454,8 @@ def _count_floor(n_side: int) -> int:
 
 
 def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
-                   trials: int, seed) -> list:
+                   trials: int, seed, decision_only: bool = False,
+                   memo=None) -> list:
     """Every counterexample cell over the adjacent pairs and derived events,
     sorted by p-value (the strongest first).
 
@@ -405,7 +463,9 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     answer-vector length, and every argument of the sketch; the sketch
     receives only its own arguments.  ``noise_vector`` holds one scale per
     hole (``None`` = the hole's noise term is absent).  The list is empty
-    when no event passes the count floor.
+    when no event passes the count floor.  With ``decision_only`` the list
+    holds the decision cells alone, exactly as the full list has them.
+    ``memo`` carries Fisher work over from earlier calls of the operation.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful test")
@@ -415,6 +475,8 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     qlen = binding["qlen"]
     target_eps = float(binding["eps"])
     args = {a: binding[a] for a in sketch.args}
+    if memo is None:
+        memo = FisherMemo()
 
     runner = compile_sketch(sketch, [s is None for s in noise_vector])
     pairs = gen_input_pairs(sketch.adjacency, qlen)
@@ -422,9 +484,9 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     floor = _count_floor(n_half)
     caps = count_hole_draws(sketch, qlen)
 
-    # per pair: its events kept after the pilot, with pilot and final counts
-    # of shape (2 sides, events)
-    tested = []
+    # per pair: its events kept after the pilot, their pilot counts of
+    # shape (2 sides, events) and the final outputs of both sides
+    sampled = []
     for pair_idx, (d1, d2) in enumerate(pairs):
         pilot, final = [], []
         for s, answers in enumerate((d1, d2)):
@@ -442,45 +504,48 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
                             for out in pilot], dtype=np.int64)
         keep = np.argsort(-np.abs(pcounts[0] - pcounts[1]),
                           kind="stable")[:_EVENT_CAP]
-        survivors = [events[i] for i in keep]
-        fcounts = np.array([[e.hits(out).sum() for e in survivors]
-                            for out in final], dtype=np.int64)
-        tested.append((d1, d2, survivors, pcounts[:, keep], fcounts))
+        sampled.append((d1, d2, [events[i] for i in keep], pcounts[:, keep],
+                        final))
 
-    # one Fisher call: the pilot cells of both orientations, which pick one
-    # decision event per orientation, then every final cell that passes the
-    # count floor with the larger count first
-    pilots = [pc for _, _, _, pc, _ in tested]
-    c1s = [pc[o] for pc in pilots for o in (0, 1)]
-    c2s = [pc[1 - o] for pc in pilots for o in (0, 1)]
-    cells = []
-    for pair_no, (_, _, _, _, fc) in enumerate(tested):
-        for k, (c1, c2) in enumerate(fc.T.tolist()):
-            if max(c1, c2) < floor:
-                continue
-            for orient, (ca, cb) in enumerate(((c1, c2), (c2, c1))):
-                if ca >= cb:
-                    cells.append((pair_no, k, orient, ca, cb))
-    c1s.append(np.array([c[3] for c in cells], dtype=np.int64))
-    c2s.append(np.array([c[4] for c in cells], dtype=np.int64))
-    p = hypothesis_test(np.concatenate(c1s), np.concatenate(c2s), n_half,
-                        target_eps)
-
-    decision = []               # per pair: decision event index per orient
+    # the pilot cells of both orientations pick one decision event per
+    # (pair, orientation)
+    pilots = [pc for _, _, _, pc, _ in sampled]
+    p = hypothesis_test(
+        np.concatenate([pc[o] for pc in pilots for o in (0, 1)]),
+        np.concatenate([pc[1 - o] for pc in pilots for o in (0, 1)]),
+        n_half, target_eps, memo=memo)
+    decisions = []
     at = 0
     for pc in pilots:
         width = pc.shape[1]
-        decision.append([int(np.argmin(p[at + o * width:at + (o + 1) * width]))
-                         if width else None for o in (0, 1)])
+        decisions.append([int(np.argmin(p[at + o * width:at + (o + 1) * width]))
+                          for o in (0, 1)])
         at += 2 * width
+
+    # the final cells that pass the count floor, larger count first
+    cells = []
+    for pair_no, ((_, _, survivors, _, final), picks) in enumerate(
+            zip(sampled, decisions)):
+        ks = sorted(set(picks)) if decision_only else range(len(survivors))
+        for k in ks:
+            c1, c2 = (int(survivors[k].hits(out).sum()) for out in final)
+            if max(c1, c2) < floor:
+                continue
+            for orient, (ca, cb) in enumerate(((c1, c2), (c2, c1))):
+                if ca >= cb and (picks[orient] == k or not decision_only):
+                    cells.append((pair_no, k, orient, ca, cb))
+    p = hypothesis_test(np.array([c[3] for c in cells], dtype=np.int64),
+                        np.array([c[4] for c in cells], dtype=np.int64),
+                        n_half, target_eps, memo=memo)
+
     candidates = []
-    for (pair_no, k, orient, ca, cb), p_value in zip(cells, p[at:].tolist()):
-        d1, d2, survivors, _, _ = tested[pair_no]
+    for (pair_no, k, orient, ca, cb), p_value in zip(cells, p.tolist()):
+        d1, d2, survivors, _, _ = sampled[pair_no]
         candidates.append(Counterexample(
             d1=d1 if orient == 0 else d2, d2=d2 if orient == 0 else d1,
             event=survivors[k], p_value=p_value, test_epsilon=target_eps,
             rho1=ca / n_half, rho2=cb / n_half, c1=ca, c2=cb, n_side=n_half,
-            decision=decision[pair_no][orient] == k))
+            decision=decisions[pair_no][orient] == k))
 
     candidates.sort(key=lambda cx: cx.p_value)
     return candidates

@@ -117,6 +117,19 @@ def test_cmd_test_usage_errors(runner, micro_path):
     bad_scale = runner.invoke(main, ["test", "--sketch", micro_path,
                                      "--noise", "wat"])
     assert bad_scale.exit_code == 2
+    # a negative cap used to print every record but the last three
+    bad_cap = runner.invoke(main, ["test", "--sketch", micro_path,
+                                   "--noise", "1", "--max-records", "-3"])
+    assert bad_cap.exit_code == 2
+
+
+def test_cmd_test_max_records_zero_prints_the_summary_only(runner,
+                                                           micro_path):
+    result = runner.invoke(main, ["test", "--sketch", micro_path, "--noise",
+                                  "2", "--trials", "1000", "--max-records",
+                                  "0"])
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and "decision_p" in json.loads(lines[0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +243,17 @@ def test_cmd_grid_usage_errors(runner, duo_path, micro_path):
     single_hole = runner.invoke(main, ["grid", "--sketch", micro_path,
                                        "--holes", "1,2"])
     assert single_hole.exit_code == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--grid", "a:b"], ["--grid", "1:2:x"], ["--grid", "nan:nan"],
+    ["--grid", "1:inf"], ["--grid", "1:2:nan"], ["--fix", "3=x"]])
+def test_cmd_grid_parse_errors_are_usage_errors(runner, extra):
+    # exit 1 means "no challenging examples found"; bad input is exit 2
+    result = runner.invoke(main, ["grid", "--sketch", "abovet2", "--holes",
+                                  "1,2", "--fix", "3=bot", *extra])
+    assert result.exit_code == 2, result.output
+    assert "Usage" in result.output
 
 
 def test_cmd_grid_requires_fix_for_extra_holes(runner, tmp_path):

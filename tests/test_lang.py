@@ -134,6 +134,16 @@ return x
         parse_sketch(src)
 
 
+def test_sketch_cannot_read_eps():
+    # eps is rational; read as an integer it used to compute with 0
+    with pytest.raises(TypeCheckError, match="eps"):
+        _sketch("x <- a[1] * eps + Lap(?1)\nreturn x\n")
+    for name in ("eps", "qlen"):
+        with pytest.raises(ParseError, match="implicit"):
+            parse_sketch(f"mechanism T\nprivate a\nargs {name}\n"
+                         "adjacency one\n\nx <- a[1] + Lap(?1)\nreturn x\n")
+
+
 def test_checker_allows_loop_assigned_output():
     # a variable first assigned inside a loop branch is readable after it
     src = """mechanism T
@@ -451,7 +461,7 @@ def _int_expr(draw, depth):
     if kind == "var":
         return draw(st.sampled_from(_INT_VARS))
     if kind == "input":
-        return draw(st.sampled_from(["qlen", "T", "eps"]))
+        return draw(st.sampled_from(["qlen", "T"]))
     if kind == "len":
         return f"len({_list_expr(draw, draw(st.booleans()))})"
     if kind == "index":

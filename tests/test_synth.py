@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
+from scipy.stats import hypergeom
 
-from mechsynth import lang
+from mechsynth import lang, tester
 from mechsynth.config import RunConfig
 from mechsynth.lang import parse_sketch
 from mechsynth.search import (Example, NoiseRegion, PresampleBank,
@@ -470,6 +471,23 @@ def test_synth_compiles_each_off_mask_once(micro_synth_run):
     _, masks = micro_synth_run
     # one compilation is two passes: the probe and the final emission
     assert Counter(masks) == {(False,): 2, (True,): 2}
+
+
+def test_synth_memo_does_not_outlive_the_operation(micro_scalar, monkeypatch):
+    # two identical synths evaluate the same Fisher tables: the second
+    # starts from an empty memo, as a separate command would
+    tables = []
+
+    class Counted:
+        def sf(self, k, *args):
+            tables[-1] += np.size(k)
+            return hypergeom.sf(k, *args)
+
+    monkeypatch.setattr(tester, "hypergeom", Counted())
+    for _ in range(2):
+        tables.append(0)
+        synth(micro_scalar, RunConfig(**MICRO_BUDGET))
+    assert tables[0] == tables[1] > 0
 
 
 def test_micro_synth_report_is_frozen(micro_synth_run):

@@ -121,6 +121,31 @@ def test_batched_hypothesis_test_equals_one_call_per_cell(micro_scalar):
     assert (grid.ravel() == batch).all()
 
 
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_memo_backed_p_values_equal_fresh_ones(data):
+    # one memo across calls of varying n and eps, counts repeating
+    memo = tester.FisherMemo()
+    for _ in range(data.draw(st.integers(1, 4))):
+        n = data.draw(st.sampled_from([40, 500, 2000]))
+        eps = data.draw(st.sampled_from([0.1, 0.5, 1.5]))
+        cells = data.draw(st.lists(st.tuples(st.integers(0, n),
+                                             st.integers(0, n)), max_size=20))
+        c1 = np.array([a for a, _ in cells], dtype=np.int64)
+        c2 = np.array([b for _, b in cells], dtype=np.int64)
+        got = hypothesis_test(c1, c2, n, eps, memo=memo)
+        assert got.shape == c1.shape
+        assert got.tolist() == [hypothesis_test(a, b, n, eps)
+                                for a, b in cells]
+
+
+def test_hypothesis_test_of_no_cells_is_empty():
+    empty = np.zeros(0, dtype=np.int64)
+    for memo in (None, tester.FisherMemo()):
+        p = hypothesis_test(empty, empty, 1000, 0.5, memo=memo)
+        assert isinstance(p, np.ndarray) and p.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # Input-pair generation
 # ---------------------------------------------------------------------------
@@ -395,3 +420,18 @@ def test_decision_cells_frozen_at_seed_0(name, noise):
     assert len(cands) == count
     assert [(cx.d1, cx.d2, cx.c1, cx.c2, cx.p_value)
             for cx in cands if cx.decision] == cells
+
+
+@pytest.mark.parametrize("name,noise", sorted(FROZEN_DECISIONS))
+def test_decision_only_call_returns_the_decision_cells(name, noise):
+    cfg = RunConfig()
+    sk = load_benchmark(name)
+    binding = {"eps": cfg.epsilon, "qlen": 5,
+               **{a: cfg.fixed_args[a] for a in sk.args}}
+    full = tester.test_mechanism(sk, binding, list(noise), trials=1000,
+                                 seed=0)
+    only = tester.test_mechanism(sk, binding, list(noise), trials=1000,
+                                 seed=0, decision_only=True,
+                                 memo=tester.FisherMemo())
+    assert only == [cx for cx in full if cx.decision]
+    assert len(only) == len(FROZEN_DECISIONS[(name, noise)][1])
