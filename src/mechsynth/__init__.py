@@ -15,8 +15,8 @@ from .search import (Example, NoiseRegion, PresampleBank, get_noise_region,
                      select_examples)
 from .synth import (Grammar, NoiseExpr, RankedCandidate, SynthError,
                     SynthOutcome, final_verify, rank_candidates, synth)
-from .tester import (Counterexample, decision_p, gen_events, gen_input_pairs,
-                     hypothesis_test, test_mechanism)
+from .tester import (Counterexample, FisherMemo, decision_p, gen_events,
+                     gen_input_pairs, hypothesis_test, test_mechanism)
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,8 @@ __all__ = [
     "select_examples",
     "Grammar", "NoiseExpr", "RankedCandidate", "SynthError", "SynthOutcome",
     "final_verify", "rank_candidates", "synth",
-    "Counterexample", "decision_p", "gen_events", "gen_input_pairs",
+    "Counterexample", "FisherMemo", "decision_p", "gen_events",
+    "gen_input_pairs",
     "hypothesis_test", "test_mechanism",
     "__version__",
 ]

@@ -91,9 +91,13 @@ def _parse_noise(value: str, n_holes: int) -> list:
             out.append(None)
         else:
             try:
-                out.append(float(p))
+                scale = float(p)
             except ValueError:
                 raise click.UsageError(f"cannot parse noise scale {p!r}")
+            if not (math.isfinite(scale) and scale > 0):
+                raise click.UsageError(
+                    f"noise scale {p!r} must be finite and positive")
+            out.append(scale)
     return out
 
 

@@ -328,9 +328,10 @@ class FisherMemo:
 
     def thinned(self, counts, test_epsilon) -> np.ndarray:
         """The 20 thinned counts of each sorted distinct count."""
-        q = math.exp(-float(test_epsilon))
-        return _recall(self._rows, float(test_epsilon), counts, lambda c:
-                       binom.ppf(_THINNING_U, c[:, None], q).astype(np.int64))
+        def thin(c):
+            return binom.ppf(_THINNING_U, c[:, None],
+                             math.exp(-float(test_epsilon))).astype(np.int64)
+        return _recall(self._rows, float(test_epsilon), counts, thin)
 
     def tails(self, n: int, tables) -> np.ndarray:
         """P[X >= k] of each sorted distinct table ``k * (2n + 1) + K``, X

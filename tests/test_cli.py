@@ -114,9 +114,10 @@ def test_cmd_test_usage_errors(runner, micro_path):
     bad_trials = runner.invoke(main, ["test", "--sketch", micro_path,
                                       "--noise", "1", "--trials", "10"])
     assert bad_trials.exit_code == 2
-    bad_scale = runner.invoke(main, ["test", "--sketch", micro_path,
-                                     "--noise", "wat"])
-    assert bad_scale.exit_code == 2
+    for scale in ("wat", "nan", "inf", "0", "-2"):
+        bad_scale = runner.invoke(main, ["test", "--sketch", micro_path,
+                                         "--noise", scale])
+        assert bad_scale.exit_code == 2, scale
     # a negative cap used to print every record but the last three
     bad_cap = runner.invoke(main, ["test", "--sketch", micro_path,
                                    "--noise", "1", "--max-records", "-3"])
@@ -247,7 +248,8 @@ def test_cmd_grid_usage_errors(runner, duo_path, micro_path):
 
 @pytest.mark.parametrize("extra", [
     ["--grid", "a:b"], ["--grid", "1:2:x"], ["--grid", "nan:nan"],
-    ["--grid", "1:inf"], ["--grid", "1:2:nan"], ["--fix", "3=x"]])
+    ["--grid", "1:inf"], ["--grid", "1:2:nan"], ["--fix", "3=x"],
+    ["--fix", "3=nan"]])
 def test_cmd_grid_parse_errors_are_usage_errors(runner, extra):
     # exit 1 means "no challenging examples found"; bad input is exit 2
     result = runner.invoke(main, ["grid", "--sketch", "abovet2", "--holes",
