@@ -232,6 +232,10 @@ def cmd_test(sketch, noise, max_records, **kw):
     sys.exit(1 if dp < cfg.verify_alpha else 0)
 
 
+# Largest lattice ``mechsynth grid`` scores: a 200 x 200 sweep.
+_GRID_MAX_POINTS = 40_000
+
+
 @main.command("grid")
 @click.option("--sketch", required=True, help="Sketch file or benchmark name.")
 @click.option("--holes", default="1,2", show_default=True,
@@ -239,7 +243,8 @@ def cmd_test(sketch, noise, max_records, **kw):
 @click.option("--fix", multiple=True,
               help="Fix another hole, e.g. --fix 3=bot or --fix 3=2.5.")
 @click.option("--grid", "grid_spec", default="1:12", show_default=True,
-              help="Lattice lo:hi[:step] applied to both axes.")
+              help="Lattice lo:hi[:step] applied to both axes; lo > 0 "
+                   "and at most 200 values per axis.")
 @_budget_options
 def cmd_grid(sketch, holes, fix, grid_spec, **kw):
     """Emit the optimization objective over a 2-D lattice of noise scales."""
@@ -285,11 +290,14 @@ def cmd_grid(sketch, holes, fix, grid_spec, **kw):
         raise click.UsageError("grid bounds and step must be finite")
     if step <= 0 or hi < lo:
         raise click.UsageError("grid requires lo <= hi and step > 0")
-    axis = []
-    v = lo
-    while v <= hi + 1e-9:
-        axis.append(round(v, 9))
-        v += step
+    if lo <= 0:
+        raise click.UsageError("grid scales must be positive")
+    span = (hi - lo + 1e-9) / step
+    # count ** 2 points, count = floor(span) + 1; span may be inf
+    if not span < math.isqrt(_GRID_MAX_POINTS):
+        raise click.UsageError(
+            f"grid {grid_spec!r} has more than {_GRID_MAX_POINTS} points")
+    axis = [round(lo + i * step, 9) for i in range(math.floor(span) + 1)]
 
     points = [(a, b) for a in axis for b in axis]
     cands = []

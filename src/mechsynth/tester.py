@@ -14,17 +14,21 @@ sampled once and tested in both orientations.  The workflow per input pair:
 3. for each event and each orientation, thin the larger count by e^(-eps)
    (Binomial quantile coupling, 20 shared uniform draws) and apply a
    one-sided Fisher exact test to the thinned 2x2 table; the reported
-   p-value is the mean over the 20 thinnings.
+   p-value is the mean over the 20 thinnings.  The pilot counts pick the
+   decision event of each (pair, orientation), the one of least p: an
+   error-bounded screening tail rules out the pilot cells that cannot
+   hold that minimum, and only the rest get exact tails, so the pick is
+   the one exact p-values for every pilot cell would make.
 
 Small p-values indicate a likely violation at the tested epsilon.  All
 randomness derives from an explicit seed, so repeated calls are bit-stable.
 The pilot and final runs of one input side are one lane-kernel call and
 events are counted with array comparisons (:meth:`hits`).  A call makes two
-batched :func:`hypothesis_test` calls: one over every pilot cell, which
-picks the decision events, then one over the final cells -- all of them, or
-the decision cells alone when the caller reads nothing else.  A
-:class:`FisherMemo` shared by the calls of one operation computes each
-thinning and each Fisher table once.
+batched :func:`hypothesis_test` calls: one over the pilot cells the screen
+leaves, which picks the decision events, then one over the final cells --
+all of them, or the decision cells alone when the caller reads nothing
+else.  A :class:`FisherMemo` shared by the calls of one operation computes
+each thinning and each exact Fisher table once.
 
 The minimum p over every (pair, event, orientation) cell is useful for
 harvesting challenging examples but is biased by multiplicity: with
@@ -40,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 from scipy.stats import binom, hypergeom
 
 from .dist import make_dist
@@ -310,21 +315,27 @@ _THINNING_U = np.clip(np.random.default_rng(20200817).random(_N_THINNINGS),
 
 
 class FisherMemo:
-    """The thinning rows and Fisher tail values computed so far in one
-    operation.
+    """The thinning rows, Fisher tail values and log-factorial tables
+    computed so far in one operation.
 
     The tester calls of one synthesis run see the same counts and the same
     thinned tables again and again; :func:`hypothesis_test` given a memo
     computes each only once.  Thinning rows are kept per epsilon and count,
     tail values per n and table, each store as sorted int64 keys and their
     values.  A value comes from the same scipy call on the same arguments
-    as a fresh computation, so sharing a memo changes no p-value.  Keep one
-    memo per operation (one ``synth`` call, one command), not per process.
+    as a fresh computation, so sharing a memo changes no p-value.
+
+    :meth:`screen` gives cheap, error-bounded p-values from the same
+    thinning rows and a table of ln j! for j <= 2n per n; the tester picks
+    its decision events with them (see :func:`test_mechanism`).  Screening
+    values are not kept: only exact tails are ever reported.  Keep one memo
+    per operation (one ``synth`` call, one command), not per process.
     """
 
     def __init__(self):
-        self._rows = {}    # eps -> (counts, (counts, 20) thinned counts)
-        self._tails = {}   # n -> (tables k * (2n + 1) + K, P[X >= k])
+        self._rows = {}      # eps -> (counts, (counts, 20) thinned counts)
+        self._tails = {}     # n -> (tables k * (2n + 1) + K, P[X >= k])
+        self._log_fact = {}  # n -> ln j! for j = 0 .. 2n
 
     def thinned(self, counts, test_epsilon) -> np.ndarray:
         """The 20 thinned counts of each sorted distinct count."""
@@ -340,6 +351,18 @@ class FisherMemo:
             k, K = np.divmod(t, 2 * n + 1)
             return hypergeom.sf(k - 1, 2 * n, K, n)
         return _recall(self._tails, n, tables, fisher)
+
+    def screen(self, c1, c2, n: int, test_epsilon) -> np.ndarray:
+        """Screening p-values of the cells (``c1``, ``c2``), 1-d count
+        arrays: each within ``_SCREEN_RHO * p + _SCREEN_ALPHA`` of the p
+        that :func:`hypothesis_test` returns, or NaN where
+        :func:`_screen_tails` makes no claim."""
+        lf = self._log_fact.get(n)
+        if lf is None:
+            lf = self._log_fact[n] = gammaln(np.arange(1.0, 2 * n + 2))
+        tables, where = _thinned_tables(c1, c2, n, test_epsilon, self)
+        k, K = np.divmod(tables, 2 * n + 1)
+        return _screen_tails(k, K, n, lf)[where].mean(axis=-1)
 
 
 def _recall(store: dict, key, wanted, compute) -> np.ndarray:
@@ -359,6 +382,124 @@ def _recall(store: dict, key, wanted, compute) -> np.ndarray:
         store[key] = keys, values
         at = np.searchsorted(keys, wanted)
     return values[at]
+
+
+def _thinned_tables(c1, c2, n: int, test_epsilon, memo):
+    """The sorted distinct thinned tables ``k * (2n + 1) + K`` of the cells
+    and, per cell, the index of each of its 20 tables among them."""
+    counts, which = np.unique(c1.ravel(), return_inverse=True)
+    thin = memo.thinned(counts, test_epsilon)[which]
+    # a table is keyed by k * span + K: the thinned count k and the
+    # successes K = k + c2
+    span = 2 * n + 1
+    tables, where = np.unique(thin * span + thin + c2.reshape(-1, 1),
+                              return_inverse=True)
+    return tables, where.reshape(thin.shape)
+
+
+# The screen's error bound: |p~ - p| <= _SCREEN_RHO * p + _SCREEN_ALPHA.
+_SCREEN_RHO = 1e-7
+_SCREEN_ALPHA = 1e-300
+_SCREEN_CHUNK = 1 << 13   # elements of one screening temporary
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _screen_tails(k, K, n: int, log_fact) -> np.ndarray:
+    """P[X >= k] for X ~ Hypergeom(2n, K, n), per element of the int64
+    arrays ``k`` and ``K`` (0 <= K <= 2n), from ``log_fact[j] = ln j!``.
+
+    Every value t~ lies within ``rho * t + alpha`` of the exact tail t
+    (``rho = _SCREEN_RHO``, ``alpha = _SCREEN_ALPHA``), or is NaN when
+    that cannot be shown; for k <= max(0, K - n) it is exactly 1, for
+    k > min(K, n) exactly 0.
+
+    *Method.*  With N = 2n the distribution is symmetric about K / 2 (the
+    n undrawn items are a uniform draw too), so t(k) = 1 - t(K - k + 1).
+    Each table is therefore computed from the upper tail at
+    k' = max(k, K - k + 1) > K / 2, with t = 1 - t(k') when k' != k; that
+    t(k') <= 1/2 keeps t >= 1/2 in the flipped case.  t(k') is summed
+    directly from k', so a tiny tail keeps its relative accuracy:
+    t(k') = f(k') * sum_i w_i, w_0 = 1, w_{i+1} = w_i * r(k' + i), with
+    the pmf f(k') = exp(A_K - B), A_K = ln K! + ln (N-K)! + 2 ln n! - ln N!,
+    B = ln k'! + ln (K-k')! + ln (n-k')! + ln (n-K+k')!, and the ratio
+    r(j) = f(j+1) / f(j) = (K-j)(n-j) / ((j+1)(n-K+j+1)), 0 from
+    min(K, n) on.  Beyond the mode r decreases in j, so the mass after M
+    terms is at most f(k') * w_M / (1 - r(k' + M - 1)).  The sums run over
+    M = 1, 8, 64, ... terms, and a table is settled at the first M whose
+    remainder is at most rho/8 of its tail; a sum that reaches the end of
+    the support has no remainder.  Chunks of ``_SCREEN_CHUNK`` elements
+    bound the temporaries.
+
+    *Error bound*, u = 2^-53, L = ln N!:
+    - log-factorial rounding: take ``gammaln`` to 8u relative, above the
+      3.3u worst seen against 120-bit ``loggamma`` on ln j! for j up to
+      6e5 (Cephes documents a 3.5e-16 peak).  The nine entries of A_K - B sum
+      to at most 4L in magnitude (ln a! + ln b! <= ln (a+b)!), so the
+      table puts at most 32u L into the exponent; its eight additions,
+      each of magnitude at most 2L, add at most 16u L.  With exp's own
+      rounding the pmf is within e^(48u L) (1 + 2u) - 1 <= 49u L + 2u
+      relative while 48u L < 1/100;
+    - the sum: K-j, ..., n-K+j+1 and both products are exact integers
+      below 2^53 (2n^2 < 2^53), so r(j) carries one rounding and w_i at
+      most 2iu; summing M terms adds Mu, so the sum is within 3Mu with
+      M <= n + 1;
+    - the truncated remainder: at most rho/8 of the tail, as checked;
+    - the final product, the flip and the mean over 20 thinnings: below
+      25u;
+    - underflow: when f(k') is below the normal range (2^-1022) the
+      whole tail is below (n + 1) 2^-1022, within alpha.
+    So each tail is within (49u L + 3(n + 1)u + 27u) t + rho/8 t + alpha.
+    When the first term exceeds rho/4 (n above about 1.9e5, i.e. more
+    than 3.8e5 trials) every value is NaN; otherwise the total stays
+    below rho/2, which leaves rho/2 for the exact reference's own
+    rounding (scipy's tails agree with this screen to about 1e-8, the
+    truncation allowance) and for the rounding of the comparisons that
+    read the bound.
+    """
+    rounding = (49 * float(log_fact[2 * n]) + 3 * (n + 1) + 27) \
+        * _UNIT_ROUNDOFF
+    if rounding > _SCREEN_RHO / 4:
+        return np.full(k.shape, np.nan)
+    hi = np.minimum(K, n)
+    flip = 2 * k <= K
+    kk = np.where(flip, K - k + 1, k)
+    upper = np.zeros(k.shape)
+    live = np.flatnonzero(kk <= hi)
+    kl, Kl = kk[live], K[live]
+    pmf = np.exp(log_fact[Kl] + log_fact[2 * n - Kl] + 2 * log_fact[n]
+                 - log_fact[2 * n]
+                 - (log_fact[kl] + log_fact[Kl - kl] + log_fact[n - kl]
+                    + log_fact[n - Kl + kl]))
+    m = 1
+    while len(live):
+        # the support has hi - kk + 1 terms left: a sum over all of them
+        # has no remainder
+        m = min(m, int((hi[live] - kl).max()) + 1)
+        sums, rest = _tail_sums(kl, Kl, n, m)
+        upper[live] = pmf * sums
+        tail = np.where(flip[live], 1.0 - upper[live], upper[live])
+        open_ = pmf * rest > _SCREEN_RHO / 8 * tail
+        live, kl, Kl, pmf = (a[open_] for a in (live, kl, Kl, pmf))
+        m *= 8
+    return np.where(flip, 1.0 - upper, upper)
+
+
+def _tail_sums(kk, K, n: int, m: int):
+    """Per table, sum_{i<m} w_i (w_0 = 1, w_{i+1} = w_i r(kk + i)) and the
+    bound w_m / (1 - r(kk + m - 1)) on the sum of the terms after them,
+    both relative to the pmf at ``kk``; see :func:`_screen_tails`."""
+    sums = np.empty(len(kk))
+    rest = np.empty(len(kk))
+    rows = max(1, _SCREEN_CHUNK // m)
+    for at in range(0, len(kk), rows):
+        j = kk[at:at + rows, None] + np.arange(m)
+        K_ = K[at:at + rows, None]
+        r = (np.maximum(K_ - j, 0) * np.maximum(n - j, 0)) \
+            / ((j + 1) * (n - K_ + j + 1))
+        w = np.cumprod(r, axis=1)
+        sums[at:at + rows] = 1.0 + w[:, :-1].sum(axis=1)
+        rest[at:at + rows] = w[:, -1] / (1.0 - r[:, -1])
+    return sums, rest
 
 
 def hypothesis_test(c1, c2, n: int, test_epsilon, *, memo=None):
@@ -385,15 +526,8 @@ def hypothesis_test(c1, c2, n: int, test_epsilon, *, memo=None):
         raise ValueError("counts must lie in [0, n]")
     if memo is None:
         memo = FisherMemo()
-    counts, which = np.unique(c1.ravel(), return_inverse=True)
-    thin = memo.thinned(counts, test_epsilon)[which]
-    # a table is keyed by k * span + K: the thinned count k and the
-    # successes K = k + c2
-    span = 2 * n + 1
-    tables, where = np.unique(thin * span + thin + c2.reshape(-1, 1),
-                              return_inverse=True)
-    ps = memo.tails(n, tables)[where].reshape(thin.shape)
-    p = ps.mean(axis=-1).reshape(c1.shape)
+    tables, where = _thinned_tables(c1, c2, n, test_epsilon, memo)
+    p = memo.tails(n, tables)[where].mean(axis=-1).reshape(c1.shape)
     return float(p) if p.ndim == 0 else p
 
 
@@ -454,6 +588,44 @@ def _count_floor(n_side: int) -> int:
     return max(20, math.ceil(0.003 * n_side))
 
 
+def _decision_events(pilots, n: int, test_epsilon, memo) -> list:
+    """Per pair, the decision event of each orientation: the index of the
+    first event with the least exact p among its pilot cells, as
+    ``np.argmin`` over every cell's :func:`hypothesis_test` would pick it.
+
+    ``pilots`` holds each pair's pilot counts, shape (2 sides, events);
+    orientation o tests side o against side 1 - o.  The screen
+    (:meth:`FisherMemo.screen`) scores every cell; only the cells of
+    C = {i : p~_i (1 - rho) <= min p~ (1 + rho) + 2 alpha} of each
+    orientation, plus any cell whose screen value is not finite, get
+    exact p-values.  C holds every cell the exact argmin can fall on:
+    |p~ - p| <= rho p + alpha gives p >= (p~ - alpha) / (1 + rho) and
+    p <= (p~ + alpha) / (1 - rho), so a cell i outside C, with j the
+    screen's argmin, has p_i >= (p~_i - alpha) / (1 + rho)
+    > (p~_j + alpha) / (1 - rho) >= p_j >= min p: strictly above the exact
+    minimum.  C thus holds the exact argmin and all its ties, the first
+    exact minimum over C in cell order is ``np.argmin``'s pick, and every
+    p-value the tester reports is still the exact one.
+    """
+    c1 = np.concatenate([pc[o] for pc in pilots for o in (0, 1)])
+    c2 = np.concatenate([pc[1 - o] for pc in pilots for o in (0, 1)])
+    widths = np.repeat([pc.shape[1] for pc in pilots], 2)
+    starts = np.cumsum(widths) - widths
+    # the (pair, orientation) of each cell
+    segment = np.repeat(np.arange(len(widths)), widths)
+    screen = memo.screen(c1, c2, n, test_epsilon)
+    low = np.fmin.reduceat(screen, starts)[segment]
+    # NaN compares false, so a cell without a finite screen value stays in
+    near = np.flatnonzero(~(screen * (1 - _SCREEN_RHO)
+                            > low * (1 + _SCREEN_RHO) + 2 * _SCREEN_ALPHA))
+    p = hypothesis_test(c1[near], c2[near], n, test_epsilon, memo=memo)
+    # per segment, its cells in C by exact p, ties in cell order
+    ranked = near[np.lexsort((near, p, segment[near]))]
+    _, first = np.unique(segment[ranked], return_index=True)
+    picks = (ranked[first] - starts).tolist()
+    return [picks[i:i + 2] for i in range(0, len(picks), 2)]
+
+
 def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
                    trials: int, seed, decision_only: bool = False,
                    memo=None) -> list:
@@ -508,20 +680,8 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
         sampled.append((d1, d2, [events[i] for i in keep], pcounts[:, keep],
                         final))
 
-    # the pilot cells of both orientations pick one decision event per
-    # (pair, orientation)
-    pilots = [pc for _, _, _, pc, _ in sampled]
-    p = hypothesis_test(
-        np.concatenate([pc[o] for pc in pilots for o in (0, 1)]),
-        np.concatenate([pc[1 - o] for pc in pilots for o in (0, 1)]),
-        n_half, target_eps, memo=memo)
-    decisions = []
-    at = 0
-    for pc in pilots:
-        width = pc.shape[1]
-        decisions.append([int(np.argmin(p[at + o * width:at + (o + 1) * width]))
-                          for o in (0, 1)])
-        at += 2 * width
+    decisions = _decision_events([pc for _, _, _, pc, _ in sampled],
+                                 n_half, target_eps, memo)
 
     # the final cells that pass the count floor, larger count first
     cells = []

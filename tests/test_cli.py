@@ -249,7 +249,8 @@ def test_cmd_grid_usage_errors(runner, duo_path, micro_path):
 @pytest.mark.parametrize("extra", [
     ["--grid", "a:b"], ["--grid", "1:2:x"], ["--grid", "nan:nan"],
     ["--grid", "1:inf"], ["--grid", "1:2:nan"], ["--fix", "3=x"],
-    ["--fix", "3=nan"]])
+    ["--fix", "3=nan"], ["--grid", "0.001:1e6:0.001"], ["--grid", "1:201"],
+    ["--grid", "1e6:1e6:1e-320"], ["--grid", "0:1"], ["--grid", "-1:1:1"]])
 def test_cmd_grid_parse_errors_are_usage_errors(runner, extra):
     # exit 1 means "no challenging examples found"; bad input is exit 2
     result = runner.invoke(main, ["grid", "--sketch", "abovet2", "--holes",

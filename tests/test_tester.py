@@ -12,10 +12,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
+from scipy.stats import hypergeom
 
 from mechsynth import tester
+from mechsynth.cli import main
 from mechsynth.config import RunConfig
 from mechsynth.lang import Outputs
 from mechsynth.tester import (CoordEvent, HalfLineEvent, PrefixEvent,
@@ -144,6 +148,98 @@ def test_hypothesis_test_of_no_cells_is_empty():
     for memo in (None, tester.FisherMemo()):
         p = hypothesis_test(empty, empty, 1000, 0.5, memo=memo)
         assert isinstance(p, np.ndarray) and p.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# Screening tails and the decision pick
+# ---------------------------------------------------------------------------
+
+def _support_points(n, K):
+    lo, hi = max(0, K - n), min(K, n)
+    return st.one_of(st.sampled_from(sorted({0, lo, lo + 1, hi, hi + 1})),
+                     st.integers(0, n + 1))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_screen_tails_are_within_the_bound(data):
+    n = data.draw(st.integers(1, 5000))
+    Ks = data.draw(st.lists(st.one_of(st.sampled_from([0, n, 2 * n]),
+                                      st.integers(0, 2 * n)),
+                            min_size=1, max_size=12))
+    k = np.array([data.draw(_support_points(n, K)) for K in Ks])
+    K = np.array(Ks)
+    log_fact = gammaln(np.arange(1.0, 2 * n + 2))
+    got = tester._screen_tails(k, K, n, log_fact)
+    want = hypergeom.sf(k - 1, 2 * n, K, n)
+    assert (np.abs(got - want) <= tester._SCREEN_RHO * want
+            + tester._SCREEN_ALPHA).all()
+    assert (got[k <= np.maximum(0, K - n)] == 1.0).all()
+    assert (got[k > np.minimum(K, n)] == 0.0).all()
+
+
+def test_screen_makes_no_claim_beyond_its_rounding_bound():
+    n = 200_000
+    log_fact = gammaln(np.arange(1.0, 2 * n + 2))
+    got = tester._screen_tails(np.array([n, n // 2]), np.array([n, n]), n,
+                               log_fact)
+    assert np.isnan(got).all()
+
+
+def _exact_picks(pilots, n, eps):
+    return [[int(np.argmin(hypothesis_test(pc[o], pc[1 - o], n, eps)))
+             for o in (0, 1)] for pc in pilots]
+
+
+@pytest.mark.parametrize("pilots", [
+    # every cell ties at p = 1: the first event wins
+    [np.zeros((2, 5), dtype=np.int64)],
+    # two cells tie at the minimum, after a larger p
+    [np.array([[50, 300, 120, 300], [60, 100, 100, 100]]),
+     np.array([[7, 7, 7], [7, 7, 7]])],
+    # noiseless-style: many p close to 0, some equal
+    [np.array([[1000, 1000, 999, 1000, 998, 0, 1000],
+               [0, 1, 0, 0, 0, 1000, 2]]),
+     np.array([[1000, 990, 1000], [0, 0, 0]])],
+    # a near-tie the screen orders the other way: exact p 0.52124645477
+    # and 0.52124645515, screen values 0.52124645477 and 0.52124645476
+    [np.array([[868, 145], [518, 84]])],
+])
+def test_decision_events_are_the_exact_argmin(pilots):
+    n, eps = 1000, 0.5
+    memo = tester.FisherMemo()
+    assert (tester._decision_events(pilots, n, eps, memo)
+            == _exact_picks(pilots, n, eps))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_decision_events_match_the_argmin_on_random_pilots(data):
+    n = data.draw(st.sampled_from([500, 2000]))
+    eps = data.draw(st.sampled_from([0.2, 0.5, 1.5]))
+    count = st.one_of(st.integers(0, n), st.sampled_from([0, 1, n - 1, n]))
+    pilots = [np.array(data.draw(st.lists(st.tuples(count, count),
+                                          min_size=1, max_size=30))).T
+              for _ in range(data.draw(st.integers(1, 4)))]
+    assert (tester._decision_events(pilots, n, eps, tester.FisherMemo())
+            == _exact_picks(pilots, n, eps))
+
+
+def test_pick_scores_few_exact_tables(monkeypatch):
+    # the screen leaves boost's tail to the cells the pick can fall on
+    tables = [0]
+
+    class Counted:
+        def sf(self, k, *args):
+            tables[0] += np.size(k)
+            return hypergeom.sf(k, *args)
+
+    monkeypatch.setattr(tester, "hypergeom", Counted())
+    result = CliRunner().invoke(main, [
+        "test", "--sketch", "smartsum", "--noise", "2,2", "--trials", "4000",
+        "--epsilon", "1/2", "--qlen", "5", "--seed", "0"])
+    assert result.exit_code == 0, result.output
+    assert 0 < tables[0] <= 10_000
 
 
 # ---------------------------------------------------------------------------
