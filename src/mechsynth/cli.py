@@ -33,8 +33,9 @@ import click
 
 from .config import RunConfig
 from .lang import LangError, MechanismSketch, parse_sketch
-from .search import PresampleBank, batch_objective, select_examples
-from .synth import SynthError, fix_params, report_to_json, synth
+from .search import batch_objective, select_examples
+from .synth import (SynthError, fix_params, optimizer_bank, report_to_json,
+                    synth)
 from .tester import (FisherMemo, counterexample_record, decision_p,
                      test_mechanism)
 
@@ -315,8 +316,7 @@ def cmd_grid(sketch, holes, fix, grid_spec, **kw):
         if not examples:
             click.echo("no challenging examples found", err=True)
             sys.exit(1)
-        bank = PresampleBank(sk, binding, m=cfg.presamples,
-                             proposal_scale=cfg.proposal_scale, seed=cfg.seed)
+        bank = optimizer_bank(sk, binding, cfg)
         objs = batch_objective(bank, examples, cands, float(cfg.epsilon),
                                cfg.lam, floor=cfg.event_floor)
     rows = [f"scale{i},scale{j},objective"]

@@ -46,6 +46,10 @@ class RunConfig:
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"config field {name} must be positive")
+        # numpy takes no negative seed; below 2^64, the seed and two stream
+        # indices fit SeedSequence's four-word pool
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must lie in [0, 2^64)")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.trials < 1000:

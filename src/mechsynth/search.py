@@ -12,11 +12,11 @@ Two phases feed the synthesizer:
 * ``get_noise_region`` minimizes an L0-regularized privacy-loss objective
   over concrete noise vectors with differential evolution (rand/1/bin).  All
   probability estimates ride on one shared :class:`PresampleBank`: noise is
-  drawn once from a fixed proposal scale, mechanism outputs are memoized per
-  input side, and each candidate vector is scored by importance-reweighting
-  those runs.  Per run the log-weight for hole h is N*alpha + S*beta, where N
-  counts consumed draws, S sums their magnitudes, and (alpha, beta) depend
-  only on candidate vs proposal scale — so scoring a population is a single
+  drawn once, mechanism outputs are memoized per input side, and each
+  candidate vector is scored by importance-reweighting those runs.  Per run
+  the log-weight for hole h is N*alpha + S*beta, where N counts consumed
+  draws, S sums their magnitudes, and (alpha, beta) depend only on the
+  candidate and reference scales — so scoring a population is a single
   matrix product.
 
 Both phases run the sketch under one argument binding (``eps``, ``qlen`` and
@@ -26,12 +26,14 @@ noise"); runs are re-simulated once per distinct off-mask since dropping a
 noise term changes control flow, each with the kernel that
 :func:`~mechsynth.lang.compile_sketch` keeps for that off-mask.
 
-A bank may instead draw from a *mixture* of proposal scales (one component
-picked per run and hole).  The mixture log-density is itself a function of
-the cached (N, S) statistics, so reweighting stays a matrix product; wide
-mixtures keep the weights bounded when candidate scales sit far from any
-single proposal, which matters when one bank scores candidates whose scales
-spread over an order of magnitude.
+Every bank draws from a mixture of proposal scales, one component picked per
+run and hole; the optimizer's single proposal is a one-component mixture.
+Weights are expressed against the first component.  The mixture's
+log-density is itself a function of the (N, S) statistics, so it is cached
+as one more per-run column with coefficient -1 and reweighting stays one
+matrix product.  Wide mixtures keep the weights bounded when candidate
+scales sit far from any single proposal, which matters when one bank scores
+candidates whose scales spread over an order of magnitude.
 """
 
 from __future__ import annotations
@@ -143,70 +145,55 @@ def snap_vector(raw) -> tuple:
 
 
 class PresampleBank:
-    """m noise traces drawn once from the proposal; runs memoized per
-    (input side, off-mask); per-run draw statistics cached for reweighting.
+    """m noise traces drawn once from a mixture of proposal ``scales``; runs
+    memoized per (input side, off-mask); per-run draw statistics cached for
+    reweighting.
 
-    With ``mixture`` set (a tuple of scales), each run draws every hole's
-    trace from one uniformly chosen component instead of the single proposal;
-    the proposal scale then only serves as the reference density that both
-    the candidate and the mixture are expressed against."""
+    Each run draws every hole's trace from one uniformly chosen component,
+    so a single scale is a one-component mixture that draws from that scale
+    alone.  Importance weights are expressed against the first component:
+    the candidate's log-density relative to it, minus the mixture's."""
 
     def __init__(self, sketch: MechanismSketch, binding: dict, m: int = 50000,
-                 *, proposal_scale: float, seed: int = 0, mixture=None):
+                 *, scales, seed: int = 0):
         self.sketch = sketch
         self.args = {a: binding[a] for a in sketch.args}
         self.m = m
-        self.proposal_scale = float(proposal_scale)
+        self.scales = tuple(float(s) for s in scales)
         self.seed = seed
-        self.mixture = tuple(float(s) for s in mixture) if mixture else None
         self.caps = count_hole_draws(sketch, binding["qlen"])
-        n = sketch.n_holes
-        comp = None
-        if self.mixture is not None:
-            comp = np.random.default_rng([seed, 999]).integers(
-                0, len(self.mixture), size=(m, n))
+        comp = np.random.default_rng([seed, 999]).integers(
+            0, len(self.scales), size=(m, sketch.n_holes))
         self._draws = []        # per hole: (m, cap) int64 draws
         self._cum_abs = []      # per hole: (m, cap+1) int64 prefix sums of |v|
-        self._mix_coeffs = []   # per hole: (2, K) reference-relative coeffs
+        self._mix_coeffs = []   # per hole: (2, K) coeffs against scales[0]
         for h, hole in enumerate(sketch.holes):
             cap = self.caps[h]
-            if cap == 0:
-                self._draws.append(np.zeros((m, 0), dtype=np.int64))
-                self._cum_abs.append(np.zeros((m, 1), dtype=np.int64))
-                self._mix_coeffs.append(None)
-                continue
-            if self.mixture is None:
-                d = make_dist(hole.family, self.proposal_scale)
-                arr = d.sample_array(np.random.default_rng([seed, 1000 + h]),
-                                     (m, cap))
-                self._mix_coeffs.append(None)
-            else:
-                arr = np.empty((m, cap), dtype=np.int64)
-                for k, scale in enumerate(self.mixture):
-                    rows = np.flatnonzero(comp[:, h] == k)
-                    if rows.size:
-                        dk = make_dist(hole.family, scale)
-                        arr[rows] = dk.sample_array(
-                            np.random.default_rng([seed, 1000 + h, k]),
-                            (rows.size, cap))
-                ab = np.array([log_weight_coeffs(hole.family, scale,
-                                                 self.proposal_scale)
-                               for scale in self.mixture])
-                self._mix_coeffs.append(ab.T.copy())
+            arr = np.empty((m, cap), dtype=np.int64)
+            for k, scale in enumerate(self.scales):
+                rows = np.flatnonzero(comp[:, h] == k)
+                arr[rows] = make_dist(hole.family, scale).sample_array(
+                    np.random.default_rng([seed, 1000 + h, k]),
+                    (rows.size, cap))
+            ab = np.array([log_weight_coeffs(hole.family, scale,
+                                             self.scales[0])
+                           for scale in self.scales])
+            self._mix_coeffs.append(ab.T.copy())
             self._draws.append(arr)
             cum = np.zeros((m, cap + 1), dtype=np.int64)
             np.cumsum(np.abs(arr), axis=1, out=cum[:, 1:])
             self._cum_abs.append(cum)
-        self._runs = {}         # (answers, mask) -> (Outputs, stats m x 2n)
+        self._runs = {}         # (answers, mask) -> (Outputs, stats)
         self._stats_fp = {}     # (answers, mask) -> digest of stats
-        self._mixrel = {}       # (answers, mask) -> (m,) mixture log-density
         self._indicators = {}   # (answers, mask, event) -> float32 (m,)
         self._ind_mats = {}     # (answers, mask, events key) -> float32 (E, m)
 
     def runs_for(self, answers: tuple, mask: tuple):
         """The :class:`Outputs` of the m presampled runs on this input side
-        under this off-mask (one kernel call), plus the (m, 2n) matrix of
-        per-hole draw statistics [N_1..N_n, S_1..S_n]."""
+        under this off-mask (one kernel call), plus the (m, 2n + 1) matrix of
+        per-run statistics [N_1..N_n, S_1..S_n, M]: per-hole draw counts and
+        magnitude sums, and the mixture's log-density M against the first
+        component."""
         key = (tuple(answers), mask)
         hit = self._runs.get(key)
         if hit is not None:
@@ -214,24 +201,20 @@ class PresampleBank:
         n = self.sketch.n_holes
         kernel = compile_sketch(self.sketch, mask)
         outputs, counts = kernel(self.args, answers, self._draws)
-        stats = np.empty((self.m, 2 * n), dtype=np.float64)
+        stats = np.empty((self.m, 2 * n + 1), dtype=np.float64)
         stats[:, :n] = counts
         rows = np.arange(self.m)
+        logk = math.log(len(self.scales))
+        mix = np.zeros(self.m)
         for h in range(n):
             stats[:, n + h] = self._cum_abs[h][rows, counts[:, h]]
+            per_comp = stats[:, [h, n + h]] @ self._mix_coeffs[h]
+            mix += logsumexp(per_comp, axis=1) - logk
+        stats[:, 2 * n] = mix
         self._runs[key] = (outputs, stats)
         # sides with identical consumption patterns share importance weights
         self._stats_fp[key] = hashlib.blake2b(
             stats.tobytes(), digest_size=16).digest()
-        if self.mixture is not None:
-            logk = math.log(len(self.mixture))
-            mixrel = np.zeros(self.m)
-            for h in range(n):
-                if self._mix_coeffs[h] is None:
-                    continue
-                per_comp = stats[:, [h, n + h]] @ self._mix_coeffs[h]
-                mixrel += logsumexp(per_comp, axis=1) - logk
-            self._mixrel[key] = mixrel
         return outputs, stats
 
     def indicator(self, answers: tuple, mask: tuple, event) -> np.ndarray:
@@ -244,15 +227,18 @@ class PresampleBank:
         return hit
 
     def weight_coeffs(self, candidates) -> np.ndarray:
-        """(2n, B) coefficient matrix: column b scores candidate b's draws."""
+        """(2n + 1, B) coefficient matrix over the :meth:`runs_for`
+        statistics: column b is candidate b's log-density against the first
+        component, minus the mixture's (the last row, all -1)."""
         n = self.sketch.n_holes
-        coeffs = np.zeros((2 * n, len(candidates)))
+        coeffs = np.zeros((2 * n + 1, len(candidates)))
+        coeffs[2 * n] = -1.0
         for b, cand in enumerate(candidates):
             for h, hole in enumerate(self.sketch.holes):
                 if cand[h] is None:
                     continue
                 alpha, beta = log_weight_coeffs(
-                    hole.family, float(cand[h]), self.proposal_scale)
+                    hole.family, float(cand[h]), self.scales[0])
                 coeffs[h, b] = alpha
                 coeffs[n + h, b] = beta
         return coeffs
@@ -288,8 +274,6 @@ class PresampleBank:
             fp = self._stats_fp[key]
             if fp not in by_fp:
                 logw = stats @ coeffs
-                if key in self._mixrel:
-                    logw -= self._mixrel[key][:, None]
                 logw -= logw.max(axis=0, keepdims=True)
                 w = np.exp(logw, out=logw).astype(np.float32)
                 by_fp[fp] = (w, w.sum(axis=0, dtype=np.float64))
@@ -488,18 +472,23 @@ class NoiseRegion:
         }
 
 
+# rand/1/bin's differential weight and crossover rate
+_F = 0.7
+_CR = 0.9
+
+
 def get_noise_region(bank: PresampleBank, examples, n_holes: int, target_eps,
                      lam: float = 1.0, population: int = 50, steps: int = 500,
-                     seed: int = 0, F: float = 0.7, CR: float = 0.9,
-                     floor: float = 0.0,
+                     seed: int = 0, floor: float = 0.0,
                      history: Optional[list] = None) -> NoiseRegion:
     """rand/1/bin differential evolution over the [0, 16]^n box.
 
-    Each generation mutates every member (x_r1 + F*(x_r2 - x_r3), clipped),
-    binomially crosses with rate CR, and keeps the trial on an objective tie
-    or improvement.  Coordinates below the snap threshold execute as "no
-    noise" and count zero toward the L0 term.  Alongside the population the
-    search records a champion (best vector evaluated) per no-noise mask.
+    Each generation mutates every member (x_r1 + _F*(x_r2 - x_r3),
+    clipped), binomially crosses with rate _CR, and keeps the trial on an
+    objective tie or improvement.  Coordinates below the snap threshold
+    execute as "no noise" and count zero toward the L0 term.  Alongside the
+    population the search records a champion (best vector evaluated) per
+    no-noise mask.
     ``history``, when supplied, collects the best objective after each
     generation.
     """
@@ -532,8 +521,8 @@ def get_noise_region(bank: PresampleBank, examples, n_holes: int, target_eps,
             picks += picks >= i
             donors[i] = picks
         r1, r2, r3 = donors[:, 0], donors[:, 1], donors[:, 2]
-        mutant = np.clip(x[r1] + F * (x[r2] - x[r3]), 0.0, BOX_MAX)
-        cross = rng.random((population, n_holes)) < CR
+        mutant = np.clip(x[r1] + _F * (x[r2] - x[r3]), 0.0, BOX_MAX)
+        cross = rng.random((population, n_holes)) < _CR
         forced = rng.integers(0, n_holes, population)
         cross[idx, forced] = True
         trial = np.where(cross, mutant, x)

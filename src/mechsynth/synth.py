@@ -37,7 +37,7 @@ from .tester import (CoordEvent, FisherMemo, PrefixEvent, ValueEvent,
 __all__ = [
     "NoiseExpr", "Grammar", "RankedCandidate", "SynthError", "SynthOutcome",
     "enumerate_and_prune", "rank_candidates", "final_verify", "synth",
-    "fix_params", "render_vector",
+    "fix_params", "render_vector", "optimizer_bank",
 ]
 
 
@@ -453,6 +453,15 @@ def _mixture_at(cfg: RunConfig, eps) -> tuple:
     return tuple(g * factor for g in cfg.scale_grid)
 
 
+def optimizer_bank(sketch: MechanismSketch, binding: dict,
+                   cfg: RunConfig) -> PresampleBank:
+    """The bank the optimizer's objective is scored on: one component at the
+    proposal scale, rescaled to the binding."""
+    return PresampleBank(sketch, binding, m=cfg.presamples,
+                         scales=(_proposal_at(cfg, binding["eps"]),),
+                         seed=cfg.seed)
+
+
 @contextmanager
 def _phase(name: str, timings: dict):
     """Time one synthesis phase into ``timings[name]``; any failure inside
@@ -495,22 +504,7 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
         examples = select_examples(
             sketch, gamma_binding, scale_grid=cfg.scale_grid,
             trials=cfg.trials, seed=cfg.seed, zone=cfg.zone, memo=memo)
-        banks = {}
-
-        def bank_for(binding, scoring: bool = False):
-            # the optimizer rides a single-proposal bank; scoring banks mix
-            # proposal scales so that every pruned candidate stays in range
-            key = (binding["eps"], binding["qlen"], scoring)
-            if key not in banks:
-                banks[key] = PresampleBank(
-                    sketch, binding, m=cfg.presamples,
-                    proposal_scale=_proposal_at(cfg, binding["eps"]),
-                    seed=cfg.seed,
-                    mixture=_mixture_at(cfg, binding["eps"]) if scoring
-                    else None)
-            return banks[key]
-
-        primary_bank = bank_for(gamma_binding)
+        primary_bank = optimizer_bank(sketch, gamma_binding, cfg)
 
     if not examples:
         timings["total"] = time.perf_counter() - t_total
@@ -537,8 +531,11 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
         bindings = _bindings(sketch, cfg)
         test_examples = build_test_examples(
             sketch, examples, region.best()[0], bindings, cfg, memo)
-        bindings_data = [(b, bank_for(b, scoring=True),
-                          test_examples[_binding_key(b)]) for b in bindings]
+        bindings_data = [
+            (b, PresampleBank(sketch, b, m=cfg.presamples,
+                              scales=_mixture_at(cfg, b["eps"]),
+                              seed=cfg.seed),
+             test_examples[_binding_key(b)]) for b in bindings]
         ranked = rank_candidates(cands, bindings_data, gamma_binding, cfg) \
             if cands else []
 

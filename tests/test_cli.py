@@ -181,6 +181,23 @@ def test_unbound_sketch_argument_exits_3(runner, tmp_path, command):
             "argument 'K'") in result.output
 
 
+@pytest.mark.parametrize("command", [
+    ["test", "--noise", "2,2"], ["synth"],
+    ["grid", "--holes", "1,2", "--grid", "2:2"]])
+@pytest.mark.parametrize("seed,exit_codes", [
+    (-1, (2,)), (2 ** 64, (2,)), (2 ** 64 - 1, (0, 1))])
+def test_seed_must_fit_64_bits(runner, duo_path, command, seed, exit_codes):
+    # exit 1 means a found violation or no challenging example; a seed
+    # outside [0, 2^64) is bad input, so exit 2 before any work
+    result = runner.invoke(main, [*command, "--sketch", duo_path,
+                                  "--trials", "1000", "--presamples", "1000",
+                                  "--population", "4", "--steps", "1",
+                                  "--seed", str(seed)])
+    assert result.exit_code in exit_codes, result.output
+    if exit_codes == (2,):
+        assert "seed must lie in [0, 2^64)" in result.output
+
+
 def test_budget_option_defaults_come_from_run_config(runner):
     result = runner.invoke(main, ["synth", "--help"])
     assert result.exit_code == 0

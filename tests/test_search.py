@@ -44,14 +44,13 @@ def _estimate(bank, d, event, candidate):
 @pytest.fixture(scope="module")
 def bank(micro_scalar):
     return PresampleBank(micro_scalar, {"qlen": 5}, m=50000,
-                         proposal_scale=PROPOSAL, seed=3)
+                         scales=(PROPOSAL,), seed=3)
 
 
 @pytest.fixture(scope="module")
 def mixture_bank(micro_scalar):
     return PresampleBank(micro_scalar, {"qlen": 5}, m=50000,
-                         proposal_scale=PROPOSAL, seed=3,
-                         mixture=(0.5, 1.0, 2.0, 4.0, 8.0, 12.0))
+                         scales=(0.5, 1.0, 2.0, 4.0, 8.0, 12.0), seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +87,7 @@ def test_estimate_at_proposal_equals_plain_frequency(bank, micro_scalar):
     outputs, _ = bank.runs_for(D1, (False,))
     event = ValueEvent(frozenset([0]))
     freq = sum(event.contains(o) for o in outputs) / bank.m
-    got = _estimate(bank, D1, event, (bank.proposal_scale,))
+    got = _estimate(bank, D1, event, (bank.scales[0],))
     assert got == pytest.approx(freq, rel=1e-9)
 
 
@@ -128,9 +127,9 @@ def test_mixture_bank_accurate_far_from_proposal(mixture_bank):
 
 def test_estimates_are_deterministic(micro_scalar):
     a = PresampleBank(micro_scalar, {"qlen": 5}, m=20000,
-                      proposal_scale=PROPOSAL, seed=9)
+                      scales=(PROPOSAL,), seed=9)
     b = PresampleBank(micro_scalar, {"qlen": 5}, m=20000,
-                      proposal_scale=PROPOSAL, seed=9)
+                      scales=(PROPOSAL,), seed=9)
     ev = ValueEvent(frozenset([0]))
     assert (_estimate(a, D1, ev, (1.5,))
             == _estimate(b, D1, ev, (1.5,)))
@@ -138,7 +137,39 @@ def test_estimates_are_deterministic(micro_scalar):
 
 def test_weight_coeffs_shape(bank):
     coeffs = bank.weight_coeffs([(2.0,), (None,), (4.0,)])
-    assert coeffs.shape == (2, 3)
+    assert coeffs.shape == (3, 3)
+
+
+LAP_EXP = """mechanism LapExp
+private a
+adjacency one
+
+x <- a[1] + Lap(?1)
+y <- a[2] + Exp(?2)
+return x + y
+"""
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+def test_one_component_bank_draws_the_single_scale_stream(seed):
+    # a one-component bank draws hole h from [seed, 1000 + h, 0], which
+    # numpy's SeedSequence pads to the same state as [seed, 1000 + h]
+    sketch = parse_sketch(LAP_EXP)
+    bank = PresampleBank(sketch, {"qlen": 5}, m=500, scales=(3.0,),
+                         seed=seed)
+    assert [hole.family for hole in sketch.holes] == ["lap", "exp"]
+    for h, hole in enumerate(sketch.holes):
+        want = make_dist(hole.family, 3.0).sample_array(
+            np.random.default_rng([seed, 1000 + h]), (500, bank.caps[h]))
+        assert bank.caps[h] > 0
+        assert np.array_equal(bank._draws[h], want)
+
+
+def test_one_component_bank_has_a_zero_mixture_column(bank):
+    # the component is the reference, so the mixture's log-density is 0
+    _, stats = bank.runs_for(D1, (False,))
+    assert stats.shape == (bank.m, 3)
+    assert (stats[:, 2] == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +243,7 @@ def test_log_loss_se_matches_spread_over_banks(micro_scalar, source, event,
     log_losses, ses = [], []
     for seed in range(40):
         bank = PresampleBank(sketch, {"qlen": 5}, m=4000,
-                             proposal_scale=PROPOSAL, seed=100 + seed,
-                             mixture=mixture)
+                             scales=mixture or (PROPOSAL,), seed=100 + seed)
         loss, se = example_losses_with_se(bank, [ex], [cand], 2.0)
         log_losses.append(math.log(loss[0, 0]))
         ses.append(se[0, 0])

@@ -293,8 +293,7 @@ def test_sort_key_ties_losses_within_grain_then_prefers_less_noise():
 def rank_setup(micro_scalar):
     cfg = RunConfig(event_floor=1e-4)
     bank = PresampleBank(micro_scalar, {"qlen": 5}, m=40000,
-                         proposal_scale=cfg.proposal_scale, seed=2,
-                         mixture=(0.5, 1.0, 2.0, 4.0, 8.0))
+                         scales=(0.5, 1.0, 2.0, 4.0, 8.0), seed=2)
     example = Example(d1=(0, 0, 0, 0, 0), d2=(1, 0, 0, 0, 0),
                       event=HalfLineEvent(0, "le"), direction=(1,),
                       scale=1.0, p_value=0.5)
@@ -346,7 +345,7 @@ def test_rank_dry_side_gets_a_one_sided_bound(micro_scalar):
     # first k no draw reaches, d1 is dry while d2 has hits.
     cfg = RunConfig(event_floor=1e-4)
     bank = PresampleBank(micro_scalar, {"qlen": 5}, m=2000,
-                         proposal_scale=cfg.proposal_scale, seed=0)
+                         scales=(cfg.proposal_scale,), seed=0)
     d1, d2 = (0, 0, 0, 0, 0), (1, 0, 0, 0, 0)
     dry = bank.clamp[0]
     events = tuple(ValueEvent(frozenset([k])) for k in range(1, 200))
