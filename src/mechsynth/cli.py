@@ -174,11 +174,13 @@ def _faults_exit_3():
 
 def write_outcome(outcome, out: str):
     """Write a synthesis report to ``out`` (stdout when empty) and, with an
-    ``out`` path, its wall-clock timings to ``<out>.timings.json``."""
+    ``out`` path, its wall-clock timings and work counters to
+    ``<out>.timings.json``."""
     _emit(report_to_json(outcome.report), out)
     if out:
         sidecar = {"seconds": {k: round(v, 3) for k, v in
-                               outcome.timings.items()}}
+                               outcome.timings.items()},
+                   "counters": outcome.counters}
         Path(out + ".timings.json").write_text(
             json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 

@@ -16,8 +16,10 @@ Two phases feed the synthesizer:
   candidate vector is scored by importance-reweighting those runs.  Per run
   the log-weight for hole h is N*alpha + S*beta, where N counts consumed
   draws, S sums their magnitudes, and (alpha, beta) depend only on the
-  candidate and reference scales — so scoring a population is a single
-  matrix product.
+  candidate and reference scales.  Runs with equal (N, S) statistics have
+  equal weights, so the bank groups them into distinct rows: scoring a
+  population is one matrix product over those rows, and each event's
+  estimate is its hit count per row against the row weights.
 
 Both phases run the sketch under one argument binding (``eps``, ``qlen`` and
 the sketch's own arguments, as ``synth.fix_params`` builds it).  Candidates
@@ -30,7 +32,7 @@ Every bank draws from a mixture of proposal scales, one component picked per
 run and hole; the optimizer's single proposal is a one-component mixture.
 Weights are expressed against the first component.  The mixture's
 log-density is itself a function of the (N, S) statistics, so it is cached
-as one more per-run column with coefficient -1 and reweighting stays one
+as one more column of the rows with coefficient -1 and reweighting stays one
 matrix product.  Wide mixtures keep the weights bounded when candidate
 scales sit far from any single proposal, which matters when one bank scores
 candidates whose scales spread over an order of magnitude.
@@ -41,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import logsumexp, ndtr
@@ -51,7 +53,7 @@ from .lang import MechanismSketch, compile_sketch, count_hole_draws
 from .tester import test_mechanism
 
 __all__ = [
-    "Example", "PresampleBank", "NoiseRegion",
+    "Example", "PresampleBank", "StatRows", "NoiseRegion",
     "directions", "select_examples", "batch_objective", "example_losses",
     "example_losses_with_se", "get_noise_region",
     "SNAP_THRESHOLD", "BOX_MAX",
@@ -144,15 +146,32 @@ def snap_vector(raw) -> tuple:
     return tuple(None if x < SNAP_THRESHOLD else float(x) for x in raw)
 
 
+class StatRows(NamedTuple):
+    """The distinct draw-statistics rows of one input side's runs.
+
+    ``rows`` is (u, 2n + 1): per-hole draw counts N_1..N_n, magnitude sums
+    S_1..S_n, and the mixture's log-density M against the first component,
+    in lexicographic order of (N, S).  Run i has the statistics
+    ``rows[index[i]]``; ``mult`` counts the runs of each row."""
+
+    rows: np.ndarray
+    index: np.ndarray
+    mult: np.ndarray
+
+
 class PresampleBank:
     """m noise traces drawn once from a mixture of proposal ``scales``; runs
-    memoized per (input side, off-mask); per-run draw statistics cached for
-    reweighting.
+    memoized per (input side, off-mask), grouped by their distinct
+    draw-statistics rows for reweighting.
 
     Each run draws every hole's trace from one uniformly chosen component,
     so a single scale is a one-component mixture that draws from that scale
     alone.  Importance weights are expressed against the first component:
-    the candidate's log-density relative to it, minus the mixture's."""
+    the candidate's log-density relative to it, minus the mixture's.  A
+    run's weight depends only on its statistics row, so the bank weighs
+    each distinct row once and counts runs and event hits per row;
+    ``runs_grouped`` and ``stat_rows`` sum m and the row count over every
+    side the bank has run."""
 
     def __init__(self, sketch: MechanismSketch, binding: dict, m: int = 50000,
                  *, scales, seed: int = 0):
@@ -183,17 +202,21 @@ class PresampleBank:
             cum = np.zeros((m, cap + 1), dtype=np.int64)
             np.cumsum(np.abs(arr), axis=1, out=cum[:, 1:])
             self._cum_abs.append(cum)
-        self._runs = {}         # (answers, mask) -> (Outputs, stats)
-        self._stats_fp = {}     # (answers, mask) -> digest of stats
-        self._indicators = {}   # (answers, mask, event) -> float32 (m,)
-        self._ind_mats = {}     # (answers, mask, events key) -> float32 (E, m)
+        self.runs_grouped = 0
+        self.stat_rows = 0
+        self._runs = {}         # (answers, mask) -> (Outputs, StatRows)
+        self._stats_fp = {}     # (answers, mask) -> digest of the StatRows
+        self._counts = {}       # (answers, mask, events) -> (E, u) hits
+        self._joint = {}        # (fp1, fp2) -> joint rows of two sides
+        self._joint_counts = {}  # (d1, d2, mask, event) -> (3, G) hits
 
     def runs_for(self, answers: tuple, mask: tuple):
         """The :class:`Outputs` of the m presampled runs on this input side
-        under this off-mask (one kernel call), plus the (m, 2n + 1) matrix of
-        per-run statistics [N_1..N_n, S_1..S_n, M]: per-hole draw counts and
-        magnitude sums, and the mixture's log-density M against the first
-        component."""
+        under this off-mask (one kernel call), plus their :class:`StatRows`.
+
+        Runs are grouped by one ``lexsort`` over the integer (N, S) columns;
+        the mixture column M, a function of (N, S), is computed on the
+        distinct rows only."""
         key = (tuple(answers), mask)
         hit = self._runs.get(key)
         if hit is not None:
@@ -201,34 +224,84 @@ class PresampleBank:
         n = self.sketch.n_holes
         kernel = compile_sketch(self.sketch, mask)
         outputs, counts = kernel(self.args, answers, self._draws)
-        stats = np.empty((self.m, 2 * n + 1), dtype=np.float64)
-        stats[:, :n] = counts
-        rows = np.arange(self.m)
-        logk = math.log(len(self.scales))
-        mix = np.zeros(self.m)
+        ns = np.empty((self.m, 2 * n), dtype=np.int64)
+        ns[:, :n] = counts
+        runs = np.arange(self.m)
         for h in range(n):
-            stats[:, n + h] = self._cum_abs[h][rows, counts[:, h]]
-            per_comp = stats[:, [h, n + h]] @ self._mix_coeffs[h]
+            ns[:, n + h] = self._cum_abs[h][runs, counts[:, h]]
+        order = np.lexsort(ns.T[::-1])
+        ns = ns[order]
+        first = np.empty(self.m, dtype=bool)
+        first[:1] = True
+        np.any(ns[1:] != ns[:-1], axis=1, out=first[1:])
+        index = np.empty(self.m, dtype=np.int64)
+        index[order] = np.cumsum(first) - 1
+        u = int(first.sum())
+        rows = np.empty((u, 2 * n + 1), dtype=np.float64)
+        rows[:, :2 * n] = ns[first]
+        logk = math.log(len(self.scales))
+        mix = np.zeros(u)
+        for h in range(n):
+            per_comp = rows[:, [h, n + h]] @ self._mix_coeffs[h]
             mix += logsumexp(per_comp, axis=1) - logk
-        stats[:, 2 * n] = mix
-        self._runs[key] = (outputs, stats)
+        rows[:, 2 * n] = mix
+        mult = np.bincount(index, minlength=u).astype(np.float64)
+        groups = StatRows(rows, index, mult)
+        self._runs[key] = (outputs, groups)
+        self.runs_grouped += self.m
+        self.stat_rows += u
         # sides with identical consumption patterns share importance weights
         self._stats_fp[key] = hashlib.blake2b(
-            stats.tobytes(), digest_size=16).digest()
-        return outputs, stats
+            rows.tobytes() + index.tobytes(), digest_size=16).digest()
+        return outputs, groups
 
-    def indicator(self, answers: tuple, mask: tuple, event) -> np.ndarray:
-        key = (tuple(answers), mask, event)
-        hit = self._indicators.get(key)
+    def event_counts(self, answers: tuple, mask: tuple, events: tuple):
+        """(E, u) hits of each event per statistics row of this side."""
+        key = (tuple(answers), mask, events)
+        hit = self._counts.get(key)
         if hit is None:
-            outputs, _ = self.runs_for(answers, mask)
-            hit = event.hits(outputs).astype(np.float32)
-            self._indicators[key] = hit
+            outputs, groups = self.runs_for(answers, mask)
+            u = len(groups.mult)
+            hit = self._counts[key] = np.stack([
+                np.bincount(groups.index, weights=e.hits(outputs),
+                            minlength=u) for e in events])
+        return hit
+
+    def joint_rows(self, d1: tuple, d2: tuple, mask: tuple) -> tuple:
+        """The joint groups of two sides' runs, ``(g1, g2, mult, inverse)``:
+        group g holds the ``mult[g]`` runs whose rows are ``g1[g]`` on d1
+        and ``g2[g]`` on d2; ``inverse`` maps each run to its group."""
+        i1 = self.runs_for(d1, mask)[1].index
+        groups2 = self.runs_for(d2, mask)[1]
+        key = (self._stats_fp[(tuple(d1), mask)],
+               self._stats_fp[(tuple(d2), mask)])
+        hit = self._joint.get(key)
+        if hit is None:
+            pair = i1 * len(groups2.mult) + groups2.index
+            _, first, inverse, mult = np.unique(
+                pair, return_index=True, return_inverse=True,
+                return_counts=True)
+            hit = self._joint[key] = (i1[first], groups2.index[first],
+                                      mult.astype(np.float64), inverse)
+        return hit
+
+    def joint_counts(self, d1: tuple, d2: tuple, mask: tuple, event):
+        """(3, G) hits of ``event`` per :meth:`joint_rows` group: on both
+        sides, on d1 and on d2."""
+        key = (tuple(d1), tuple(d2), mask, event)
+        hit = self._joint_counts.get(key)
+        if hit is None:
+            _, _, mult, inverse = self.joint_rows(d1, d2, mask)
+            f1 = event.hits(self.runs_for(d1, mask)[0])
+            f2 = event.hits(self.runs_for(d2, mask)[0])
+            hit = self._joint_counts[key] = np.stack([
+                np.bincount(inverse, weights=f, minlength=len(mult))
+                for f in (f1 & f2, f1, f2)])
         return hit
 
     def weight_coeffs(self, candidates) -> np.ndarray:
-        """(2n + 1, B) coefficient matrix over the :meth:`runs_for`
-        statistics: column b is candidate b's log-density against the first
+        """(2n + 1, B) coefficient matrix over the :class:`StatRows`
+        columns: column b is candidate b's log-density against the first
         component, minus the mixture's (the last row, all -1)."""
         n = self.sketch.n_holes
         coeffs = np.zeros((2 * n + 1, len(candidates)))
@@ -255,9 +328,11 @@ class PresampleBank:
         ``candidates`` are noise vectors sharing one off-mask.  Returns
         ``(est, weights)``: ``est[(side, event)]`` is the (B,) row of
         estimates, clamped to :attr:`clamp`, and ``weights[side]`` is the
-        pair of (m, B) float32 importance weights and their (B,) column
-        sums.  Sides whose runs consumed identical draws share one pair
-        object, computed once."""
+        pair of (u, B) importance weights, one per statistics row of the
+        side's :meth:`runs_for`, and their (B,) sums over all m runs.  An
+        estimate is the event's hits per row, weighted, over that sum.
+        Sides whose runs consumed identical draws share one pair object,
+        computed once."""
         candidates = [tuple(c) for c in candidates]
         if any(len(c) != self.sketch.n_holes for c in candidates):
             raise ValueError("candidate length must match the hole count")
@@ -269,20 +344,16 @@ class PresampleBank:
         by_fp, weights, est = {}, {}, {}
         for side, events in side_events.items():
             events = tuple(events)
-            key = (side, mask)
-            _, stats = self.runs_for(side, mask)
-            fp = self._stats_fp[key]
+            _, groups = self.runs_for(side, mask)
+            fp = self._stats_fp[(side, mask)]
             if fp not in by_fp:
-                logw = stats @ coeffs
+                logw = groups.rows @ coeffs
                 logw -= logw.max(axis=0, keepdims=True)
-                w = np.exp(logw, out=logw).astype(np.float32)
-                by_fp[fp] = (w, w.sum(axis=0, dtype=np.float64))
+                w = np.exp(logw, out=logw)
+                by_fp[fp] = (w, groups.mult @ w)
             w, den = weights[side] = by_fp[fp]
-            ind = self._ind_mats.get(key + (events,))
-            if ind is None:
-                ind = self._ind_mats[key + (events,)] = np.stack(
-                    [self.indicator(side, mask, e) for e in events])
-            for event, row in zip(events, np.clip((ind @ w) / den, lo, hi)):
+            counts = self.event_counts(side, mask, events)
+            for event, row in zip(events, np.clip((counts @ w) / den, lo, hi)):
                 est[(side, event)] = row
         return est, weights
 
@@ -358,14 +429,16 @@ def _example_losses(bank, examples, candidates, floor, z):
     return losses, se
 
 
-def _influence_dot(fa, fb, q, ra, rb) -> np.ndarray:
-    """sum_i q_i (fa_i - ra)(fb_i - rb) / (ra rb) per (row, candidate), with
-    q the product of the two sides' unnormalized weights."""
-    k = len(fa)
-    s = (np.vstack([fa * fb, fa, fb]) @ q).astype(np.float64)
-    total = q.sum(axis=0, dtype=np.float64)
+def _influence_dot(cab, ca, cb, mult, q, ra, rb) -> np.ndarray:
+    """sum_i q_i (fa_i - ra)(fb_i - rb) / (ra rb) per (row, candidate) over
+    runs i with indicators fa, fb, from per-group sums: ``cab``, ``ca`` and
+    ``cb`` are (k, G) hits of fa * fb, fa and fb in each group, ``mult``
+    the group sizes and ``q`` the (G, B) per-group product of the two
+    sides' unnormalized weights."""
+    k = len(ca)
+    s = np.vstack([cab, ca, cb]) @ q
     return (s[:k] - rb * s[k:2 * k] - ra * s[2 * k:]
-            + ra * rb * total) / (ra * rb)
+            + ra * rb * (mult @ q)) / (ra * rb)
 
 
 def _log_loss_se(bank, examples, mask, weights, r1, r2, z):
@@ -375,26 +448,28 @@ def _log_loss_se(bank, examples, mask, weights, r1, r2, z):
 
     Draw i moves log r_k by a_ki = w_ki (f_ki - r_k) / (den_k r_k), so the
     variance of the difference is sum_i (a_1i - a_2i)^2 = v11 + v22 - 2 v12,
-    each term an :func:`_influence_dot`."""
+    each term an :func:`_influence_dot` over the joint groups of the two
+    sides' statistics rows, within which both weights are constant."""
     v11, v22, v12, ess1, ess2 = (np.zeros_like(r1) for _ in range(5))
-    groups = {}
+    blocks = {}
     for j, ex in enumerate(examples):
         w1, w2 = weights[ex.d1], weights[ex.d2]
-        groups.setdefault((id(w1), id(w2)), (w1, w2, []))[2].append(j)
-    for (w1, den1), (w2, den2), js in groups.values():
-        f1 = np.stack([bank.indicator(examples[j].d1, mask, examples[j].event)
-                       for j in js])
-        f2 = np.stack([bank.indicator(examples[j].d2, mask, examples[j].event)
-                       for j in js])
+        blocks.setdefault((id(w1), id(w2)), (ex, w1, w2, []))[3].append(j)
+    for ex, (w1, den1), (w2, den2), js in blocks.values():
+        g1, g2, mult, _ = bank.joint_rows(ex.d1, ex.d2, mask)
+        c = np.stack([bank.joint_counts(examples[j].d1, examples[j].d2,
+                                        mask, examples[j].event)
+                      for j in js])
+        c12, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
         a, b = r1[js], r2[js]
-        q = w1 * w2
-        v12[js] = _influence_dot(f1, f2, q, a, b) / (den1 * den2)
-        for f, r, w, den, v, ess in ((f1, a, w1, den1, v11, ess1),
-                                     (f2, b, w2, den2, v22, ess2)):
-            if w1 is not w2:
-                q = w * w
-            v[js] = _influence_dot(f, f, q, r, r) / den ** 2
-            ess[js] = den ** 2 / q.sum(axis=0, dtype=np.float64)
+        p1, p2 = w1[g1], w2[g2]
+        v12[js] = _influence_dot(c12, c1, c2, mult, p1 * p2, a, b) \
+            / (den1 * den2)
+        for f, r, p, den, v, ess in ((c1, a, p1, den1, v11, ess1),
+                                     (c2, b, p2, den2, v22, ess2)):
+            q = p * p
+            v[js] = _influence_dot(f, f, f, mult, q, r, r) / den ** 2
+            ess[js] = den ** 2 / (mult @ q)
     se = np.sqrt(np.maximum(v11 + v22 - 2 * v12, 0.0))
     # a dry side: the wet side's own error plus the width from the clamp up
     # to the dry side's zero-count bound

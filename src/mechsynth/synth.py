@@ -484,6 +484,13 @@ class SynthOutcome:
     ranked: list
     region: Optional[NoiseRegion]
     examples: list
+    counters: dict
+
+
+def _bank_counters(banks) -> dict:
+    """Runs grouped and distinct statistics rows kept, over all ``banks``."""
+    return {"bank_runs": sum(b.runs_grouped for b in banks),
+            "bank_stat_rows": sum(b.stat_rows for b in banks)}
 
 
 def synth(sketch: MechanismSketch, cfg: RunConfig,
@@ -510,7 +517,8 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
         timings["total"] = time.perf_counter() - t_total
         report = _report(sketch, cfg, examples, None, [], [], [], [],
                          note="no challenging examples found")
-        return SynthOutcome(report, timings, [], [], None, [])
+        return SynthOutcome(report, timings, [], [], None, [],
+                            _bank_counters([primary_bank]))
 
     # --- opti: differential evolution over concrete noise vectors
     with _phase("opti", timings):
@@ -549,7 +557,10 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
     report = _report(sketch, cfg, examples, region, ranked, survivors,
                      verify_details, test_examples, note=note,
                      radius_used=radius_used)
-    return SynthOutcome(report, timings, survivors, ranked, region, examples)
+    counters = _bank_counters(
+        [primary_bank] + [bank for _, bank, _ in bindings_data])
+    return SynthOutcome(report, timings, survivors, ranked, region, examples,
+                        counters)
 
 
 def _example_json(ex: Example) -> dict:

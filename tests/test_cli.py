@@ -228,6 +228,11 @@ def test_cmd_synth_writes_report_and_sidecar(runner, micro_path, tmp_path):
     sidecar = json.loads((tmp_path / "report.json.timings.json").read_text())
     assert set(sidecar["seconds"]) >= {"init", "opti", "enum", "verify",
                                        "total"}
+    # m runs per bank side, grouped into far fewer distinct statistics rows
+    counters = sidecar["counters"]
+    assert set(counters) == {"bank_runs", "bank_stat_rows"}
+    assert counters["bank_runs"] > 0 and counters["bank_runs"] % 20000 == 0
+    assert 0 < counters["bank_stat_rows"] < counters["bank_runs"] // 100
 
 
 # ---------------------------------------------------------------------------

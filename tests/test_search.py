@@ -12,15 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, ndtr
 
 from mechsynth.config import RunConfig
 from mechsynth.dist import make_dist
-from mechsynth.lang import parse_sketch
+from mechsynth.lang import compile_sketch, parse_sketch
 from mechsynth.search import (BOX_MAX, SNAP_THRESHOLD, Example, NoiseRegion,
                               PresampleBank, batch_objective, directions,
                               example_losses, example_losses_with_se,
                               get_noise_region, select_examples, snap_vector)
 from mechsynth.tester import HalfLineEvent, ValueEvent
+from tests.conftest import MICRO_SCALAR, load_benchmark
 
 EPS = 0.5
 PROPOSAL = RunConfig().proposal_scale
@@ -167,7 +169,8 @@ def test_one_component_bank_draws_the_single_scale_stream(seed):
 
 def test_one_component_bank_has_a_zero_mixture_column(bank):
     # the component is the reference, so the mixture's log-density is 0
-    _, stats = bank.runs_for(D1, (False,))
+    _, groups = bank.runs_for(D1, (False,))
+    stats = groups.rows[groups.index]
     assert stats.shape == (bank.m, 3)
     assert (stats[:, 2] == 0.0).all()
 
@@ -251,6 +254,145 @@ def test_log_loss_se_matches_spread_over_banks(micro_scalar, source, event,
         mask = (False, False)
         assert bank._stats_fp[(D1, mask)] != bank._stats_fp[(D2, mask)]
     assert np.mean(ses) == pytest.approx(np.std(log_losses, ddof=1), rel=0.3)
+
+
+# ---------------------------------------------------------------------------
+# Per-run oracle of the grouped estimator
+# ---------------------------------------------------------------------------
+
+MIXTURE8 = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0)
+
+
+def _oracle_run_weights(bank, side, cand):
+    """Outputs and float64 log-weights of ``cand`` for each of the m runs on
+    ``side``, from the log-pmf of every draw the run consumed against the
+    bank's mixture."""
+    mask = tuple(c is None for c in cand)
+    outputs, counts = compile_sketch(bank.sketch, mask)(bank.args, side,
+                                                        bank._draws)
+    logw = np.zeros(bank.m)
+    for h, hole in enumerate(bank.sketch.holes):
+        if cand[h] is None:
+            continue
+        draws = bank._draws[h]
+        used = np.arange(draws.shape[1]) < counts[:, h, None]
+
+        def total(scale):
+            return np.where(used, make_dist(hole.family, scale).logpmf(draws),
+                            0.0).sum(axis=1)
+
+        mix = logsumexp([total(s) for s in bank.scales], axis=0)
+        logw += total(cand[h]) - mix + math.log(len(bank.scales))
+    return outputs, logw
+
+
+def _oracle_example(bank, ex, cand, z, floor):
+    """(estimates, loss, se, spread) of one example, summing over every
+    run; ``spread`` is the root of both sides' own variances, the size of
+    the terms whose difference the variance of the log-ratio is."""
+    lo, hi = bank.clamp
+    est, infl, ess = [], [], []
+    for side in (ex.d1, ex.d2):
+        outputs, logw = _oracle_run_weights(bank, side, cand)
+        w = np.exp(logw - logw.max())
+        f = ex.event.hits(outputs)
+        den = w.sum()
+        r = float(np.clip((w * f).sum() / den, lo, hi))
+        est.append(r)
+        infl.append(w * (f - r) / (den * r))
+        ess.append(den ** 2 / (w ** 2).sum())
+    r1, r2 = est
+    spread = math.sqrt((infl[0] ** 2).sum() + (infl[1] ** 2).sum())
+    if max(r1, r2) < floor or max(r1, r2) <= lo:
+        return est, 1.0, 0.0, spread
+    se = math.sqrt(((infl[0] - infl[1]) ** 2).sum())
+    for k in (0, 1):
+        if est[k] <= lo:
+            wet = math.sqrt((infl[1 - k] ** 2).sum())
+            p_up = min(-math.log(ndtr(-z)) / ess[k], 1.0)
+            se = wet + max(math.log(p_up / est[k]), 0.0) / z
+    return est, max(r1 / r2, r2 / r1), se, spread
+
+
+LAP3 = """mechanism Lap3
+private a
+adjacency one
+
+x <- a[1] + Lap(?1)
+y <- x + Lap(?2)
+if y > 1:
+    y <- y + Lap(?3)
+return y
+"""
+
+ORACLE_SKETCHES = {     # name -> (sketch, binding beyond qlen)
+    "micro": (parse_sketch(MICRO_SCALAR), {}),
+    "lapexp": (parse_sketch(LAP_EXP), {}),
+    "stop": (parse_sketch(STOP), {}),
+    "lap3": (parse_sketch(LAP3), {}),
+    "expnoisymax": (load_benchmark("expnoisymax"), {}),
+    "abovet2": (load_benchmark("abovet2"), {"T": 2}),
+}
+
+
+@pytest.mark.parametrize("scales", [(PROPOSAL,), MIXTURE8],
+                         ids=["one", "eight"])
+@pytest.mark.parametrize("name", sorted(ORACLE_SKETCHES))
+def test_grouped_estimates_match_the_per_run_oracle(name, scales):
+    sketch, extra = ORACLE_SKETCHES[name]
+    bank = PresampleBank(sketch, {"qlen": 5, **extra}, m=3000, scales=scales,
+                         seed=5)
+    n = sketch.n_holes
+    cands = [(2.0,) * n, tuple(1.0 + h for h in range(n)), (7.5,) * n]
+    if n > 1:
+        cands.append((None,) + (3.0,) * (n - 1))
+    d1, d2 = (0, 0, 0, 0, 0), (1, 0, 0, 0, 0)
+    if sketch.adjacency == "all":
+        d2 = (1, 1, 0, 1, 1)
+    events = [HalfLineEvent(0, "le"), HalfLineEvent(3, "ge"),
+              ValueEvent(frozenset([1])), ValueEvent(frozenset([10 ** 6]))]
+    examples = [Example(d1=a, d2=b, event=e, direction=(1,) * n, scale=1.0,
+                        p_value=0.5)
+                for e in events for a, b in ((d1, d2), (d2, d1))]
+    z, floor = 2.5, 1e-3
+    losses, se = example_losses_with_se(bank, examples, cands, z, floor=floor)
+    for b, cand in enumerate(cands):
+        est, _ = bank.estimate({d1: events, d2: events}, [cand])
+        for j, ex in enumerate(examples):
+            (r1, r2), loss, want_se, spread = _oracle_example(
+                bank, ex, cand, z, floor)
+            assert est[(ex.d1, ex.event)][0] == pytest.approx(r1, rel=1e-12)
+            assert est[(ex.d2, ex.event)][0] == pytest.approx(r2, rel=1e-12)
+            assert losses[b, j] == pytest.approx(loss, rel=1e-12)
+            # the variance of log(r1 / r2) is v11 + v22 - 2 v12, so its
+            # rounding scales with the sides' own spread, not with se
+            assert abs(se[b, j] - want_se) <= 1e-12 * max(want_se, spread)
+
+
+def test_stat_rows_rebuild_every_run():
+    # abovet2 draws a whole noise vector per run, so under an
+    # eight-component mixture most runs have magnitude sums of their own
+    sketch = load_benchmark("abovet2")
+    bank = PresampleBank(sketch, {"qlen": 10, "T": 2}, m=12000,
+                         scales=MIXTURE8, seed=0)
+    mask = (False,) * 3
+    answers = (1, 0, 2, 1, 0, 1, 2, 0, 1, 1)
+    _, groups = bank.runs_for(answers, mask)
+    _, counts = compile_sketch(sketch, mask)(bank.args, answers, bank._draws)
+    sums = np.stack([
+        np.where(np.arange(d.shape[1]) < counts[:, h, None], np.abs(d),
+                 0).sum(axis=1) for h, d in enumerate(bank._draws)], axis=1)
+    stats = np.hstack([counts, sums])
+    assert np.array_equal(groups.rows[groups.index, :6], stats)
+    assert np.array_equal(groups.mult, np.bincount(groups.index))
+    assert len(groups.rows) == len(np.unique(stats, axis=0))
+    assert bank.m // 2 < len(groups.rows) < bank.m
+    # the mixture column is a function of the row, on the rows only
+    mix = sum(logsumexp(np.outer(stats[:, h], bank._mix_coeffs[h][0])
+                        + np.outer(stats[:, 3 + h], bank._mix_coeffs[h][1]),
+                        axis=1) - math.log(8) for h in range(3))
+    assert groups.rows[groups.index, 6] == pytest.approx(mix, rel=1e-12)
+    assert (bank.runs_grouped, bank.stat_rows) == (bank.m, len(groups.rows))
 
 
 # ---------------------------------------------------------------------------
