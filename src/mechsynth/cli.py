@@ -75,8 +75,6 @@ def _parse_eps(_ctx, _param, value):
         eps = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise click.UsageError(f"cannot parse epsilon {value!r}")
-    if eps <= 0:
-        raise click.UsageError("epsilon must be positive")
     return eps
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -46,12 +47,21 @@ class RunConfig:
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"config field {name} must be positive")
+        for name in ("lam", "radius", "proposal_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"config field {name} must be finite")
         # numpy takes no negative seed; below 2^64, the seed and two stream
         # indices fit SeedSequence's four-word pool
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must lie in [0, 2^64)")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        # the tester and the optimiser read epsilon as a float: it must
+        # neither overflow nor round to 0 there
+        try:
+            eps = float(self.epsilon)
+        except OverflowError:
+            eps = math.inf
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError("epsilon must be positive and finite as a float")
         if self.trials < 1000:
             raise ValueError("trials must be at least 1000")
         if not (0 < self.zone[0] < self.zone[1] < 1):

@@ -14,11 +14,17 @@ sampled once and tested in both orientations.  The workflow per input pair:
 3. for each event and each orientation, thin the larger count by e^(-eps)
    (Binomial quantile coupling, 20 shared uniform draws) and apply a
    one-sided Fisher exact test to the thinned 2x2 table; the reported
-   p-value is the mean over the 20 thinnings.  The pilot counts pick the
-   decision event of each (pair, orientation), the one of least p: an
-   error-bounded screening tail rules out the pilot cells that cannot
-   hold that minimum, and only the rest get exact tails, so the pick is
-   the one exact p-values for every pilot cell would make.
+   p-value is the mean over the 20 thinnings.  Both steps call boost's
+   kernels in ``scipy.special._ufuncs`` directly: ``_binom_ppf`` for the
+   thinning and ``_hypergeom_sf`` for the Fisher tail, the latter with
+   ``scipy.stats.hypergeom.sf``'s edge rule (1 below the support, 0 at and
+   above its top, see :func:`_fisher_sf`), so every value is the
+   ``scipy.stats`` one to the bit without importing ``scipy.stats``.  The
+   pilot counts pick the decision event of each (pair, orientation), the
+   one of least p: an error-bounded screening tail rules out the pilot
+   cells that cannot hold that minimum, and only the rest get exact
+   tails, so the pick is the one exact p-values for every pilot cell
+   would make.
 
 Small p-values indicate a likely violation at the tested epsilon.  All
 randomness derives from an explicit seed, so repeated calls are bit-stable.
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import binom, hypergeom
+from scipy.special._ufuncs import _binom_ppf, _hypergeom_sf
 
 from .dist import make_dist
 from .lang import MechanismSketch, Outputs, compile_sketch, count_hole_draws
@@ -322,8 +328,11 @@ class FisherMemo:
     thinned tables again and again; :func:`hypothesis_test` given a memo
     computes each only once.  Thinning rows are kept per epsilon and count,
     tail values per n and table, each store as sorted int64 keys and their
-    values.  A value comes from the same scipy call on the same arguments
-    as a fresh computation, so sharing a memo changes no p-value.
+    values.  A thinned count is boost's ``_binom_ppf`` of a shared uniform
+    and a tail is :func:`_fisher_sf` (boost's ``_hypergeom_sf`` inside the
+    support, 1 below it, 0 at and above its top), each called on the same
+    arguments as a fresh computation, so sharing a memo changes no
+    p-value.
 
     :meth:`screen` gives cheap, error-bounded p-values from the same
     thinning rows and a table of ln j! for j <= 2n per n; the tester picks
@@ -340,8 +349,8 @@ class FisherMemo:
     def thinned(self, counts, test_epsilon) -> np.ndarray:
         """The 20 thinned counts of each sorted distinct count."""
         def thin(c):
-            return binom.ppf(_THINNING_U, c[:, None],
-                             math.exp(-float(test_epsilon))).astype(np.int64)
+            return _binom_ppf(_THINNING_U, c[:, None],
+                              math.exp(-float(test_epsilon))).astype(np.int64)
         return _recall(self._rows, float(test_epsilon), counts, thin)
 
     def tails(self, n: int, tables) -> np.ndarray:
@@ -349,7 +358,7 @@ class FisherMemo:
         hypergeometric with population 2n, K successes and n draws."""
         def fisher(t):
             k, K = np.divmod(t, 2 * n + 1)
-            return hypergeom.sf(k - 1, 2 * n, K, n)
+            return _fisher_sf(k, K, n)
         return _recall(self._tails, n, tables, fisher)
 
     def screen(self, c1, c2, n: int, test_epsilon) -> np.ndarray:
@@ -363,6 +372,19 @@ class FisherMemo:
         tables, where = _thinned_tables(c1, c2, n, test_epsilon, self)
         k, K = np.divmod(tables, 2 * n + 1)
         return _screen_tails(k, K, n, lf)[where].mean(axis=-1)
+
+
+def _fisher_sf(k, K, n: int) -> np.ndarray:
+    """P[X >= k] for X ~ Hypergeom(2n, K, n), per element of the int64
+    arrays ``k`` and ``K`` (0 <= K <= 2n): boost's tail kernel inside the
+    support, with ``scipy.stats.hypergeom.sf(k - 1, 2n, K, n)``'s edge rule
+    around it, so every value is that call's to the bit."""
+    lo, hi = np.maximum(0, K - n), np.minimum(K, n)
+    out = np.where(k - 1 < lo, 1.0, 0.0)
+    inside = (k - 1 >= lo) & (k - 1 < hi)
+    out[inside] = np.clip(_hypergeom_sf(k[inside] - 1, K[inside], n, 2 * n),
+                          0, 1)
+    return out
 
 
 def _recall(store: dict, key, wanted, compute) -> np.ndarray:
@@ -452,7 +474,7 @@ def _screen_tails(k, K, n: int, log_fact) -> np.ndarray:
     When the first term exceeds rho/4 (n above about 1.9e5, i.e. more
     than 3.8e5 trials) every value is NaN; otherwise the total stays
     below rho/2, which leaves rho/2 for the exact reference's own
-    rounding (scipy's tails agree with this screen to about 1e-8, the
+    rounding (boost's tails agree with this screen to about 1e-8, the
     truncation allowance) and for the rounding of the comparisons that
     read the bound.
     """

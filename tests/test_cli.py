@@ -198,6 +198,41 @@ def test_seed_must_fit_64_bits(runner, duo_path, command, seed, exit_codes):
         assert "seed must lie in [0, 2^64)" in result.output
 
 
+@pytest.mark.parametrize("command", [
+    ["test", "--noise", "2,2"], ["synth"],
+    ["grid", "--holes", "1,2", "--grid", "2:2"]])
+@pytest.mark.parametrize("epsilon", ["1e400", "1e-400", "0", "-1/2"])
+def test_epsilon_must_be_a_positive_finite_float(runner, duo_path, command,
+                                                 epsilon):
+    # 1e400 overflows float(Fraction) and 1e-400 rounds to 0.0: the tester
+    # and the optimiser would read inf or 0, so both are bad input
+    result = runner.invoke(main, [*command, "--sketch", duo_path,
+                                  "--trials", "1000", "--presamples", "1000",
+                                  "--population", "4", "--steps", "1",
+                                  "--epsilon", epsilon])
+    assert result.exit_code == 2, result.output
+    assert "epsilon must be positive and finite as a float" in result.output
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--lambda", "inf"), ("--lambda", "nan"), ("--lambda", "-inf"),
+    ("--radius", "inf"), ("--radius", "nan")])
+def test_float_options_must_be_finite(runner, duo_path, option, value):
+    # --lambda inf used to exit 0 with "Infinity" and "NaN" in the report
+    result = runner.invoke(main, ["synth", "--sketch", duo_path,
+                                  "--trials", "1000", "--presamples", "1000",
+                                  "--population", "4", "--steps", "1",
+                                  option, value])
+    assert result.exit_code == 2, result.output
+    assert "Usage" in result.output
+
+
+def test_run_config_rejects_a_non_finite_proposal_scale():
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="proposal_scale"):
+            RunConfig(proposal_scale=value).validate()
+
+
 def test_budget_option_defaults_come_from_run_config(runner):
     result = runner.invoke(main, ["synth", "--help"])
     assert result.exit_code == 0

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
-from scipy.stats import hypergeom
 
 from mechsynth import lang, tester
 from mechsynth.config import RunConfig
@@ -476,13 +475,13 @@ def test_synth_memo_does_not_outlive_the_operation(micro_scalar, monkeypatch):
     # two identical synths evaluate the same Fisher tables: the second
     # starts from an empty memo, as a separate command would
     tables = []
+    fisher_sf = tester._fisher_sf
 
-    class Counted:
-        def sf(self, k, *args):
-            tables[-1] += np.size(k)
-            return hypergeom.sf(k, *args)
+    def counted(k, *args):
+        tables[-1] += np.size(k)
+        return fisher_sf(k, *args)
 
-    monkeypatch.setattr(tester, "hypergeom", Counted())
+    monkeypatch.setattr(tester, "_fisher_sf", counted)
     for _ in range(2):
         tables.append(0)
         synth(micro_scalar, RunConfig(**MICRO_BUDGET))

@@ -8,6 +8,10 @@ relative, and the constants below are pinned from that cross-check.
 """
 
 import json
+import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -16,7 +20,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
-from scipy.stats import hypergeom
+from scipy.stats import binom, hypergeom
 
 from mechsynth import tester
 from mechsynth.cli import main
@@ -151,6 +155,62 @@ def test_hypothesis_test_of_no_cells_is_empty():
 
 
 # ---------------------------------------------------------------------------
+# Exact kernels: bit identity with scipy.stats
+# ---------------------------------------------------------------------------
+
+def _same_bits(got, want):
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 40])
+def test_tails_are_hypergeom_sf_bit_for_bit_on_every_table(n):
+    # every k in 0..n+1 and K in 0..2n: all reachable tables, k = 0, k - 1
+    # just below max(0, K - n) and k - 1 >= min(K, n) among them
+    tables = np.arange((n + 2) * (2 * n + 1))
+    k, K = np.divmod(tables, 2 * n + 1)
+    got = tester.FisherMemo().tails(n, tables)
+    want = hypergeom.sf(k - 1, 2 * n, K, n)
+    assert _same_bits(got, want)
+    assert (got[k - 1 < np.maximum(0, K - n)] == 1.0).any()
+    assert (got[k - 1 >= np.minimum(K, n)] == 0.0).any()
+
+
+def test_tails_are_hypergeom_sf_bit_for_bit_at_n_2000():
+    n = 2000
+    rng = np.random.default_rng(11)
+    k = rng.integers(0, n + 2, 24_000)
+    K = rng.integers(0, 2 * n + 1, 24_000)
+    # each edge of the support, around the thinned count k
+    K[:3] = [0, 2 * n, n]
+    k[3:6], K[3:6] = [1, 1, n + 1], [n, n + 1, 2 * n]
+    tables = np.unique(k * (2 * n + 1) + K)
+    k, K = np.divmod(tables, 2 * n + 1)
+    assert len(tables) >= 20_000
+    got = tester.FisherMemo().tails(n, tables)
+    assert _same_bits(got, hypergeom.sf(k - 1, 2 * n, K, n))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2, 0.5, 1.5, 3.0])
+def test_thinned_counts_are_binom_ppf(eps):
+    counts = np.arange(2001)
+    got = tester.FisherMemo().thinned(counts, eps)
+    want = binom.ppf(tester._THINNING_U, counts[:, None], math.exp(-eps))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want.astype(np.int64))
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about 0.8 s of every command's start
+    src = os.path.dirname(os.path.dirname(tester.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mechsynth.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
 # Screening tails and the decision pick
 # ---------------------------------------------------------------------------
 
@@ -228,13 +288,13 @@ def test_decision_events_match_the_argmin_on_random_pilots(data):
 def test_pick_scores_few_exact_tables(monkeypatch):
     # the screen leaves boost's tail to the cells the pick can fall on
     tables = [0]
+    fisher_sf = tester._fisher_sf
 
-    class Counted:
-        def sf(self, k, *args):
-            tables[0] += np.size(k)
-            return hypergeom.sf(k, *args)
+    def counted(k, *args):
+        tables[0] += np.size(k)
+        return fisher_sf(k, *args)
 
-    monkeypatch.setattr(tester, "hypergeom", Counted())
+    monkeypatch.setattr(tester, "_fisher_sf", counted)
     result = CliRunner().invoke(main, [
         "test", "--sketch", "smartsum", "--noise", "2,2", "--trials", "4000",
         "--epsilon", "1/2", "--qlen", "5", "--seed", "0"])
