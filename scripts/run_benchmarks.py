@@ -45,7 +45,8 @@ def main():
         sketch = load_sketch(name)
         cfg = RunConfig(seed=args.seed)
         if args.paper_scale:
-            cfg = cfg.scaled(5)
+            cfg.trials *= 5
+            cfg.presamples *= 5
         t0 = time.time()
         outcome = synth(sketch, cfg)
         elapsed = time.time() - t0

@@ -7,16 +7,17 @@ Three subcommands cover the pipeline:
 * ``grid``   -- emit the optimization objective over a 2-D lattice of scales
   for two chosen holes (plot data for objective landscapes).
 
-Every command runs the sketch under the fixed argument binding that
-``synth.fix_params`` builds from the options: ``eps``, ``qlen`` and a value
-for each argument the sketch declares.  Reports are deterministic for a fixed
-seed and config; wall-clock timings go to a ``.timings.json`` sidecar so the
-main report stays byte-identical.  Exit codes: 0 ok; 1 violation found
-(``test``), no candidate survived (``synth``) or no challenging example
-found (``grid``); 2 usage error; 3 a sketch argument without a fixed value,
-a runtime fault while running the sketch, such as an out-of-range index, a
-read of an unassigned variable, an int64 overflow or exhausted noise draws,
-or (``synth``) any other failure inside a synthesis phase.
+Each command takes only the options it reads, with ``RunConfig``'s
+defaults, and runs the sketch under the fixed binding that
+``synth.fix_params`` builds: ``eps``, ``qlen`` and a value for each argument
+the sketch declares.  Reports are deterministic for a fixed seed and config;
+wall-clock timings go to a ``.timings.json`` sidecar so the main report
+stays byte-identical.  Exit codes: 0 ok; 1 violation found (``test``), no
+candidate survived (``synth``) or no challenging example found (``grid``);
+2 usage error; 3 a sketch argument without a fixed value, a runtime fault
+while running the sketch, such as an out-of-range index, a read of an
+unassigned variable, an int64 overflow or exhausted noise draws, or
+(``synth``) any other failure inside a synthesis phase.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import click
 
-from .config import RunConfig
+from .config import EVENT_FLOOR, VERIFY_ALPHA, RunConfig
 from .lang import LangError, MechanismSketch, parse_sketch
 from .search import batch_objective, select_examples
 from .synth import (SynthError, fix_params, optimizer_bank, report_to_json,
@@ -71,6 +72,12 @@ def load_sketch(ref: str) -> MechanismSketch:
 
 
 def _parse_eps(_ctx, _param, value):
+    # Fraction builds 10 ** |exponent| exactly, so a decimal exponent that no
+    # float reaches (1e10000000) is refused first; float() rounds alike
+    with contextlib.suppress(ValueError):
+        if "e" in value.lower() and not 0 < abs(float(value)) < math.inf:
+            raise click.UsageError(
+                "epsilon must be positive and finite as a float")
     try:
         eps = Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -104,49 +111,48 @@ def _parse_noise(value: str, n_holes: int) -> list:
 # Shared options
 # ---------------------------------------------------------------------------
 
-def _budget_options(f):
+def _budget_options(*names):
+    """The named budget options, in that order, then ``--out``.  Each
+    option's destination is the RunConfig field it sets, whose default it
+    shows."""
     d = RunConfig()
-    opts = [
-        click.option("--epsilon", default=str(d.epsilon),
-                     callback=_parse_eps, show_default=True,
-                     help="Target privacy budget."),
-        click.option("--seed", default=d.seed, show_default=True, type=int),
-        click.option("--trials", default=d.trials, show_default=True,
-                     type=int, help="Tester runs per (pair, side)."),
-        click.option("--presamples", default=d.presamples, show_default=True,
-                     type=int, help="Importance-sampling bank size."),
-        click.option("--lambda", "lam", default=d.lam, show_default=True,
-                     type=float, help="Sparsity regularizer weight."),
-        click.option("--population", default=d.population, show_default=True,
-                     type=int),
-        click.option("--steps", default=d.steps_per_hole, show_default=True,
+
+    def opt(*decls, **attrs):
+        return click.option(*decls, show_default=True, **attrs)
+    opts = {
+        "epsilon": opt("--epsilon", default=str(d.epsilon),
+                       callback=_parse_eps, help="Target privacy budget."),
+        "seed": opt("--seed", default=d.seed, type=int),
+        "trials": opt("--trials", default=d.trials, type=int,
+                      help="Tester runs per (pair, side)."),
+        "presamples": opt("--presamples", default=d.presamples, type=int,
+                          help="Importance-sampling bank size."),
+        "lambda": opt("--lambda", "lam", default=d.lam, type=float,
+                      help="Sparsity regularizer weight."),
+        "population": opt("--population", default=d.population, type=int),
+        "steps": opt("--steps", "steps_per_hole", default=d.steps_per_hole,
                      type=int, help="Optimizer generations per hole."),
-        click.option("--radius", default=d.radius, show_default=True,
-                     type=float, help="Neighborhood L1 radius for pruning."),
-        click.option("--qlen", default=d.qlen, show_default=True, type=int,
-                     help="Answer-vector length at the fixed binding."),
-        click.option("--paper-scale", is_flag=True,
-                     help="Raise trials and presamples 5x."),
-        click.option("--out", default=d.out,
-                     help="Output path (default stdout)."),
-    ]
-    for opt in reversed(opts):
-        f = opt(f)
-    return f
+        "radius": opt("--radius", default=d.radius, type=float,
+                      help="Neighborhood L1 radius for pruning."),
+        "qlen": opt("--qlen", default=d.qlen, type=int,
+                    help="Answer-vector length at the fixed binding."),
+    }
+
+    def decorate(f):
+        f = click.option("--out", default="",
+                         help="Output path (default stdout).")(f)
+        for name in reversed(names):
+            f = opts[name](f)
+        return f
+    return decorate
 
 
-def _make_config(epsilon, seed, trials, presamples, lam, population, steps,
-                 radius, qlen, paper_scale, out) -> RunConfig:
-    cfg = RunConfig(seed=seed, epsilon=epsilon, qlen=qlen, trials=trials,
-                    presamples=presamples, lam=lam, population=population,
-                    steps_per_hole=steps, radius=radius, out=out)
-    if paper_scale:
-        cfg = cfg.scaled(5)
+def _make_config(**fields) -> RunConfig:
+    """A validated RunConfig from the fields a command's options set."""
     try:
-        cfg.validate()
+        return RunConfig(**fields).validate()
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    return cfg
 
 
 def _emit(text: str, out: str):
@@ -195,14 +201,15 @@ def main():
 
 @main.command("synth")
 @click.option("--sketch", required=True, help="Sketch file or benchmark name.")
-@_budget_options
-def cmd_synth(sketch, **kw):
+@_budget_options("epsilon", "seed", "trials", "presamples", "lambda",
+                 "population", "steps", "radius", "qlen")
+def cmd_synth(sketch, out, **kw):
     """Synthesize noise expressions for every hole of a sketch."""
     cfg = _make_config(**kw)
     sk = _load_or_usage(sketch)
     with _faults_exit_3():
         outcome = synth(sk, cfg)
-    write_outcome(outcome, cfg.out)
+    write_outcome(outcome, out)
     sys.exit(0 if outcome.survivors else 1)
 
 
@@ -213,8 +220,8 @@ def cmd_synth(sketch, **kw):
 @click.option("--max-records", default=100, show_default=True,
               type=click.IntRange(min=0),
               help="Cap on printed counterexample records.")
-@_budget_options
-def cmd_test(sketch, noise, max_records, **kw):
+@_budget_options("epsilon", "seed", "trials", "qlen")
+def cmd_test(sketch, noise, max_records, out, **kw):
     """Test one concrete completion for privacy-loss violations."""
     cfg = _make_config(**kw)
     sk = _load_or_usage(sketch)
@@ -226,11 +233,11 @@ def cmd_test(sketch, noise, max_records, **kw):
     lines = [json.dumps(counterexample_record(cx, cfg.seed), sort_keys=True)
              for cx in cands[:max_records]]
     lines.append(json.dumps({
-        "decision_p": dp, "violation": dp < cfg.verify_alpha,
+        "decision_p": dp, "violation": dp < VERIFY_ALPHA,
         "epsilon": str(cfg.epsilon), "candidates": len(cands)},
         sort_keys=True))
-    _emit("\n".join(lines) + "\n", cfg.out)
-    sys.exit(1 if dp < cfg.verify_alpha else 0)
+    _emit("\n".join(lines) + "\n", out)
+    sys.exit(1 if dp < VERIFY_ALPHA else 0)
 
 
 # Largest lattice ``mechsynth grid`` scores: a 200 x 200 sweep.
@@ -246,8 +253,8 @@ _GRID_MAX_POINTS = 40_000
 @click.option("--grid", "grid_spec", default="1:12", show_default=True,
               help="Lattice lo:hi[:step] applied to both axes; lo > 0 "
                    "and at most 200 values per axis.")
-@_budget_options
-def cmd_grid(sketch, holes, fix, grid_spec, **kw):
+@_budget_options("epsilon", "seed", "trials", "presamples", "lambda", "qlen")
+def cmd_grid(sketch, holes, fix, grid_spec, out, **kw):
     """Emit the optimization objective over a 2-D lattice of noise scales."""
     cfg = _make_config(**kw)
     sk = _load_or_usage(sketch)
@@ -271,6 +278,9 @@ def cmd_grid(sketch, holes, fix, grid_spec, **kw):
         if not 1 <= idx <= sk.n_holes:
             raise click.UsageError(
                 f"hole {idx} out of range for a {sk.n_holes}-hole sketch")
+        if idx in (i, j) or idx in fixed:
+            raise click.UsageError(
+                f"--fix {item!r}: hole {idx} is swept or already fixed")
         fixed[idx] = _parse_noise(v, 1)[0]
     free = {i, j}
     missing = [h for h in range(1, sk.n_holes + 1)
@@ -312,16 +322,16 @@ def cmd_grid(sketch, holes, fix, grid_spec, **kw):
         binding = fix_params(sk, cfg)
         examples = select_examples(
             sk, binding, scale_grid=cfg.scale_grid, trials=cfg.trials,
-            seed=cfg.seed, zone=cfg.zone, memo=FisherMemo())
+            seed=cfg.seed, memo=FisherMemo())
         if not examples:
             click.echo("no challenging examples found", err=True)
             sys.exit(1)
         bank = optimizer_bank(sk, binding, cfg)
         objs = batch_objective(bank, examples, cands, float(cfg.epsilon),
-                               cfg.lam, floor=cfg.event_floor)
+                               lam=cfg.lam, floor=EVENT_FLOOR)
     rows = [f"scale{i},scale{j},objective"]
     rows += [f"{a:g},{b:g},{o:.6f}" for (a, b), o in zip(points, objs)]
-    _emit("\n".join(rows) + "\n", cfg.out)
+    _emit("\n".join(rows) + "\n", out)
     sys.exit(0)
 
 

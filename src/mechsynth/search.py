@@ -48,6 +48,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import logsumexp, ndtr
 
+from .config import ZONE
 from .dist import log_weight_coeffs, make_dist
 from .lang import MechanismSketch, compile_sketch, count_hole_draws
 from .tester import test_mechanism
@@ -86,11 +87,10 @@ def directions(n_holes: int) -> list:
 
 
 def select_examples(sketch: MechanismSketch, binding: dict, *, scale_grid,
-                    trials: int = 20000, seed: int = 0, zone,
-                    memo=None) -> list:
+                    trials: int, seed: int, memo=None) -> list:
     """Line-search multiples of the :func:`directions` through the tester;
-    keep zone hits plus every decision cell that the tester flagged as a
-    violation.
+    keep hits in the zone of confusion :data:`~mechsynth.config.ZONE` plus
+    every decision cell that the tester flagged as a violation.
 
     ``binding`` is the fixed binding: ``eps``, ``qlen`` and the sketch's
     arguments.  Every distinct zone hit is kept: the set needs both the
@@ -127,7 +127,7 @@ def select_examples(sketch: MechanismSketch, binding: dict, *, scale_grid,
                             p_value=cx.p_value)
         return list(found.values())
 
-    examples = sweep(zone[0], zone[1], trials)
+    examples = sweep(ZONE[0], ZONE[1], trials)
     if not examples:
         examples = sweep(0.01, 0.99, 2 * trials)
     return examples
@@ -171,10 +171,13 @@ class PresampleBank:
     run's weight depends only on its statistics row, so the bank weighs
     each distinct row once and counts runs and event hits per row;
     ``runs_grouped`` and ``stat_rows`` sum m and the row count over every
-    side the bank has run."""
+    side the bank has run.
 
-    def __init__(self, sketch: MechanismSketch, binding: dict, m: int = 50000,
-                 *, scales, seed: int = 0):
+    ``draws`` holds one read-only (m, cap) int64 matrix per hole: row i is
+    the noise run i consumes, in order, on every side and off-mask."""
+
+    def __init__(self, sketch: MechanismSketch, binding: dict, *, m: int,
+                 scales, seed: int):
         self.sketch = sketch
         self.args = {a: binding[a] for a in sketch.args}
         self.m = m
@@ -183,7 +186,7 @@ class PresampleBank:
         self.caps = count_hole_draws(sketch, binding["qlen"])
         comp = np.random.default_rng([seed, 999]).integers(
             0, len(self.scales), size=(m, sketch.n_holes))
-        self._draws = []        # per hole: (m, cap) int64 draws
+        draws = []
         self._cum_abs = []      # per hole: (m, cap+1) int64 prefix sums of |v|
         self._mix_coeffs = []   # per hole: (2, K) coeffs against scales[0]
         for h, hole in enumerate(sketch.holes):
@@ -198,17 +201,18 @@ class PresampleBank:
                                              self.scales[0])
                            for scale in self.scales])
             self._mix_coeffs.append(ab.T.copy())
-            self._draws.append(arr)
+            arr.flags.writeable = False
+            draws.append(arr)
             cum = np.zeros((m, cap + 1), dtype=np.int64)
             np.cumsum(np.abs(arr), axis=1, out=cum[:, 1:])
             self._cum_abs.append(cum)
+        self.draws = tuple(draws)
         self.runs_grouped = 0
         self.stat_rows = 0
         self._runs = {}         # (answers, mask) -> (Outputs, StatRows)
         self._stats_fp = {}     # (answers, mask) -> digest of the StatRows
         self._counts = {}       # (answers, mask, events) -> (E, u) hits
         self._joint = {}        # (fp1, fp2) -> joint rows of two sides
-        self._joint_counts = {}  # (d1, d2, mask, event) -> (3, G) hits
 
     def runs_for(self, answers: tuple, mask: tuple):
         """The :class:`Outputs` of the m presampled runs on this input side
@@ -223,7 +227,7 @@ class PresampleBank:
             return hit
         n = self.sketch.n_holes
         kernel = compile_sketch(self.sketch, mask)
-        outputs, counts = kernel(self.args, answers, self._draws)
+        outputs, counts = kernel(self.args, answers, self.draws)
         ns = np.empty((self.m, 2 * n), dtype=np.int64)
         ns[:, :n] = counts
         runs = np.arange(self.m)
@@ -288,16 +292,11 @@ class PresampleBank:
     def joint_counts(self, d1: tuple, d2: tuple, mask: tuple, event):
         """(3, G) hits of ``event`` per :meth:`joint_rows` group: on both
         sides, on d1 and on d2."""
-        key = (tuple(d1), tuple(d2), mask, event)
-        hit = self._joint_counts.get(key)
-        if hit is None:
-            _, _, mult, inverse = self.joint_rows(d1, d2, mask)
-            f1 = event.hits(self.runs_for(d1, mask)[0])
-            f2 = event.hits(self.runs_for(d2, mask)[0])
-            hit = self._joint_counts[key] = np.stack([
-                np.bincount(inverse, weights=f, minlength=len(mult))
-                for f in (f1 & f2, f1, f2)])
-        return hit
+        _, _, mult, inverse = self.joint_rows(d1, d2, mask)
+        f1 = event.hits(self.runs_for(d1, mask)[0])
+        f2 = event.hits(self.runs_for(d2, mask)[0])
+        return np.stack([np.bincount(inverse, weights=f, minlength=len(mult))
+                         for f in (f1 & f2, f1, f2)])
 
     def weight_coeffs(self, candidates) -> np.ndarray:
         """(2n + 1, B) coefficient matrix over the :class:`StatRows`
@@ -486,7 +485,7 @@ def _log_loss_se(bank, examples, mask, weights, r1, r2, z):
 
 
 def batch_objective(bank: PresampleBank, examples, candidates, target_eps,
-                    lam: float = 1.0, floor: float = 0.0) -> np.ndarray:
+                    *, lam: float, floor: float = 0.0) -> np.ndarray:
     """Objective for many candidates: |worst loss - e^eps| + lam * ||c||_0.
 
     ``floor`` is forwarded to :func:`example_losses` so sub-resolution
@@ -553,8 +552,8 @@ _CR = 0.9
 
 
 def get_noise_region(bank: PresampleBank, examples, n_holes: int, target_eps,
-                     lam: float = 1.0, population: int = 50, steps: int = 500,
-                     seed: int = 0, floor: float = 0.0,
+                     *, lam: float, population: int, steps: int, seed: int,
+                     floor: float = 0.0,
                      history: Optional[list] = None) -> NoiseRegion:
     """rand/1/bin differential evolution over the [0, 16]^n box.
 
@@ -576,7 +575,7 @@ def get_noise_region(bank: PresampleBank, examples, n_holes: int, target_eps,
 
     def score(rows):
         snapped = [snap_vector(r) for r in rows]
-        out = batch_objective(bank, examples, snapped, target_eps, lam,
+        out = batch_objective(bank, examples, snapped, target_eps, lam=lam,
                               floor=floor)
         for vec, o in zip(snapped, out):
             mask = _as_mask(vec)

@@ -27,12 +27,14 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .config import RunConfig, _frac_str
+from .config import (COEFF_RANGE, EVENT_FLOOR, FIXED_ARGS, INVEPS_EXP_RANGE,
+                     PROPOSAL_SCALE, QLEN_EXP_RANGE, VERIFY_ALPHA, ZONE,
+                     RunConfig, _frac_str)
 from .lang import MechanismSketch
 from .search import (Example, NoiseRegion, PresampleBank,
                      example_losses_with_se, get_noise_region, select_examples)
-from .tester import (CoordEvent, FisherMemo, PrefixEvent, ValueEvent,
-                     counterexample_record, decision_p, test_mechanism)
+from .tester import (CoordEvent, FisherMemo, ValueEvent, decision_p,
+                     test_mechanism)
 
 __all__ = [
     "NoiseExpr", "Grammar", "RankedCandidate", "SynthError", "SynthOutcome",
@@ -87,14 +89,9 @@ def render_vector(exprs) -> str:
 
 @dataclass(frozen=True)
 class Grammar:
-    coeff_range: tuple
-    qlen_exp_range: tuple
-    inveps_exp_range: tuple
-
-    @classmethod
-    def from_config(cls, cfg: RunConfig) -> "Grammar":
-        return cls(tuple(cfg.coeff_range), tuple(cfg.qlen_exp_range),
-                   tuple(cfg.inveps_exp_range))
+    coeff_range: tuple = COEFF_RANGE
+    qlen_exp_range: tuple = QLEN_EXP_RANGE
+    inveps_exp_range: tuple = INVEPS_EXP_RANGE
 
     def expressions(self) -> list:
         """No-noise first, then lexicographic in (coeff, q_exp, inveps_exp)
@@ -133,7 +130,7 @@ def _prune_anchors(region: NoiseRegion) -> list:
 
 
 def enumerate_and_prune(grammar: Grammar, region: NoiseRegion, args: dict,
-                        radius: float = 3.0) -> list:
+                        *, radius: float) -> list:
     """Expression vectors whose gamma-values have an L1 witness in the region.
 
     A no-noise hole matches only region coordinates that snapped to no-noise
@@ -217,7 +214,7 @@ def _fresh_examples(sketch, binding, best_vector, cfg: RunConfig, seed,
     out = []
     for cx in test_mechanism(sketch, binding, vec, trials=cfg.trials,
                              seed=seed, memo=memo):
-        if cfg.zone[0] <= cx.p_value <= cfg.zone[1]:
+        if ZONE[0] <= cx.p_value <= ZONE[1]:
             out.append(Example(d1=cx.d1, d2=cx.d2, event=cx.event,
                                direction=(), scale=round(factor, 6),
                                p_value=cx.p_value))
@@ -312,7 +309,7 @@ def rank_candidates(cands, bindings_data, gamma_binding: dict,
     an example whose loss is above e^eps at that binding's epsilon with
     confidence: the lower confidence bound log(loss) - z * se, from the
     estimate's delta-method standard error, exceeds eps.  The level is
-    ``verify_alpha``, Bonferroni-corrected over every example a candidate
+    ``VERIFY_ALPHA``, Bonferroni-corrected over every example a candidate
     is scored on across all bindings.  Among equally private candidates the
     higher worst loss marks the tighter (less over-noised) completion;
     losses within one ``LOSS_GRAIN`` of each other count as equal and defer
@@ -326,7 +323,7 @@ def rank_candidates(cands, bindings_data, gamma_binding: dict,
     n_tests = sum(len(examples) for _, _, examples in bindings_data)
     if not n_tests:
         raise ValueError("no test examples at any binding")
-    z = -float(ndtri(cfg.verify_alpha / n_tests))
+    z = -float(ndtri(VERIFY_ALPHA / n_tests))
     n_c = len(cands)
     violations = np.zeros(n_c, dtype=np.int64)
     worst_loss = np.full(n_c, -np.inf)
@@ -338,7 +335,7 @@ def rank_candidates(cands, bindings_data, gamma_binding: dict,
         eps = float(binding["eps"])
         concrete = [gamma_vector(exprs, binding) for exprs in cands]
         losses, se = example_losses_with_se(
-            bank, examples, concrete, z, floor=cfg.event_floor)  # (C, n_ex)
+            bank, examples, concrete, z, floor=EVENT_FLOOR)  # (C, n_ex)
         violating = np.log(losses) - z * se > eps
         v = violating.sum(axis=1)
         worst = losses.max(axis=1)
@@ -370,7 +367,7 @@ def rank_candidates(cands, bindings_data, gamma_binding: dict,
 def final_verify(sketch: MechanismSketch, ranked, bindings, cfg: RunConfig,
                  memo=None):
     """Re-test the top 5 * #holes candidates with the statistical tester at
-    every binding; reject any with a counterexample below ``verify_alpha``.
+    every binding; reject any with a counterexample below ``VERIFY_ALPHA``.
 
     Rejection reads the tester's decision cells (one pilot-selected event
     per pair and orientation), not the raw minimum over every derived
@@ -399,10 +396,10 @@ def final_verify(sketch: MechanismSketch, ranked, bindings, cfg: RunConfig,
 
             min_p = run_once(0)
             confirm_p = None
-            if min_p < cfg.verify_alpha:
+            if min_p < VERIFY_ALPHA:
                 confirm_p = run_once(1)
             verdicts.append((_binding_key(binding), min_p, confirm_p))
-            if confirm_p is not None and confirm_p < cfg.verify_alpha:
+            if confirm_p is not None and confirm_p < VERIFY_ALPHA:
                 rejected = True
                 break
         details.append({"candidate": render_vector(cand.exprs),
@@ -421,9 +418,9 @@ def fix_params(sketch: MechanismSketch, cfg: RunConfig) -> dict:
     """The fixed argument binding for example discovery and optimization."""
     binding = {"eps": cfg.epsilon, "qlen": cfg.qlen}
     for a in sketch.args:
-        if a not in cfg.fixed_args:
+        if a not in FIXED_ARGS:
             raise SynthError("init", f"no fixed value for sketch argument {a!r}")
-        binding[a] = cfg.fixed_args[a]
+        binding[a] = FIXED_ARGS[a]
     return binding
 
 
@@ -442,8 +439,8 @@ def _rescale(cfg: RunConfig, eps) -> float:
 
 def _proposal_at(cfg: RunConfig, eps) -> float:
     # keep target/proposal scale ratios stable across bindings: the fixed
-    # binding uses proposal_scale as-is, others rescale by 1/eps
-    return cfg.proposal_scale * _rescale(cfg, eps)
+    # binding uses PROPOSAL_SCALE as-is, others rescale by 1/eps
+    return PROPOSAL_SCALE * _rescale(cfg, eps)
 
 
 def _mixture_at(cfg: RunConfig, eps) -> tuple:
@@ -493,14 +490,13 @@ def _bank_counters(banks) -> dict:
             "bank_stat_rows": sum(b.stat_rows for b in banks)}
 
 
-def synth(sketch: MechanismSketch, cfg: RunConfig,
-          grammar: Optional[Grammar] = None) -> SynthOutcome:
+def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
     """End-to-end synthesis: fix the binding, discover examples, optimize the
     noise region, enumerate and prune expressions, rank across bindings, and
     verify the top candidates.  The returned report is reproducible byte for
     byte at a fixed config; wall-clock numbers live in ``timings`` only."""
     cfg.validate()
-    grammar = grammar or Grammar.from_config(cfg)
+    grammar = Grammar()
     timings = {}
     t_total = time.perf_counter()
 
@@ -510,7 +506,7 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
         memo = FisherMemo()     # one per operation: every tester call shares it
         examples = select_examples(
             sketch, gamma_binding, scale_grid=cfg.scale_grid,
-            trials=cfg.trials, seed=cfg.seed, zone=cfg.zone, memo=memo)
+            trials=cfg.trials, seed=cfg.seed, memo=memo)
         primary_bank = optimizer_bank(sketch, gamma_binding, cfg)
 
     if not examples:
@@ -525,17 +521,18 @@ def synth(sketch: MechanismSketch, cfg: RunConfig,
         region = get_noise_region(
             primary_bank, examples, sketch.n_holes, float(cfg.epsilon),
             lam=cfg.lam, population=cfg.population,
-            steps=cfg.steps(sketch.n_holes), seed=cfg.seed,
-            floor=cfg.event_floor)
+            steps=cfg.steps_per_hole * sketch.n_holes, seed=cfg.seed,
+            floor=EVENT_FLOOR)
 
     # --- enum: prune grammar, build test examples, rank
     with _phase("enum", timings):
         radius_used = cfg.radius
-        cands = enumerate_and_prune(grammar, region, gamma_binding, cfg.radius)
+        cands = enumerate_and_prune(grammar, region, gamma_binding,
+                                    radius=radius_used)
         if not cands:
             radius_used = 2 * cfg.radius
             cands = enumerate_and_prune(grammar, region, gamma_binding,
-                                        radius_used)
+                                        radius=radius_used)
         bindings = _bindings(sketch, cfg)
         test_examples = build_test_examples(
             sketch, examples, region.best()[0], bindings, cfg, memo)

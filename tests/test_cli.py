@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -18,6 +19,13 @@ x <- a[1] + Lap(?1)
 y <- a[2] + Lap(?2)
 return x + y
 """
+
+
+# the smallest budget each command takes, through its own options only
+SMALL = {"test": ["--trials", "1000"],
+         "synth": ["--trials", "1000", "--presamples", "1000",
+                   "--population", "4", "--steps", "1"],
+         "grid": ["--trials", "1000", "--presamples", "1000"]}
 
 
 @pytest.fixture(scope="module")
@@ -159,8 +167,7 @@ def test_sketch_runtime_fault_exits_3(runner, unassigned_path,
     # grid sweeps two holes, so it runs the two-hole variant
     sketch = unassigned_two_hole_path if command[0] == "grid" else unassigned_path
     result = runner.invoke(main, [*command, "--sketch", sketch,
-                                  "--trials", "1000", "--presamples", "1000",
-                                  "--population", "4", "--steps", "1"])
+                                  *SMALL[command[0]]])
     assert result.exit_code == 3
     assert "unassigned variable" in result.output
 
@@ -174,8 +181,7 @@ def test_unbound_sketch_argument_exits_3(runner, tmp_path, command):
     p.write_text(DUO_SRC.replace("private a\n", "private a\nargs K\n")
                  .replace("a[2]", "a[K]"))
     result = runner.invoke(main, [*command, "--sketch", str(p),
-                                  "--trials", "1000", "--presamples", "1000",
-                                  "--population", "4", "--steps", "1"])
+                                  *SMALL[command[0]]])
     assert result.exit_code == 3
     assert ("error in phase init: [init] no fixed value for sketch "
             "argument 'K'") in result.output
@@ -190,9 +196,7 @@ def test_seed_must_fit_64_bits(runner, duo_path, command, seed, exit_codes):
     # exit 1 means a found violation or no challenging example; a seed
     # outside [0, 2^64) is bad input, so exit 2 before any work
     result = runner.invoke(main, [*command, "--sketch", duo_path,
-                                  "--trials", "1000", "--presamples", "1000",
-                                  "--population", "4", "--steps", "1",
-                                  "--seed", str(seed)])
+                                  *SMALL[command[0]], "--seed", str(seed)])
     assert result.exit_code in exit_codes, result.output
     if exit_codes == (2,):
         assert "seed must lie in [0, 2^64)" in result.output
@@ -207,11 +211,30 @@ def test_epsilon_must_be_a_positive_finite_float(runner, duo_path, command,
     # 1e400 overflows float(Fraction) and 1e-400 rounds to 0.0: the tester
     # and the optimiser would read inf or 0, so both are bad input
     result = runner.invoke(main, [*command, "--sketch", duo_path,
-                                  "--trials", "1000", "--presamples", "1000",
-                                  "--population", "4", "--steps", "1",
-                                  "--epsilon", epsilon])
+                                  *SMALL[command[0]], "--epsilon", epsilon])
     assert result.exit_code == 2, result.output
     assert "epsilon must be positive and finite as a float" in result.output
+
+
+@pytest.mark.parametrize("epsilon", ["1e10000000", "1e-10000000"])
+def test_epsilon_exponent_beyond_any_float_exits_2_at_once(runner, duo_path,
+                                                           epsilon):
+    # Fraction would build a 33-million-bit power of ten first (about 10 s)
+    t0 = time.perf_counter()
+    result = runner.invoke(main, ["test", "--sketch", duo_path, "--noise",
+                                  "2,2", "--epsilon", epsilon])
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 2, result.output
+    assert "epsilon must be positive and finite as a float" in result.output
+
+
+def test_population_below_four_exits_2(runner, duo_path):
+    # rand/1/bin needs three donors besides each member: refuse the value
+    # before example discovery, not with exit 3 after it
+    result = runner.invoke(main, ["synth", "--sketch", duo_path,
+                                  *SMALL["synth"], "--population", "3"])
+    assert result.exit_code == 2, result.output
+    assert "population must be at least 4" in result.output
 
 
 @pytest.mark.parametrize("option,value", [
@@ -225,12 +248,6 @@ def test_float_options_must_be_finite(runner, duo_path, option, value):
                                   option, value])
     assert result.exit_code == 2, result.output
     assert "Usage" in result.output
-
-
-def test_run_config_rejects_a_non_finite_proposal_scale():
-    for value in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="proposal_scale"):
-            RunConfig(proposal_scale=value).validate()
 
 
 def test_budget_option_defaults_come_from_run_config(runner):
@@ -247,6 +264,21 @@ def test_budget_option_defaults_come_from_run_config(runner):
     assert set(shown) == set(expected)
     for name, value in expected.items():
         assert shown[name] == str(value), name
+
+
+@pytest.mark.parametrize("command,options", [
+    ("synth", {"sketch", "epsilon", "seed", "trials", "presamples", "lambda",
+               "population", "steps", "radius", "qlen", "out"}),
+    ("test", {"sketch", "noise", "max-records", "epsilon", "seed", "trials",
+              "qlen", "out"}),
+    ("grid", {"sketch", "holes", "fix", "grid", "epsilon", "seed", "trials",
+              "presamples", "lambda", "qlen", "out"})])
+def test_each_command_lists_only_the_options_it_reads(runner, command,
+                                                      options):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    assert set(re.findall(r"^\s+--([a-z-]+)", result.output, re.M)) \
+        == options | {"help"}
 
 
 def test_cmd_synth_writes_report_and_sidecar(runner, micro_path, tmp_path):
@@ -307,9 +339,12 @@ def test_cmd_grid_usage_errors(runner, duo_path, micro_path):
     ["--grid", "a:b"], ["--grid", "1:2:x"], ["--grid", "nan:nan"],
     ["--grid", "1:inf"], ["--grid", "1:2:nan"], ["--fix", "3=x"],
     ["--fix", "3=nan"], ["--grid", "0.001:1e6:0.001"], ["--grid", "1:201"],
-    ["--grid", "1e6:1e6:1e-320"], ["--grid", "0:1"], ["--grid", "-1:1:1"]])
+    ["--grid", "1e6:1e6:1e-320"], ["--grid", "0:1"], ["--grid", "-1:1:1"],
+    ["--fix", "1=3"], ["--fix", "3=2"]])
 def test_cmd_grid_parse_errors_are_usage_errors(runner, extra):
-    # exit 1 means "no challenging examples found"; bad input is exit 2
+    # exit 1 means "no challenging examples found"; bad input is exit 2.
+    # A --fix of a swept hole would relabel its rows, and a second --fix of
+    # hole 3 would silently override the first
     result = runner.invoke(main, ["grid", "--sketch", "abovet2", "--holes",
                                   "1,2", "--fix", "3=bot", *extra])
     assert result.exit_code == 2, result.output

@@ -8,7 +8,6 @@ whose loss at scale b is exactly e^(1/b).
 import hashlib
 import math
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +17,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from mechsynth import lang, tester
-from mechsynth.config import RunConfig
+from mechsynth.config import (EVENT_FLOOR, PROPOSAL_SCALE, VERIFY_ALPHA,
+                              RunConfig)
 from mechsynth.lang import parse_sketch
 from mechsynth.search import (Example, NoiseRegion, PresampleBank,
                               example_losses_with_se)
@@ -58,7 +58,7 @@ def test_expr_render():
 
 
 def test_grammar_size_and_order():
-    exprs = Grammar.from_config(RunConfig()).expressions()
+    exprs = Grammar().expressions()
     assert len(exprs) == 25
     assert exprs[0] is None
     assert exprs[1] == NoiseExpr(1, 0, 1)
@@ -68,7 +68,7 @@ def test_grammar_size_and_order():
 
 
 def test_grammar_gammas_positive():
-    for e in Grammar.from_config(RunConfig()).expressions()[1:]:
+    for e in Grammar().expressions()[1:]:
         assert e.gamma(BINDING) > 0
         assert e.gamma({"eps": Fraction(3, 2), "qlen": 10, "T": 2}) > 0
 
@@ -79,7 +79,7 @@ def test_grammar_gammas_positive():
 
 def test_prune_keeps_l1_neighbors():
     region = _region([((2.0, 4.0), 1.0)])
-    grammar = Grammar.from_config(RunConfig())
+    grammar = Grammar()
     kept = enumerate_and_prune(grammar, region, BINDING, radius=3.0)
     gammas = {tuple(gamma_vector(c, BINDING)) for c in kept}
     assert (4.0, 4.0) in gammas  # L1 distance 2
@@ -121,7 +121,7 @@ def test_prune_matches_brute_force(n_holes, seed):
                     for v in rng.uniform(0, 20, n_holes))
         entries.append((vec, float(rng.random())))
     region = _region(entries)
-    grammar = Grammar.from_config(RunConfig())
+    grammar = Grammar()
     fast = enumerate_and_prune(grammar, region, BINDING, radius=3.0)
     slow = _brute_force_prune(grammar, region, BINDING, radius=3.0)
     assert fast == slow
@@ -129,7 +129,7 @@ def test_prune_matches_brute_force(n_holes, seed):
 
 def test_prune_bottom_matching():
     # a no-noise hole matches only region coordinates that snapped to none
-    grammar = Grammar.from_config(RunConfig())
+    grammar = Grammar()
     with_none = _region([((None, 2.0), 1.0)])
     kept = enumerate_and_prune(grammar, with_none, BINDING, radius=3.0)
     assert (None, NoiseExpr(1, 0, 1)) in kept
@@ -139,7 +139,7 @@ def test_prune_bottom_matching():
 
 
 def test_prune_validation():
-    grammar = Grammar.from_config(RunConfig())
+    grammar = Grammar()
     with pytest.raises(ValueError):
         enumerate_and_prune(grammar, _region([]), BINDING, radius=3.0)
     with pytest.raises(ValueError):
@@ -247,20 +247,26 @@ def test_banks_at_the_target_epsilon_use_the_configured_scales():
     # the fixed binding's epsilon is cfg.epsilon, so its banks must not be
     # rescaled whatever that epsilon is
     cfg = RunConfig(epsilon=Fraction(1))
-    assert _proposal_at(cfg, cfg.epsilon) == cfg.proposal_scale
+    assert _proposal_at(cfg, cfg.epsilon) == PROPOSAL_SCALE
     assert _mixture_at(cfg, cfg.epsilon) == cfg.scale_grid
-    assert _proposal_at(cfg, Fraction(1, 2)) == 2 * cfg.proposal_scale
+    assert _proposal_at(cfg, Fraction(1, 2)) == 2 * PROPOSAL_SCALE
 
 
 def test_report_config_block_names_every_field(micro_scalar):
-    cfg = RunConfig()
-    report = _report(micro_scalar, cfg, [], None, [], [], [], [])
-    names = {f.name for f in fields(RunConfig)} - {"out", "lam"}
-    assert set(report["config"]) == names | {"lambda"}
-    assert report["config"]["epsilon"] == "1/2"
-    assert report["config"]["test_eps"] == ["1/5", "1/2", "3/2"]
-    assert report["config"]["zone"] == [0.05, 0.9]
-    assert report["config"]["lambda"] == cfg.lam
+    # every setting, RunConfig field or module constant, under the key and
+    # in the form reports have always printed it
+    report = _report(micro_scalar, RunConfig(), [], None, [], [], [], [])
+    assert report["config"] == {
+        "seed": 0, "epsilon": "1/2", "qlen": 5, "trials": 20000,
+        "presamples": 50000, "lambda": 1.0, "population": 50,
+        "steps_per_hole": 500, "radius": 3.0, "zone": [0.05, 0.9],
+        "proposal_scale": 4.0,
+        "scale_grid": [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0],
+        "coeff_range": [1, 4], "qlen_exp_range": [0, 2],
+        "inveps_exp_range": [1, 2], "event_floor": 1e-4,
+        "verify_alpha": 0.05, "examples_cap": 12,
+        "test_eps": ["1/5", "1/2", "3/2"], "test_qlens": [5, 10],
+        "fixed_args": {"M": 2, "N": 1, "T": 2}}
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +296,7 @@ def test_sort_key_ties_losses_within_grain_then_prefers_less_noise():
 
 @pytest.fixture(scope="module")
 def rank_setup(micro_scalar):
-    cfg = RunConfig(event_floor=1e-4)
+    cfg = RunConfig()
     bank = PresampleBank(micro_scalar, {"qlen": 5}, m=40000,
                          scales=(0.5, 1.0, 2.0, 4.0, 8.0), seed=2)
     example = Example(d1=(0, 0, 0, 0, 0), d2=(1, 0, 0, 0, 0),
@@ -327,9 +333,9 @@ def test_rank_boundary_candidate_is_not_a_violation(rank_setup):
     # the estimate's noise alone must not count as a violation
     cfg, bindings_data, binding = rank_setup
     _, bank, examples = bindings_data[0]
-    z = -ndtri(cfg.verify_alpha / len(examples))
+    z = -ndtri(VERIFY_ALPHA / len(examples))
     losses, se = example_losses_with_se(bank, examples, [(2.0,)], z,
-                                        floor=cfg.event_floor)
+                                        floor=EVENT_FLOOR)
     log_loss = math.log(losses[0, 0])
     assert log_loss - z * se[0, 0] <= 0.5 <= log_loss + z * se[0, 0]
     cands = [(NoiseExpr(1, 0, 1),), (None,)]
@@ -342,23 +348,23 @@ def test_rank_dry_side_gets_a_one_sided_bound(micro_scalar):
     # out = a[1] + v with shared draws v: the event {out = k} is hit by
     # d1 = (0, ..) when v = k and by d2 = (1, ..) when v = k - 1.  At the
     # first k no draw reaches, d1 is dry while d2 has hits.
-    cfg = RunConfig(event_floor=1e-4)
+    cfg = RunConfig()
     bank = PresampleBank(micro_scalar, {"qlen": 5}, m=2000,
-                         scales=(cfg.proposal_scale,), seed=0)
+                         scales=(PROPOSAL_SCALE,), seed=0)
     d1, d2 = (0, 0, 0, 0, 0), (1, 0, 0, 0, 0)
     dry = bank.clamp[0]
     events = tuple(ValueEvent(frozenset([k])) for k in range(1, 200))
     est, _ = bank.estimate({d1: events, d2: events}, [(4.0,)])
     event = next(e for e in events if est[(d1, e)][0] == dry)
-    assert est[(d2, event)][0] >= cfg.event_floor
+    assert est[(d2, event)][0] >= EVENT_FLOOR
     example = Example(d1=d1, d2=d2, event=event, direction=(1,), scale=1.0,
                       p_value=0.5)
     binding = {"eps": Fraction(1, 2), "qlen": 5}
-    z = -ndtri(cfg.verify_alpha)
+    z = -ndtri(VERIFY_ALPHA)
     # scale 4 = 2/eps has exact loss e^(1/4) < e^eps, yet the ratio to the
     # clamp puts the point estimate far above e^eps
     losses, se = example_losses_with_se(bank, [example], [(4.0,)], z,
-                                        floor=cfg.event_floor)
+                                        floor=EVENT_FLOOR)
     assert losses[0, 0] > math.exp(0.5)
     assert se[0, 0] > 0.0
     assert math.log(losses[0, 0]) - z * se[0, 0] <= 0.25
@@ -414,10 +420,10 @@ def test_final_verify_rejects_no_noise(micro_scalar):
     survivors, details = final_verify(micro_scalar, ranked, bindings, cfg)
     assert [render_vector(s.exprs) for s in survivors] == ["(1/eps)"]
     assert survivors[0].verdicts[0][0] == "eps=1/2,qlen=5"
-    assert survivors[0].verdicts[0][1] > cfg.verify_alpha
+    assert survivors[0].verdicts[0][1] > VERIFY_ALPHA
     rejected = details[1]
     assert rejected["rejected"] is True
-    assert rejected["verdicts"][0]["min_p"] < cfg.verify_alpha
+    assert rejected["verdicts"][0]["min_p"] < VERIFY_ALPHA
     assert "confirm_p" in rejected["verdicts"][0]
 
 

@@ -24,7 +24,7 @@ from scipy.stats import binom, hypergeom
 
 from mechsynth import tester
 from mechsynth.cli import main
-from mechsynth.config import RunConfig
+from mechsynth.config import FIXED_ARGS, RunConfig
 from mechsynth.lang import Outputs
 from mechsynth.tester import (CoordEvent, HalfLineEvent, PrefixEvent,
                               ValueEvent, counterexample_record, decision_p,
@@ -569,7 +569,7 @@ FROZEN_DECISIONS = {
 def test_decision_cells_frozen_at_seed_0(name, noise):
     cfg = RunConfig()
     sk = load_benchmark(name)
-    _, cands = run_tester(sk, {a: cfg.fixed_args[a] for a in sk.args},
+    _, cands = run_tester(sk, {a: FIXED_ARGS[a] for a in sk.args},
                           list(noise), cfg.epsilon, trials=1000, seed=0,
                           qlen=5, return_all=True)
     count, cells = FROZEN_DECISIONS[(name, noise)]
@@ -583,7 +583,7 @@ def test_decision_only_call_returns_the_decision_cells(name, noise):
     cfg = RunConfig()
     sk = load_benchmark(name)
     binding = {"eps": cfg.epsilon, "qlen": 5,
-               **{a: cfg.fixed_args[a] for a in sk.args}}
+               **{a: FIXED_ARGS[a] for a in sk.args}}
     full = tester.test_mechanism(sk, binding, list(noise), trials=1000,
                                  seed=0)
     only = tester.test_mechanism(sk, binding, list(noise), trials=1000,
