@@ -1086,13 +1086,20 @@ def _k_empty(lanes: int) -> tuple:
             np.zeros(lanes, dtype=np.int64))
 
 
-def _k_list(values, lanes: int) -> tuple:
-    """The same list on every lane."""
-    row = np.asarray(values, dtype=np.int64).reshape(1, -1)
-    if row.shape[1] == 0:
-        return _k_empty(lanes)
-    return (np.broadcast_to(row, (lanes, row.shape[1])),
-            np.full(lanes, row.shape[1], dtype=np.int64))
+def _k_answers(answers, lanes: int) -> tuple:
+    """The private input as a list pair, and its length: ``answers`` is one
+    row that every lane shares or an int64 ``(lanes, qlen)`` matrix, one
+    row per lane."""
+    arr = np.asarray(answers, dtype=np.int64)
+    if arr.ndim == 1:
+        arr = np.broadcast_to(arr, (lanes, len(arr)))
+    elif arr.ndim != 2 or arr.shape[0] != lanes:
+        raise ValueError(f"answers must be one row or a ({lanes}, qlen) "
+                         f"matrix, got shape {arr.shape}")
+    qlen = arr.shape[1]
+    if qlen == 0:
+        return _k_empty(lanes), 0
+    return (arr, np.full(lanes, qlen, dtype=np.int64)), qlen
 
 
 def _k_index(lst, i, m):
@@ -1404,9 +1411,8 @@ class _Emitter:
         self.emit(2, f"raise ValueError('need draws for {sk.n_holes} hole(s)')")
         for a in sk.args:
             self.emit(1, f"v_{a} = _k_arg(_args, {a!r})")
-        self.emit(1, f"v_{sk.private_input} = _k_list(_answers, _L)")
-        self.emit(1, "v_qlen = len(_answers)")
-        self.emit(1, "_fuel = 10 * len(_answers) + 100")
+        self.emit(1, f"v_{sk.private_input}, v_qlen = _k_answers(_answers, _L)")
+        self.emit(1, "_fuel = 10 * v_qlen + 100")
         for h in range(sk.n_holes):
             self.emit(1, f"_cur{h} = np.zeros(_L, dtype=np.int64)")
             if not self.bottoms[h]:
@@ -1441,15 +1447,17 @@ def compile_sketch(sketch: MechanismSketch, bottoms=None):
     """Compile to the lane kernel ``fn(args, answers, draws) -> (outputs,
     consumed)``, which runs many runs of the sketch at once.
 
-    Every lane is one run on the same ``answers`` and ``args``; lanes
-    differ only by their noise.  ``draws[h]`` is an int64 ``(lanes, cap)``
-    matrix for hole ``h`` (its row count sets the lane count; holes marked
-    in ``bottoms`` are compiled out, read nothing and may pass ``(lanes,
-    0)``).  Lane ``j`` reads hole ``h``'s draws in order from
+    Every lane is one run on the same ``args``.  ``answers`` is either one
+    answer vector that every lane runs on, or an int64 ``(lanes, qlen)``
+    matrix whose row ``j`` is lane ``j``'s answer vector; ``qlen`` and the
+    loop fuel come from its last axis.  ``draws[h]`` is an int64 ``(lanes,
+    cap)`` matrix for hole ``h`` (its row count sets the lane count; holes
+    marked in ``bottoms`` are compiled out, read nothing and may pass
+    ``(lanes, 0)``).  Lane ``j`` reads hole ``h``'s draws in order from
     ``draws[h][j, 0]``, so it consumes exactly the values :func:`run`
     takes from a trace holding that row.  Returns an :class:`Outputs`,
-    whose lane ``j`` equals :func:`run`'s output, and the ``(lanes,
-    n_holes)`` int64 array of draws each lane consumed.
+    whose lane ``j`` equals :func:`run`'s output on its answers, and the
+    ``(lanes, n_holes)`` int64 array of draws each lane consumed.
 
     The lanes run in lock-step: ``if``, ``while``, ``break`` and
     ``return`` become per-lane masks.  Values are int64 and booleans.  The
@@ -1459,7 +1467,9 @@ def compile_sketch(sketch: MechanismSketch, bottoms=None):
     outside int64 (which never wraps), a hole with no draws left or a loop
     out of fuel.  Lanes masked off by a branch, a loop exit, ``break`` or
     ``return``, and the right operand of an ``and``/``or`` the left one
-    decided, raise nothing.
+    decided, raise nothing.  When lanes fault at different operations, the
+    operation the lock-step run reaches first raises, with the message of
+    its first faulting lane.
 
     Kernels are memoized for the life of the process on the sketch's value
     and the off-mask as a tuple of bools: every call with equal arguments

@@ -28,8 +28,11 @@ sampled once and tested in both orientations.  The workflow per input pair:
 
 Small p-values indicate a likely violation at the tested epsilon.  All
 randomness derives from an explicit seed, so repeated calls are bit-stable.
-The pilot and final runs of one input side are one lane-kernel call and
-events are counted with array comparisons (:meth:`hits`).  A call makes two
+Each input side runs its pilot and final runs from seed streams of its
+own; consecutive sides, in pair order, share one lane-kernel call of at
+most max(trials, 2^13) lanes, each side on its own answer rows, so the
+streams and outputs are those of one call per side.  Events are counted
+with array comparisons (:meth:`hits`).  A call makes two
 batched :func:`hypothesis_test` calls: one over the pilot cells the screen
 leaves, which picks the decision events, then one over the final cells --
 all of them, or the decision cells alone when the caller reads nothing
@@ -347,11 +350,16 @@ class FisherMemo:
         self._log_fact = {}  # n -> ln j! for j = 0 .. 2n
 
     def thinned(self, counts, test_epsilon) -> np.ndarray:
-        """The 20 thinned counts of each sorted distinct count."""
+        """The 20 thinned counts of each sorted distinct count; a NaN or
+        negative ``test_epsilon`` is a ValueError."""
+        eps = float(test_epsilon)
+        if not eps >= 0:
+            raise ValueError(f"test epsilon must be non-negative, got {eps}")
+
         def thin(c):
             return _binom_ppf(_THINNING_U, c[:, None],
-                              math.exp(-float(test_epsilon))).astype(np.int64)
-        return _recall(self._rows, float(test_epsilon), counts, thin)
+                              math.exp(-eps)).astype(np.int64)
+        return _recall(self._rows, eps, counts, thin)
 
     def tails(self, n: int, tables) -> np.ndarray:
         """P[X >= k] of each sorted distinct table ``k * (2n + 1) + K``, X
@@ -604,6 +612,10 @@ def _draw_matrices(sketch, scales, caps, n_runs: int, rng) -> list:
 
 
 _EVENT_CAP = 64   # events per input pair kept after the pilot
+# Lanes of one kernel call that packs several input sides, unless one side
+# alone runs more: enough to amortise numpy's per-operation cost over
+# 1,000-trial sides while bounding the kernel's temporaries.
+_LANE_CAP = 1 << 13
 
 
 def _count_floor(n_side: int) -> int:
@@ -679,21 +691,33 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     floor = _count_floor(n_half)
     caps = count_hole_draws(sketch, qlen)
 
+    # Each input side runs its pilot (phase 0) and final (phase 1) runs,
+    # every block from its own stream, in 2 * n_half lanes; consecutive
+    # sides share one kernel call of at most max(trials, _LANE_CAP) lanes,
+    # each on its own answer rows
+    sides = [(pair_idx, s, answers) for pair_idx, pair in enumerate(pairs)
+             for s, answers in enumerate(pair)]
+    lanes = 2 * n_half
+    per_call = max(trials, _LANE_CAP) // lanes
+    halves = []   # per side: its pilot and final outputs
+    for at in range(0, len(sides), per_call):
+        batch = sides[at:at + per_call]
+        draws = [np.concatenate(m) for m in zip(*[_draw_matrices(
+            sketch, noise_vector, caps, n_half,
+            np.random.default_rng(seed_words + [pair_idx, s, phase]))
+            for pair_idx, s, _ in batch for phase in (0, 1)])]
+        answers = batch[0][2] if len(batch) == 1 else np.repeat(
+            np.array([a for _, _, a in batch], dtype=np.int64), lanes, axis=0)
+        outputs, _ = runner(args, answers, draws)
+        for lo in range(0, len(batch) * lanes, lanes):
+            halves.append((outputs[lo:lo + n_half],
+                           outputs[lo + n_half:lo + lanes]))
+
     # per pair: its events kept after the pilot, their pilot counts of
     # shape (2 sides, events) and the final outputs of both sides
     sampled = []
     for pair_idx, (d1, d2) in enumerate(pairs):
-        pilot, final = [], []
-        for s, answers in enumerate((d1, d2)):
-            # pilot (phase 0) and final (phase 1) runs share one kernel call
-            phases = [_draw_matrices(
-                sketch, noise_vector, caps, n_half,
-                np.random.default_rng(seed_words + [pair_idx, s, phase]))
-                for phase in (0, 1)]
-            outputs, _ = runner(args, answers,
-                                [np.concatenate(m) for m in zip(*phases)])
-            pilot.append(outputs[:n_half])
-            final.append(outputs[n_half:])
+        pilot, final = zip(*halves[2 * pair_idx:2 * pair_idx + 2])
         events = gen_events(Outputs.concat(pilot))
         pcounts = np.array([[e.hits(out).sum() for e in events]
                             for out in pilot], dtype=np.int64)

@@ -172,6 +172,26 @@ def test_sketch_runtime_fault_exits_3(runner, unassigned_path,
     assert "unassigned variable" in result.output
 
 
+FIRST_DIV_SRC = """mechanism FirstDiv
+private a
+adjacency all
+
+x <- 10 / a[1] + Lap(?1)
+return x
+"""
+
+
+def test_fault_on_some_sides_exits_3(runner, tmp_path):
+    # only sides whose first answer is 0 divide by zero, and they share
+    # their kernel calls with sides that run cleanly
+    p = tmp_path / "first_div.dpm"
+    p.write_text(FIRST_DIV_SRC)
+    result = runner.invoke(main, ["test", "--sketch", str(p), "--noise", "2",
+                                  *SMALL["test"]])
+    assert result.exit_code == 3
+    assert "runtime error in sketch: division by zero" in result.output
+
+
 @pytest.mark.parametrize("command", [
     ["test", "--noise", "2,2"], ["synth"],
     ["grid", "--holes", "1,2", "--grid", "2:2"]])

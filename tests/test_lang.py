@@ -246,31 +246,40 @@ def test_count_hole_draws_shapes(benchmarks):
 def _assert_lanes_match(sk, args, answers, draws, bottoms=None):
     """One kernel call over every lane agrees with :func:`run` lane by
     lane, and raises RunError exactly when some lane's run does; a lane
-    run alone raises run's own message.  Returns the per-lane results of
-    run (a value and its consumption, or the RunError)."""
+    run alone raises run's own message.  ``answers`` is one answer vector
+    for every lane, or a (lanes, qlen) array of one row per lane.  Returns
+    the per-lane results of run (a value and its consumption, or the
+    RunError)."""
     bottoms = [False] * sk.n_holes if bottoms is None else list(bottoms)
     fn = compile_sketch(sk, bottoms)
     lanes = len(draws[0])
+    per_lane = getattr(answers, "ndim", 1) == 2
+
+    def lane_answers(j):
+        return answers[j:j + 1] if per_lane else list(answers)
+
     want = []
     for j in range(lanes):
         trace = NoiseTrace([row[j].tolist() for row in draws])
+        row = answers[j].tolist() if per_lane else answers
         try:
-            want.append((run(sk, args, answers, trace, bottoms=bottoms),
+            want.append((run(sk, args, row, trace, bottoms=bottoms),
                          trace.consumed()))
         except RunError as exc:
             want.append(exc)
     try:
-        outputs, consumed = fn(args, list(answers), draws)
+        outputs, consumed = fn(args, answers if per_lane else list(answers),
+                               draws)
     except RunError:
         assert any(isinstance(w, RunError) for w in want)
         for j, w in enumerate(want):
             one = [d[j:j + 1] for d in draws]
             if isinstance(w, RunError):
                 with pytest.raises(RunError) as info:
-                    fn(args, list(answers), one)
+                    fn(args, lane_answers(j), one)
                 assert str(info.value) == str(w)
             else:
-                out, used = fn(args, list(answers), one)
+                out, used = fn(args, lane_answers(j), one)
                 _assert_same(out[0], w[0])
                 assert tuple(used[0]) == w[1]
         return want
@@ -302,9 +311,29 @@ def test_compiled_equals_interpreted(name, benchmarks):
     masks = [tuple(False for _ in range(sk.n_holes))]
     if sk.n_holes > 1:
         masks.append(tuple(h == sk.n_holes - 1 for h in range(sk.n_holes)))
+    # one answer row per lane; at the all-99 row every answer of svt is
+    # above T, so its output list stops at length 1 while other rows run
+    # to qlen: list outputs of different widths share one call
+    rows = np.vstack([rng.integers(0, 5, (5, qlen)), np.full((1, qlen), 99)])
+    per_lane = rows[rng.integers(0, len(rows), len(draws[0]))]
     for mask in masks:
         want = _assert_lanes_match(sk, args, answers, draws, mask)
         assert not any(isinstance(w, RunError) for w in want), (name, mask)
+        want = _assert_lanes_match(sk, args, per_lane, draws, mask)
+        assert not any(isinstance(w, RunError) for w in want), (name, mask)
+        # the same lanes as one call per distinct row
+        fn = compile_sketch(sk, mask)
+        packed, used = fn(args, per_lane, draws)
+        widths = set()
+        for row in np.unique(per_lane, axis=0):
+            at = np.flatnonzero((per_lane == row).all(axis=1))
+            out, u = fn(args, tuple(row.tolist()), [d[at] for d in draws])
+            assert [packed[j] for j in at] == list(out)
+            assert (used[at] == u).all()
+            if out.lengths is not None:
+                widths.add(out.values.shape[1])
+        if name == "svt":
+            assert len(widths) > 1
 
 
 def test_compile_sketch_returns_one_kernel_per_off_mask(benchmarks):
@@ -353,6 +382,17 @@ def test_kernel_arguments_must_be_integers():
     for args in ({}, {"K": 1.0}, {"K": 2 ** 63}):
         with pytest.raises(RunError):
             fn(args, [1, 2, 3], [[[0]]])
+
+
+def test_kernel_answers_are_one_row_or_one_row_per_lane():
+    fn = compile_sketch(parse_sketch(INDEX_SRC))
+    draws = [[[0], [0]]]
+    out, _ = fn({"K": 2}, [[1, 2, 3], [4, 5, 6]], draws)
+    assert list(out) == [2, 5]
+    # a matrix needs one row per lane, and nothing has three axes
+    for answers in ([[1, 2, 3]], [[1, 2, 3]] * 3, [[[1, 2, 3]]] * 2):
+        with pytest.raises(ValueError, match="answers must be"):
+            fn({"K": 2}, answers, draws)
 
 
 def test_compiled_runtime_faults_raise_run_error():

@@ -25,7 +25,7 @@ from scipy.stats import binom, hypergeom
 from mechsynth import tester
 from mechsynth.cli import main
 from mechsynth.config import FIXED_ARGS, RunConfig
-from mechsynth.lang import Outputs
+from mechsynth.lang import Outputs, RunError, parse_sketch
 from mechsynth.tester import (CoordEvent, HalfLineEvent, PrefixEvent,
                               ValueEvent, counterexample_record, decision_p,
                               gen_events, gen_input_pairs, hypothesis_test)
@@ -111,6 +111,16 @@ def test_hypothesis_test_validation():
         hypothesis_test(np.array([3, 4]), np.array([0, -1]), 1000, 0.5)
     with pytest.raises(ValueError):
         hypothesis_test(np.array([3, 4]), np.array([0]), 1000, 0.5)
+    # a NaN or negative epsilon has no thinning, with or without cells
+    for eps in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="test epsilon"):
+            hypothesis_test(30, 10, 100, eps)
+        with pytest.raises(ValueError, match="test epsilon"):
+            hypothesis_test(np.array([], dtype=np.int64),
+                            np.array([], dtype=np.int64), 100, eps)
+        with pytest.raises(ValueError, match="test epsilon"):
+            tester.FisherMemo().screen(np.array([30]), np.array([10]), 100,
+                                       eps)
 
 
 def test_batched_hypothesis_test_equals_one_call_per_cell(micro_scalar):
@@ -591,3 +601,79 @@ def test_decision_only_call_returns_the_decision_cells(name, noise):
                                  memo=tester.FisherMemo())
     assert only == [cx for cx in full if cx.decision]
     assert len(only) == len(FROZEN_DECISIONS[(name, noise)][1])
+
+
+# ---------------------------------------------------------------------------
+# Packed kernel calls
+# ---------------------------------------------------------------------------
+
+def _counting_kernels(monkeypatch):
+    """Route the tester's kernels through a wrapper; returns the list that
+    gets the lane count of every kernel call."""
+    lanes = []
+    compile_sketch = tester.compile_sketch
+
+    def counting(sketch, bottoms=None):
+        kernel = compile_sketch(sketch, bottoms)
+
+        def runner(args, answers, draws):
+            lanes.append(len(draws[0]))
+            return kernel(args, answers, draws)
+        return runner
+    monkeypatch.setattr(tester, "compile_sketch", counting)
+    return lanes
+
+
+# lanes per kernel call at the default cap: noisymax1 and svt have 14
+# sides, smartsum 20; 1,000-trial sides go 8 to a call (14 and 20 are no
+# multiple of 8), 4,000-trial sides 2 to a call
+PACKED_CALLS = {1000: {14: [8000, 6000], 20: [8000, 8000, 4000]},
+                4000: {14: [8000] * 7, 20: [8000] * 10}}
+
+
+@pytest.mark.parametrize("trials", [1000, 4000])
+@pytest.mark.parametrize("name,noise", sorted(FROZEN_DECISIONS))
+def test_packed_sides_give_the_one_side_per_call_result(monkeypatch, name,
+                                                        noise, trials):
+    # scalar (noisymax1), bool-list (svt) and int-list (smartsum) outputs;
+    # "all" and "one" adjacency
+    sk = load_benchmark(name)
+    binding = {"eps": RunConfig().epsilon, "qlen": 5,
+               **{a: FIXED_ARGS[a] for a in sk.args}}
+    sides = 2 * len(tester.gen_input_pairs(sk.adjacency, 5))
+    lanes = _counting_kernels(monkeypatch)
+    packed = tester.test_mechanism(sk, binding, list(noise), trials=trials,
+                                   seed=0)
+    assert lanes == PACKED_CALLS[trials][sides]
+    lanes.clear()
+    # a cap of one lane leaves every side a kernel call of its own
+    monkeypatch.setattr(tester, "_LANE_CAP", 1)
+    alone = tester.test_mechanism(sk, binding, list(noise), trials=trials,
+                                  seed=0)
+    assert lanes == [trials] * sides
+    assert packed == alone
+
+
+TWO_FAULTS_SRC = """mechanism TwoFaults
+private a
+adjacency all
+
+x <- 10 / (a[1] - 2) + Lap(?1)
+y <- a[a[2]]
+return x + y
+"""
+
+
+def test_packed_call_raises_the_fault_its_lanes_reach_first(monkeypatch):
+    # pair 0's side (0,0,0,0,0) faults at the index in the second
+    # statement, pair 1's side (2,1,1,1,1) at the division in the first;
+    # both pairs share the first kernel call, whose lanes reach the
+    # division first
+    sk = parse_sketch(TWO_FAULTS_SRC)
+    binding = {"eps": 0.5, "qlen": 5}
+    with pytest.raises(RunError, match=r"^division by zero$"):
+        tester.test_mechanism(sk, binding, [2.0], trials=1000, seed=0)
+    # one call per side runs pair 0 first
+    monkeypatch.setattr(tester, "_LANE_CAP", 1)
+    with pytest.raises(RunError, match=r"^index 0 out of range 1\.\.5$"):
+        tester.test_mechanism(sk, binding, [2.0], trials=1000, seed=0)
