@@ -607,23 +607,6 @@ def test_decision_only_call_returns_the_decision_cells(name, noise):
 # Packed kernel calls
 # ---------------------------------------------------------------------------
 
-def _counting_kernels(monkeypatch):
-    """Route the tester's kernels through a wrapper; returns the list that
-    gets the lane count of every kernel call."""
-    lanes = []
-    compile_sketch = tester.compile_sketch
-
-    def counting(sketch, bottoms=None):
-        kernel = compile_sketch(sketch, bottoms)
-
-        def runner(args, answers, draws):
-            lanes.append(len(draws[0]))
-            return kernel(args, answers, draws)
-        return runner
-    monkeypatch.setattr(tester, "compile_sketch", counting)
-    return lanes
-
-
 # lanes per kernel call at the default cap: noisymax1 and svt have 14
 # sides, smartsum 20; 1,000-trial sides go 8 to a call (14 and 20 are no
 # multiple of 8), 4,000-trial sides 2 to a call
@@ -641,7 +624,17 @@ def test_packed_sides_give_the_one_side_per_call_result(monkeypatch, name,
     binding = {"eps": RunConfig().epsilon, "qlen": 5,
                **{a: FIXED_ARGS[a] for a in sk.args}}
     sides = 2 * len(tester.gen_input_pairs(sk.adjacency, 5))
-    lanes = _counting_kernels(monkeypatch)
+    lanes = []   # the lane count of every kernel call
+    compile_sketch = tester.compile_sketch
+
+    def counting(sketch, bottoms=None):
+        kernel = compile_sketch(sketch, bottoms)
+
+        def runner(args, answers, draws):
+            lanes.append(len(draws[0]))
+            return kernel(args, answers, draws)
+        return runner
+    monkeypatch.setattr(tester, "compile_sketch", counting)
     packed = tester.test_mechanism(sk, binding, list(noise), trials=trials,
                                    seed=0)
     assert lanes == PACKED_CALLS[trials][sides]
