@@ -13,8 +13,8 @@ from .dist import DiscreteExponential, DiscreteLaplace, make_dist
 from .lang import MechanismSketch, parse_sketch
 from .search import (Example, NoiseRegion, PresampleBank, get_noise_region,
                      select_examples)
-from .synth import (Grammar, NoiseExpr, RankedCandidate, SynthError,
-                    SynthOutcome, final_verify, rank_candidates, synth)
+from .synth import (NoiseExpr, RankedCandidate, SynthError, SynthOutcome,
+                    final_verify, rank_candidates, synth)
 from .tester import (Counterexample, FisherMemo, decision_p, gen_events,
                      gen_input_pairs, hypothesis_test, test_mechanism)
 
@@ -26,7 +26,7 @@ __all__ = [
     "MechanismSketch", "parse_sketch",
     "Example", "NoiseRegion", "PresampleBank", "get_noise_region",
     "select_examples",
-    "Grammar", "NoiseExpr", "RankedCandidate", "SynthError", "SynthOutcome",
+    "NoiseExpr", "RankedCandidate", "SynthError", "SynthOutcome",
     "final_verify", "rank_candidates", "synth",
     "Counterexample", "FisherMemo", "decision_p", "gen_events",
     "gen_input_pairs",

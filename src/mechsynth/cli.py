@@ -14,10 +14,11 @@ the sketch declares.  Reports are deterministic for a fixed seed and config;
 wall-clock timings go to a ``.timings.json`` sidecar so the main report
 stays byte-identical.  Exit codes: 0 ok; 1 violation found (``test``), no
 candidate survived (``synth``) or no challenging example found (``grid``);
-2 usage error; 3 a sketch argument without a fixed value, a runtime fault
-while running the sketch, such as an out-of-range index, a read of an
-unassigned variable, an int64 overflow or exhausted noise draws, or
-(``synth``) any other failure inside a synthesis phase.
+2 usage error, such as an ``--out`` path that cannot be written; 3 a sketch
+argument without a fixed value, a runtime fault while running the sketch,
+such as an out-of-range index, a read of an unassigned variable, an int64
+overflow or exhausted noise draws, or (``synth``) any other failure inside
+a synthesis phase.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import contextlib
 import importlib.resources
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import click
 
-from .config import EVENT_FLOOR, VERIFY_ALPHA, RunConfig
+from .config import VERIFY_ALPHA, RunConfig
 from .lang import LangError, MechanismSketch, parse_sketch
 from .search import batch_objective, select_examples
 from .synth import (SynthError, fix_params, optimizer_bank, report_to_json,
@@ -111,6 +113,17 @@ def _parse_noise(value: str, n_holes: int) -> list:
 # Shared options
 # ---------------------------------------------------------------------------
 
+def _writable(path: str) -> str:
+    """``path``, refused as a usage error unless it is empty (stdout) or
+    names a file in an existing directory."""
+    # os.path keeps a trailing separator that Path would drop
+    if path and (os.path.isdir(path)
+                 or not os.path.isdir(os.path.dirname(path) or ".")):
+        raise click.UsageError(
+            f"cannot write {path!r}: not a file in an existing directory")
+    return path
+
+
 def _budget_options(*names):
     """The named budget options, in that order, then ``--out``.  Each
     option's destination is the RunConfig field it sets, whose default it
@@ -140,6 +153,7 @@ def _budget_options(*names):
 
     def decorate(f):
         f = click.option("--out", default="",
+                         callback=lambda _ctx, _param, out: _writable(out),
                          help="Output path (default stdout).")(f)
         for name in reversed(names):
             f = opts[name](f)
@@ -205,6 +219,7 @@ def main():
                  "population", "steps", "radius", "qlen")
 def cmd_synth(sketch, out, **kw):
     """Synthesize noise expressions for every hole of a sketch."""
+    _writable(out and out + ".timings.json")
     cfg = _make_config(**kw)
     sk = _load_or_usage(sketch)
     with _faults_exit_3():
@@ -328,7 +343,7 @@ def cmd_grid(sketch, holes, fix, grid_spec, out, **kw):
             sys.exit(1)
         bank = optimizer_bank(sk, binding, cfg)
         objs = batch_objective(bank, examples, cands, float(cfg.epsilon),
-                               lam=cfg.lam, floor=EVENT_FLOOR)
+                               lam=cfg.lam)
     rows = [f"scale{i},scale{j},objective"]
     rows += [f"{a:g},{b:g},{o:.6f}" for (a, b), o in zip(points, objs)]
     _emit("\n".join(rows) + "\n", out)

@@ -2,10 +2,10 @@
 
 Two families, both parameterized by a positive ``scale`` b with q = e^(-1/b):
 
-* two-sided geometric ("discrete Laplace"), centered at ``mean``:
-  pmf(mean + k) = C(b) q^|k| over all integers, C(b) = (1 - q) / (1 + q);
-* one-sided geometric ("discrete exponential"), starting at ``offset``:
-  pmf(offset + k) = (1 - q) q^k for k >= 0.
+* two-sided geometric ("discrete Laplace"), centred at 0:
+  pmf(k) = C(b) q^|k| over all integers, C(b) = (1 - q) / (1 + q);
+* one-sided geometric ("discrete exponential"), starting at 0:
+  pmf(k) = (1 - q) q^k for k >= 0.
 
 Both expose exact pmf/logpmf/tail (the oracles the samplers and the
 estimator are tested against) and vectorized sampling; closed-form
@@ -28,10 +28,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscreteLaplace:
-    """Symmetric integer noise: pmf(mean + k) = C q^|k|, C = (1-q)/(1+q)."""
+    """Symmetric integer noise: pmf(k) = C q^|k|, C = (1-q)/(1+q)."""
 
     scale: float
-    mean: int = 0
 
     def __post_init__(self):
         if self.scale is None or not self.scale > 0:
@@ -47,15 +46,15 @@ class DiscreteLaplace:
         return (1.0 - q) / (1.0 + q)
 
     def pmf(self, value):
-        k = np.abs(np.asarray(value) - self.mean)
+        k = np.abs(np.asarray(value))
         return (self.norm_const * np.exp(-k / self.scale))[()]
 
     def logpmf(self, value):
-        k = np.abs(np.asarray(value) - self.mean)
+        k = np.abs(np.asarray(value))
         return (math.log(self.norm_const) - k / self.scale)[()]
 
     def tail(self, k: int) -> float:
-        """One-sided tail mass P[X >= mean + k] for k >= 1 (left side equal)."""
+        """One-sided tail mass P[X >= k] for k >= 1 (left side equal)."""
         if k < 1:
             raise ValueError("tail() covers offsets k >= 1 from the mean")
         q = self.q
@@ -63,16 +62,14 @@ class DiscreteLaplace:
 
     def sample_array(self, rng: np.random.Generator, size) -> np.ndarray:
         p = 1.0 - self.q
-        steps = rng.geometric(p, size).astype(np.int64) - rng.geometric(p, size)
-        return steps + self.mean
+        return rng.geometric(p, size).astype(np.int64) - rng.geometric(p, size)
 
 
 @dataclass(frozen=True)
 class DiscreteExponential:
-    """One-sided integer noise: pmf(offset + k) = (1-q) q^k for k >= 0."""
+    """One-sided integer noise: pmf(k) = (1-q) q^k for k >= 0."""
 
     scale: float
-    offset: int = 0
 
     def __post_init__(self):
         if self.scale is None or not self.scale > 0:
@@ -87,35 +84,34 @@ class DiscreteExponential:
         return 1.0 - self.q
 
     def pmf(self, value):
-        k = np.asarray(value) - self.offset
+        k = np.asarray(value)
         out = self.norm_const * np.exp(-k / self.scale)
         return np.where(k >= 0, out, 0.0)[()]
 
     def logpmf(self, value):
-        k = np.asarray(value) - self.offset
+        k = np.asarray(value)
         out = math.log(self.norm_const) - k / self.scale
         return np.where(k >= 0, out, -np.inf)[()]
 
     def tail(self, k: int) -> float:
-        """Tail mass P[X >= offset + k]."""
+        """Tail mass P[X >= k]."""
         if k < 0:
             return 1.0
         return self.q**k
 
     def sample_array(self, rng: np.random.Generator, size) -> np.ndarray:
-        draws = rng.geometric(1.0 - self.q, size).astype(np.int64) - 1
-        return draws + self.offset
+        return rng.geometric(1.0 - self.q, size).astype(np.int64) - 1
 
 
 _FAMILIES = {"lap": DiscreteLaplace, "exp": DiscreteExponential}
 
 
-def make_dist(family: str, scale: float, center: int = 0):
+def make_dist(family: str, scale: float):
     try:
         cls = _FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown noise family {family!r}") from None
-    return cls(scale, center)
+    return cls(scale)
 
 
 def log_weight_coeffs(family: str, target_scale: float, proposal_scale: float):

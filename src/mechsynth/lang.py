@@ -18,8 +18,9 @@ rational ``eps`` appears only in noise-scale expressions, so reading it is a
 check error.
 
 One engine runs sketches: :func:`compile_sketch` turns a sketch into a
-*lane kernel*, numpy code that executes many runs ("lanes") in lock-step on
-one answer vector, and keeps one kernel per sketch and off-mask.  Hole
+*lane kernel*, numpy code that executes many runs ("lanes") in lock-step,
+every lane on one shared answer vector or each on its own row of an answer
+matrix, and keeps one kernel per sketch and off-mask.  Hole
 ``h``'s noise is a ``(lanes, cap)`` int64 matrix, lane ``j`` reading row
 ``j`` in order; the kernel returns the lanes' :class:`Outputs` and a
 ``(lanes, n_holes)`` count of the draws each consumed.  Control flow
@@ -37,7 +38,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -56,11 +57,9 @@ class LangError(Exception):
 
 
 class ParseError(LangError):
-    def __init__(self, msg, line=None, col=None):
-        loc = "" if line is None else f" (line {line}" + ("" if col is None else f", col {col}") + ")"
-        super().__init__(msg + loc)
-        self.line = line
-        self.col = col
+    def __init__(self, msg, line, col=None):
+        at = f"line {line}" if col is None else f"line {line}, col {col}"
+        super().__init__(f"{msg} ({at})")
 
 
 class TypeCheckError(LangError):
@@ -200,8 +199,6 @@ class MechanismSketch:
     adjacency: str                     # "one" | "all"
     holes: tuple                       # tuple[Hole, ...]
     body: tuple                        # tuple[Command, ...]
-    source: str = ""
-    output_var: Optional[str] = None
 
     @property
     def n_holes(self) -> int:
@@ -532,10 +529,6 @@ def parse_sketch(source: str) -> MechanismSketch:
     if not holes_seen:
         raise ParseError("sketch declares no noise holes", lines[0][0])
 
-    output_var = None
-    if body and isinstance(body[-1], Return) and isinstance(body[-1].expr, Var):
-        output_var = body[-1].expr.name
-
     sketch = MechanismSketch(
         name=header["mechanism"],
         private_input=header["private"],
@@ -543,8 +536,6 @@ def parse_sketch(source: str) -> MechanismSketch:
         adjacency=header["adjacency"],
         holes=tuple(holes_seen),
         body=body,
-        source=source,
-        output_var=output_var,
     )
     _check_sketch(sketch)
     return sketch

@@ -48,7 +48,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.special import logsumexp, ndtr
 
-from .config import ZONE
+from .config import EVENT_FLOOR, ZONE
 from .dist import log_weight_coeffs, make_dist
 from .lang import MechanismSketch, compile_sketch, count_hole_draws
 from .tester import test_mechanism
@@ -182,7 +182,6 @@ class PresampleBank:
         self.args = {a: binding[a] for a in sketch.args}
         self.m = m
         self.scales = tuple(float(s) for s in scales)
-        self.seed = seed
         self.caps = count_hole_draws(sketch, binding["qlen"])
         comp = np.random.default_rng([seed, 999]).integers(
             0, len(self.scales), size=(m, sketch.n_holes))
@@ -360,8 +359,7 @@ class PresampleBank:
 _CHUNK = 256
 
 
-def example_losses(bank: PresampleBank, examples, candidates,
-                   floor: float = 0.0) -> np.ndarray:
+def example_losses(bank: PresampleBank, examples, candidates) -> np.ndarray:
     """Two-sided loss estimate per (candidate, example), shape (B, n_ex).
 
     Candidates are grouped by off-mask and chunked; within a group each
@@ -369,16 +367,16 @@ def example_losses(bank: PresampleBank, examples, candidates,
     examples that reference it, and sides whose runs consumed identical
     draw patterns share one importance-weight computation.
 
-    With ``floor`` > 0 an example only contributes when the candidate's own
-    estimate of the event reaches the floor on at least one side; below it
-    the ratio is dominated by Monte-Carlo noise and the loss is reported as
-    the neutral 1.0 — the estimator-side analogue of the tester's minimum
-    count rule.  :func:`example_losses_with_se` adds standard errors."""
-    return _example_losses(bank, examples, candidates, floor, None)[0]
+    An example only contributes when the candidate's own estimate of the
+    event reaches ``EVENT_FLOOR`` on at least one side; below it the ratio
+    is dominated by Monte-Carlo noise and the loss is reported as the
+    neutral 1.0 — the estimator-side analogue of the tester's minimum count
+    rule.  :func:`example_losses_with_se` adds standard errors."""
+    return _example_losses(bank, examples, candidates, None)[0]
 
 
 def example_losses_with_se(bank: PresampleBank, examples, candidates,
-                           z: float, floor: float = 0.0) -> tuple:
+                           z: float) -> tuple:
     """The losses of :func:`example_losses` plus the delta-method standard
     error of each log-loss, both shape (B, n_ex), from the same pass.
 
@@ -390,12 +388,12 @@ def example_losses_with_se(bank: PresampleBank, examples, candidates,
     clamp, where the delta method says nothing; its probability is bounded
     instead by -ln(Phi(-z)) / ESS, the zero-count bound at its Kish
     effective sample size, and ``se`` carries that bound's distance from
-    the clamp.  Examples neutralized by ``floor`` or dry on both sides have
-    loss 1 and ``se`` 0."""
-    return _example_losses(bank, examples, candidates, floor, float(z))
+    the clamp.  Examples below the floor or dry on both sides have loss 1
+    and ``se`` 0."""
+    return _example_losses(bank, examples, candidates, float(z))
 
 
-def _example_losses(bank, examples, candidates, floor, z):
+def _example_losses(bank, examples, candidates, z):
     candidates = [tuple(c) for c in candidates]
     by_mask = {}
     for idx, cand in enumerate(candidates):
@@ -415,10 +413,8 @@ def _example_losses(bank, examples, candidates, floor, z):
                                          [candidates[i] for i in chunk])
             r1 = np.stack([est[(ex.d1, ex.event)] for ex in examples])
             r2 = np.stack([est[(ex.d2, ex.event)] for ex in examples])
-            loss_block = np.maximum(r1 / r2, r2 / r1)
-            resolved = np.maximum(r1, r2) >= floor
-            if floor > 0.0:
-                loss_block = np.where(resolved, loss_block, 1.0)
+            resolved = np.maximum(r1, r2) >= EVENT_FLOOR
+            loss_block = np.where(resolved, np.maximum(r1 / r2, r2 / r1), 1.0)
             cells = np.ix_(chunk, range(len(examples)))
             losses[cells] = loss_block.T
             if z is not None:
@@ -485,15 +481,13 @@ def _log_loss_se(bank, examples, mask, weights, r1, r2, z):
 
 
 def batch_objective(bank: PresampleBank, examples, candidates, target_eps,
-                    *, lam: float, floor: float = 0.0) -> np.ndarray:
-    """Objective for many candidates: |worst loss - e^eps| + lam * ||c||_0.
-
-    ``floor`` is forwarded to :func:`example_losses` so sub-resolution
-    events score neutrally."""
+                    *, lam: float) -> np.ndarray:
+    """Objective for many candidates: |worst loss - e^eps| + lam * ||c||_0,
+    the worst loss from :func:`example_losses`."""
     if not examples:
         raise ValueError("need at least one example to score candidates")
     candidates = [tuple(c) for c in candidates]
-    worst = example_losses(bank, examples, candidates, floor=floor).max(axis=1)
+    worst = example_losses(bank, examples, candidates).max(axis=1)
     l0 = np.array([sum(c is not None for c in cand) for cand in candidates],
                   dtype=np.float64)
     return np.abs(worst - math.exp(float(target_eps))) + lam * l0
@@ -553,7 +547,6 @@ _CR = 0.9
 
 def get_noise_region(bank: PresampleBank, examples, n_holes: int, target_eps,
                      *, lam: float, population: int, steps: int, seed: int,
-                     floor: float = 0.0,
                      history: Optional[list] = None) -> NoiseRegion:
     """rand/1/bin differential evolution over the [0, 16]^n box.
 
@@ -575,8 +568,7 @@ def get_noise_region(bank: PresampleBank, examples, n_holes: int, target_eps,
 
     def score(rows):
         snapped = [snap_vector(r) for r in rows]
-        out = batch_objective(bank, examples, snapped, target_eps, lam=lam,
-                              floor=floor)
+        out = batch_objective(bank, examples, snapped, target_eps, lam=lam)
         for vec, o in zip(snapped, out):
             mask = _as_mask(vec)
             if mask not in champs or o < champs[mask][1]:

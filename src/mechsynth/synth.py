@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .config import (COEFF_RANGE, EVENT_FLOOR, FIXED_ARGS, INVEPS_EXP_RANGE,
+from .config import (COEFF_RANGE, FIXED_ARGS, INVEPS_EXP_RANGE,
                      PROPOSAL_SCALE, QLEN_EXP_RANGE, VERIFY_ALPHA, ZONE,
                      RunConfig, _frac_str)
 from .lang import MechanismSketch
@@ -37,15 +37,17 @@ from .tester import (CoordEvent, FisherMemo, ValueEvent, decision_p,
                      test_mechanism)
 
 __all__ = [
-    "NoiseExpr", "Grammar", "RankedCandidate", "SynthError", "SynthOutcome",
-    "enumerate_and_prune", "rank_candidates", "final_verify", "synth",
-    "fix_params", "render_vector", "optimizer_bank",
+    "NoiseExpr", "expressions", "RankedCandidate", "SynthError",
+    "SynthOutcome", "enumerate_and_prune", "rank_candidates", "final_verify",
+    "synth", "fix_params", "render_vector", "optimizer_bank",
 ]
 
 
 class SynthError(Exception):
+    """A failure inside the synthesis phase named ``phase``."""
+
     def __init__(self, phase: str, message: str):
-        super().__init__(f"[{phase}] {message}")
+        super().__init__(message)
         self.phase = phase
 
 
@@ -87,21 +89,13 @@ def render_vector(exprs) -> str:
     return "(" + ", ".join("bot" if e is None else e.render() for e in exprs) + ")"
 
 
-@dataclass(frozen=True)
-class Grammar:
-    coeff_range: tuple = COEFF_RANGE
-    qlen_exp_range: tuple = QLEN_EXP_RANGE
-    inveps_exp_range: tuple = INVEPS_EXP_RANGE
-
-    def expressions(self) -> list:
-        """No-noise first, then lexicographic in (coeff, q_exp, inveps_exp)
-        — the tie-break order for all downstream ranking."""
-        out = [None]
-        for c in range(self.coeff_range[0], self.coeff_range[1] + 1):
-            for q in range(self.qlen_exp_range[0], self.qlen_exp_range[1] + 1):
-                for e in range(self.inveps_exp_range[0], self.inveps_exp_range[1] + 1):
-                    out.append(NoiseExpr(c, q, e))
-        return out
+def expressions() -> list:
+    """The grammar over the config's coefficient and exponent ranges:
+    no-noise first, then lexicographic in (coeff, q_exp, inveps_exp) — the
+    tie-break order for all downstream ranking."""
+    ranges = (COEFF_RANGE, QLEN_EXP_RANGE, INVEPS_EXP_RANGE)
+    return [None] + [NoiseExpr(*ce) for ce in itertools.product(
+        *(range(lo, hi + 1) for lo, hi in ranges))]
 
 
 def gamma_vector(exprs, binding: dict) -> tuple:
@@ -129,8 +123,8 @@ def _prune_anchors(region: NoiseRegion) -> list:
     return anchors
 
 
-def enumerate_and_prune(grammar: Grammar, region: NoiseRegion, args: dict,
-                        *, radius: float) -> list:
+def enumerate_and_prune(region: NoiseRegion, args: dict, *,
+                        radius: float) -> list:
     """Expression vectors whose gamma-values have an L1 witness in the region.
 
     A no-noise hole matches only region coordinates that snapped to no-noise
@@ -141,7 +135,7 @@ def enumerate_and_prune(grammar: Grammar, region: NoiseRegion, args: dict,
         raise ValueError("region must be nonempty")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    exprs = grammar.expressions()
+    exprs = expressions()
     anchors = _prune_anchors(region)
     n = len(anchors[0])
     gvals = np.array([0.0 if e is None else float(e.gamma(args)) for e in exprs])
@@ -184,12 +178,10 @@ def _reshape_pair(d1: tuple, d2: tuple, qlen: int) -> tuple:
 def _event_valid_at(event, qlen: int) -> bool:
     if isinstance(event, CoordEvent):
         return event.coord < qlen
-    if isinstance(event, ValueEvent):
-        vals = list(event.values)
-        if vals and isinstance(vals[0], tuple) and not all(
-                isinstance(x, bool) for x in vals[0]):
-            # fixed integer tuples only match outputs of their own length
-            return all(len(v) == qlen for v in vals)
+    if isinstance(event, ValueEvent) and isinstance(event.value, tuple) \
+            and not all(isinstance(x, bool) for x in event.value):
+        # a fixed integer tuple only matches outputs of its own length
+        return len(event.value) == qlen
     return True
 
 
@@ -335,7 +327,7 @@ def rank_candidates(cands, bindings_data, gamma_binding: dict,
         eps = float(binding["eps"])
         concrete = [gamma_vector(exprs, binding) for exprs in cands]
         losses, se = example_losses_with_se(
-            bank, examples, concrete, z, floor=EVENT_FLOOR)  # (C, n_ex)
+            bank, examples, concrete, z)                     # (C, n_ex)
         violating = np.log(losses) - z * se > eps
         v = violating.sum(axis=1)
         worst = losses.max(axis=1)
@@ -478,9 +470,6 @@ class SynthOutcome:
     report: dict
     timings: dict
     survivors: list
-    ranked: list
-    region: Optional[NoiseRegion]
-    examples: list
     counters: dict
 
 
@@ -496,7 +485,6 @@ def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
     verify the top candidates.  The returned report is reproducible byte for
     byte at a fixed config; wall-clock numbers live in ``timings`` only."""
     cfg.validate()
-    grammar = Grammar()
     timings = {}
     t_total = time.perf_counter()
 
@@ -513,7 +501,7 @@ def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
         timings["total"] = time.perf_counter() - t_total
         report = _report(sketch, cfg, examples, None, [], [], [], [],
                          note="no challenging examples found")
-        return SynthOutcome(report, timings, [], [], None, [],
+        return SynthOutcome(report, timings, [],
                             _bank_counters([primary_bank]))
 
     # --- opti: differential evolution over concrete noise vectors
@@ -521,17 +509,15 @@ def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
         region = get_noise_region(
             primary_bank, examples, sketch.n_holes, float(cfg.epsilon),
             lam=cfg.lam, population=cfg.population,
-            steps=cfg.steps_per_hole * sketch.n_holes, seed=cfg.seed,
-            floor=EVENT_FLOOR)
+            steps=cfg.steps_per_hole * sketch.n_holes, seed=cfg.seed)
 
     # --- enum: prune grammar, build test examples, rank
     with _phase("enum", timings):
         radius_used = cfg.radius
-        cands = enumerate_and_prune(grammar, region, gamma_binding,
-                                    radius=radius_used)
+        cands = enumerate_and_prune(region, gamma_binding, radius=radius_used)
         if not cands:
             radius_used = 2 * cfg.radius
-            cands = enumerate_and_prune(grammar, region, gamma_binding,
+            cands = enumerate_and_prune(region, gamma_binding,
                                         radius=radius_used)
         bindings = _bindings(sketch, cfg)
         test_examples = build_test_examples(
@@ -556,8 +542,7 @@ def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
                      radius_used=radius_used)
     counters = _bank_counters(
         [primary_bank] + [bank for _, bank, _ in bindings_data])
-    return SynthOutcome(report, timings, survivors, ranked, region, examples,
-                        counters)
+    return SynthOutcome(report, timings, survivors, counters)
 
 
 def _example_json(ex: Example) -> dict:

@@ -154,28 +154,22 @@ def gen_input_pairs(adjacency: str, length: int) -> list:
 
 @dataclass(frozen=True)
 class ValueEvent:
-    """Membership in a finite set of output values."""
+    """One output value: an int, a bool, or a tuple of either for list
+    outputs."""
 
-    values: frozenset
+    value: object
 
     def contains(self, out) -> bool:
-        return out in self.values
+        return out == self.value
 
     def hits(self, outputs: Outputs) -> np.ndarray:
-        vals = outputs.values
         if outputs.lengths is None:
-            members = [v for v in self.values if not isinstance(v, tuple)]
-            if len(members) == 1:
-                return vals == members[0]
-            return np.isin(vals, members)
-        hit = np.zeros(len(vals), dtype=bool)
-        for v in self.values:
-            if isinstance(v, tuple):
-                hit |= _rows_start_with(outputs, v) & (outputs.lengths == len(v))
-        return hit
+            return outputs.values == self.value
+        return (_rows_start_with(outputs, self.value)
+                & (outputs.lengths == len(self.value)))
 
     def describe(self) -> dict:
-        return {"kind": "value", "values": sorted(self.values)}
+        return {"kind": "value", "values": [self.value]}
 
 
 @dataclass(frozen=True)
@@ -296,20 +290,12 @@ def gen_events(outputs: Outputs) -> list:
             for t in _quantile_thresholds(marginal):
                 events.append(CoordEvent(i, t, "ge"))
                 events.append(CoordEvent(i, t, "le"))
-    for v in _most_common(outputs, _SINGLETON_CAP):
-        events.append(ValueEvent(frozenset([v])))
+    events += [ValueEvent(v) for v in _most_common(outputs, _SINGLETON_CAP)]
     if outputs.lengths is None:
         for t in _quantile_thresholds(outputs.values):
             events.append(HalfLineEvent(t, "ge"))
             events.append(HalfLineEvent(t, "le"))
-
-    seen = set()
-    unique = []
-    for e in events:
-        if e not in seen:
-            seen.add(e)
-            unique.append(e)
-    return unique
+    return events
 
 
 # ---------------------------------------------------------------------------

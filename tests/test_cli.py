@@ -203,7 +203,7 @@ def test_unbound_sketch_argument_exits_3(runner, tmp_path, command):
     result = runner.invoke(main, [*command, "--sketch", str(p),
                                   *SMALL[command[0]]])
     assert result.exit_code == 3
-    assert ("error in phase init: [init] no fixed value for sketch "
+    assert ("error in phase init: no fixed value for sketch "
             "argument 'K'") in result.output
 
 
@@ -320,6 +320,34 @@ def test_cmd_synth_writes_report_and_sidecar(runner, micro_path, tmp_path):
     assert set(counters) == {"bank_runs", "bank_stat_rows"}
     assert counters["bank_runs"] > 0 and counters["bank_runs"] % 20000 == 0
     assert 0 < counters["bank_stat_rows"] < counters["bank_runs"] // 100
+
+
+COMMANDS = {"test": ["test", "--noise", "2,2"], "synth": ["synth"],
+            "grid": ["grid", "--holes", "1,2", "--grid", "2:2"]}
+
+
+@pytest.mark.parametrize("name,where", [
+    (name, where) for name in COMMANDS
+    for where in ("no-parent", "directory", "slash")] + [("synth", "sidecar")])
+def test_unwritable_out_exits_2_before_any_work(runner, duo_path, tmp_path,
+                                                monkeypatch, name, where):
+    # a write failing after the run exited 1, read as a violation (test) or
+    # as no survivor (synth); synth also writes <out>.timings.json
+    command = COMMANDS[name]
+    out = {"no-parent": tmp_path / "missing" / "out.json",
+           "directory": tmp_path,
+           "slash": f"{tmp_path / 'missing'}/",
+           "sidecar": tmp_path / "report.json"}[where]
+    (tmp_path / "report.json.timings.json").mkdir()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+    for work in ("synth", "test_mechanism", "select_examples"):
+        monkeypatch.setattr(f"mechsynth.cli.{work}", no_work)
+    result = runner.invoke(main, [*command, "--sketch", duo_path,
+                                  *SMALL[name], "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "cannot write" in result.output
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ def test_dlap_normalizer_closed_form():
 
 def test_dlap_pmf_sums_to_one_with_tail():
     for b in SCALES:
-        d = DiscreteLaplace(b, mean=3)
-        center = sum(d.pmf(3 + k) for k in range(-60, 61))
+        d = DiscreteLaplace(b)
+        center = sum(d.pmf(k) for k in range(-60, 61))
         tails = d.tail(61) * 2  # symmetric
         assert center + tails == pytest.approx(1.0, abs=1e-9)
 
@@ -51,19 +51,18 @@ def test_dlap_tail_oracle():
 
 
 def test_dexp_pmf_and_tail_oracle():
-    d = DiscreteExponential(3.0, offset=10)
-    assert d.pmf(12) == pytest.approx(0.145537677861, abs=1e-12)
+    d = DiscreteExponential(3.0)
+    assert d.pmf(2) == pytest.approx(0.145537677861, abs=1e-12)
     assert d.tail(4) == pytest.approx(0.263597138116, abs=1e-12)
-    assert d.pmf(9) == 0.0
-    total = sum(d.pmf(10 + k) for k in range(0, 80)) + d.tail(80)
+    assert d.pmf(-1) == 0.0
+    total = sum(d.pmf(k) for k in range(0, 80)) + d.tail(80)
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_make_dist_families():
     assert isinstance(make_dist("lap", 2.0), DiscreteLaplace)
     assert isinstance(make_dist("exp", 2.0), DiscreteExponential)
-    assert make_dist("lap", 2.0, center=5).mean == 5
-    assert make_dist("exp", 2.0, center=5).offset == 5
+    assert make_dist("exp", 3.0) == DiscreteExponential(3.0)
     with pytest.raises(ValueError):
         make_dist("gauss", 2.0)
     with pytest.raises(ValueError):
@@ -71,14 +70,14 @@ def test_make_dist_families():
 
 
 # ---------------------------------------------------------------------------
-# adjacent-mean ratio invariant
+# adjacent-shift ratio invariant
 # ---------------------------------------------------------------------------
 
 @given(b=st.sampled_from(SCALES), k=st.integers(-30, 30))
 def test_dlap_adjacent_mean_ratio_bound(b, k):
-    p0 = DiscreteLaplace(b, mean=0)
-    p1 = DiscreteLaplace(b, mean=1)
-    ratio = p0.pmf(k) / p1.pmf(k)
+    # noise added to 0 against noise added to 1: P[0 + X = k] / P[1 + X = k]
+    d = DiscreteLaplace(b)
+    ratio = d.pmf(k) / d.pmf(k - 1)
     bound = math.exp(1.0 / b)
     assert ratio <= bound * (1 + 1e-12)
     if k <= 0:
@@ -103,13 +102,13 @@ def test_sampler_chi_square_against_pmf():
 
 
 def test_dexp_sampler_matches_pmf():
-    d = DiscreteExponential(2.0, offset=-1)
+    d = DiscreteExponential(2.0)
     rng = np.random.default_rng(3)
     draws = d.sample_array(rng, 100000)
-    assert draws.min() >= -1
-    obs = np.array([(draws == -1 + k).sum() for k in range(0, 12)], dtype=float)
-    obs = np.append(obs, (draws >= 11).sum())
-    exp = np.array([d.pmf(-1 + k) for k in range(0, 12)])
+    assert draws.min() >= 0
+    obs = np.array([(draws == k).sum() for k in range(0, 12)], dtype=float)
+    obs = np.append(obs, (draws >= 12).sum())
+    exp = np.array([d.pmf(k) for k in range(0, 12)])
     exp = np.append(exp, d.tail(12)) * len(draws)
     stat, p = chisquare(obs, exp)
     assert p > 1e-3
@@ -132,17 +131,16 @@ def test_log_weight_coeffs_oracle():
     assert beta == pytest.approx(-0.25, abs=1e-15)
 
 
-# alpha + beta * |v - mean| is the log pmf ratio target / proposal at v,
-# both centered at ``mean``
+# alpha + beta * |v| is the log pmf ratio target / proposal at v
 
-@given(v=st.integers(-20, 20), mean=st.integers(-3, 3),
-       t=st.sampled_from(SCALES), p=st.sampled_from(SCALES))
-def test_weight_ratio_consistent_with_pmfs(v, mean, t, p):
-    expected = (DiscreteLaplace(t, mean=mean).logpmf(v)
-                - DiscreteLaplace(p, mean=mean).logpmf(v))
+@given(v=st.integers(-20, 20), t=st.sampled_from(SCALES),
+       p=st.sampled_from(SCALES))
+def test_weight_ratio_consistent_with_pmfs(v, t, p):
+    expected = (DiscreteLaplace(t).logpmf(v)
+                - DiscreteLaplace(p).logpmf(v))
     alpha, beta = log_weight_coeffs("lap", t, p)
-    assert alpha + beta * abs(v - mean) == pytest.approx(expected, rel=1e-10,
-                                                         abs=1e-12)
+    assert alpha + beta * abs(v) == pytest.approx(expected, rel=1e-10,
+                                                  abs=1e-12)
 
 
 @given(v=st.integers(0, 20), t=st.sampled_from(SCALES), p=st.sampled_from(SCALES))
@@ -160,7 +158,7 @@ def test_weight_ratio_bottom_target_rejected():
 
 
 def test_weight_ratio_out_of_support():
-    # exponential draws below the offset have no mass at any scale, so the
+    # exponential draws below 0 have no mass at any scale, so the
     # weight identity covers v >= 0 only
     assert DiscreteExponential(2.0).logpmf(-1) == -np.inf
     assert DiscreteExponential(4.0).logpmf(-1) == -np.inf

@@ -159,7 +159,7 @@ while i <= len(a):
 return ans
 """
     sk = parse_sketch(src)
-    assert sk.output_var == "ans"
+    assert run(sk, {}, (0, 5, 0), NoiseTrace([(0, 0, 0)])) == 2
 
 
 def test_corpus_parses_with_expected_hole_counts(benchmarks):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtr
 
+from mechsynth import search
 from mechsynth.config import PROPOSAL_SCALE as PROPOSAL
 from mechsynth.dist import log_weight_coeffs, make_dist
 from mechsynth.lang import compile_sketch, parse_sketch
@@ -76,8 +77,7 @@ def test_snap_vector_threshold():
 def test_estimate_center_mass_across_scales(bank):
     for scale in (0.5, 1.0, 2.0, 4.0, 8.0):
         want = make_dist("lap", scale).pmf(0)
-        got = _estimate(bank, D1, ValueEvent(frozenset([0])),
-                                  (scale,))
+        got = _estimate(bank, D1, ValueEvent(0), (scale,))
         assert got == pytest.approx(want, rel=0.05)
 
 
@@ -85,7 +85,7 @@ def test_estimate_at_proposal_equals_plain_frequency(bank, micro_scalar):
     # weight of the proposal against itself is one, so the estimate is the
     # raw frequency of the event among the memoized runs
     outputs, _ = bank.runs_for(D1, (False,))
-    event = ValueEvent(frozenset([0]))
+    event = ValueEvent(0)
     freq = sum(event.contains(o) for o in outputs) / bank.m
     got = _estimate(bank, D1, event, (bank.scales[0],))
     assert got == pytest.approx(freq, rel=1e-9)
@@ -104,24 +104,22 @@ def test_estimate_impossible_event_clamps(bank):
 
 def test_estimate_validates_candidate_length(bank):
     with pytest.raises(ValueError):
-        _estimate(bank, D1, ValueEvent(frozenset([0])), (2.0, 2.0))
+        _estimate(bank, D1, ValueEvent(0), (2.0, 2.0))
     with pytest.raises(ValueError):
-        bank.estimate({D1: (ValueEvent(frozenset([0])),)}, [(2.0,), (None,)])
+        bank.estimate({D1: (ValueEvent(0),)}, [(2.0,), (None,)])
 
 
 def test_no_noise_candidate_is_deterministic(bank):
     # the off-mask path re-simulates runs without consuming the trace
-    assert _estimate(bank, D2, ValueEvent(frozenset([1])),
-                               (None,)) == 1.0 - 1.0 / (10 * bank.m)
-    assert _estimate(bank, D2, ValueEvent(frozenset([2])),
-                               (None,)) == 1.0 / (10 * bank.m)
+    assert _estimate(bank, D2, ValueEvent(1), (None,)) \
+        == 1.0 - 1.0 / (10 * bank.m)
+    assert _estimate(bank, D2, ValueEvent(2), (None,)) == 1.0 / (10 * bank.m)
 
 
 def test_mixture_bank_accurate_far_from_proposal(mixture_bank):
     for scale in (0.5, 2.0, 12.0):
         want = make_dist("lap", scale).pmf(0)
-        got = _estimate(mixture_bank, D1,
-                                  ValueEvent(frozenset([0])), (scale,))
+        got = _estimate(mixture_bank, D1, ValueEvent(0), (scale,))
         assert got == pytest.approx(want, rel=0.05)
 
 
@@ -130,7 +128,7 @@ def test_estimates_are_deterministic(micro_scalar):
                       scales=(PROPOSAL,), seed=9)
     b = PresampleBank(micro_scalar, {"qlen": 5}, m=20000,
                       scales=(PROPOSAL,), seed=9)
-    ev = ValueEvent(frozenset([0]))
+    ev = ValueEvent(0)
     assert (_estimate(a, D1, ev, (1.5,))
             == _estimate(b, D1, ev, (1.5,)))
 
@@ -191,27 +189,30 @@ def test_losses_are_at_least_one(bank):
     assert (losses >= 1.0).all()
 
 
-def test_event_floor_neutralizes_unresolvable_examples(bank):
+def test_event_floor_neutralizes_unresolvable_examples(bank, monkeypatch):
     ex = _shift_example()
-    with_floor = example_losses(bank, [ex], [(2.0,)], floor=0.9)
+    monkeypatch.setattr(search, "EVENT_FLOOR", 0.9)
+    with_floor = example_losses(bank, [ex], [(2.0,)])
     assert with_floor[0, 0] == 1.0
-    without = example_losses(bank, [ex], [(2.0,)], floor=0.0)
+    monkeypatch.setattr(search, "EVENT_FLOOR", 0.0)
+    without = example_losses(bank, [ex], [(2.0,)])
     assert without[0, 0] > 1.5
 
 
-def test_event_floor_keeps_resolvable_examples(bank):
+def test_event_floor_keeps_resolvable_examples(bank, monkeypatch):
     ex = _shift_example()
     # the event has probability ~1/2 on both sides, far above the floor
-    a = example_losses(bank, [ex], [(2.0,)], floor=1e-4)
-    b = example_losses(bank, [ex], [(2.0,)], floor=0.0)
+    a = example_losses(bank, [ex], [(2.0,)])
+    monkeypatch.setattr(search, "EVENT_FLOOR", 0.0)
+    b = example_losses(bank, [ex], [(2.0,)])
     assert a[0, 0] == b[0, 0]
 
 
 def test_losses_with_se_match_example_losses(bank):
     ex = [_shift_example()]
     cands = [(0.5,), (2.0,), (None,)]
-    losses, se = example_losses_with_se(bank, ex, cands, 2.0, floor=1e-4)
-    assert (losses == example_losses(bank, ex, cands, floor=1e-4)).all()
+    losses, se = example_losses_with_se(bank, ex, cands, 2.0)
+    assert (losses == example_losses(bank, ex, cands)).all()
     assert se.shape == losses.shape and (se >= 0.0).all()
 
 
@@ -231,9 +232,9 @@ return x
 
 
 @pytest.mark.parametrize("source,event,cand,mixture", [
-    ("micro", ValueEvent(frozenset([4])), (2.0,), None),
+    ("micro", ValueEvent(4), (2.0,), None),
     ("micro", HalfLineEvent(0, "le"), (2.0,), (0.5, 2.0, 8.0)),
-    ("stop", ValueEvent(frozenset([2])), (2.0, 3.0), None),
+    ("stop", ValueEvent(2), (2.0, 3.0), None),
 ])
 def test_log_loss_se_matches_spread_over_banks(micro_scalar, source, event,
                                                cand, mixture):
@@ -287,10 +288,11 @@ def _oracle_run_weights(bank, side, cand):
     return outputs, logw
 
 
-def _oracle_example(bank, ex, cand, z, floor):
+def _oracle_example(bank, ex, cand, z):
     """(estimates, loss, se, spread) of one example, summing over every
-    run; ``spread`` is the root of both sides' own variances, the size of
-    the terms whose difference the variance of the log-ratio is."""
+    run, at the floor the estimator reads; ``spread`` is the root of both
+    sides' own variances, the size of the terms whose difference the
+    variance of the log-ratio is."""
     lo, hi = bank.clamp
     est, infl, ess = [], [], []
     for side in (ex.d1, ex.d2):
@@ -304,7 +306,7 @@ def _oracle_example(bank, ex, cand, z, floor):
         ess.append(den ** 2 / (w ** 2).sum())
     r1, r2 = est
     spread = math.sqrt((infl[0] ** 2).sum() + (infl[1] ** 2).sum())
-    if max(r1, r2) < floor or max(r1, r2) <= lo:
+    if max(r1, r2) < search.EVENT_FLOOR or max(r1, r2) <= lo:
         return est, 1.0, 0.0, spread
     se = math.sqrt(((infl[0] - infl[1]) ** 2).sum())
     for k in (0, 1):
@@ -339,7 +341,8 @@ ORACLE_SKETCHES = {     # name -> (sketch, binding beyond qlen)
 @pytest.mark.parametrize("scales", [(PROPOSAL,), MIXTURE8],
                          ids=["one", "eight"])
 @pytest.mark.parametrize("name", sorted(ORACLE_SKETCHES))
-def test_grouped_estimates_match_the_per_run_oracle(name, scales):
+def test_grouped_estimates_match_the_per_run_oracle(name, scales,
+                                                    monkeypatch):
     sketch, extra = ORACLE_SKETCHES[name]
     bank = PresampleBank(sketch, {"qlen": 5, **extra}, m=3000, scales=scales,
                          seed=5)
@@ -351,17 +354,18 @@ def test_grouped_estimates_match_the_per_run_oracle(name, scales):
     if sketch.adjacency == "all":
         d2 = (1, 1, 0, 1, 1)
     events = [HalfLineEvent(0, "le"), HalfLineEvent(3, "ge"),
-              ValueEvent(frozenset([1])), ValueEvent(frozenset([10 ** 6]))]
+              ValueEvent(1), ValueEvent(10 ** 6)]
     examples = [Example(d1=a, d2=b, event=e, direction=(1,) * n, scale=1.0,
                         p_value=0.5)
                 for e in events for a, b in ((d1, d2), (d2, d1))]
-    z, floor = 2.5, 1e-3
-    losses, se = example_losses_with_se(bank, examples, cands, z, floor=floor)
+    z = 2.5
+    monkeypatch.setattr(search, "EVENT_FLOOR", 1e-3)
+    losses, se = example_losses_with_se(bank, examples, cands, z)
     for b, cand in enumerate(cands):
         est, _ = bank.estimate({d1: events, d2: events}, [cand])
         for j, ex in enumerate(examples):
             (r1, r2), loss, want_se, spread = _oracle_example(
-                bank, ex, cand, z, floor)
+                bank, ex, cand, z)
             assert est[(ex.d1, ex.event)][0] == pytest.approx(r1, rel=1e-12)
             assert est[(ex.d2, ex.event)][0] == pytest.approx(r2, rel=1e-12)
             assert losses[b, j] == pytest.approx(loss, rel=1e-12)

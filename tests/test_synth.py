@@ -22,12 +22,12 @@ from mechsynth.config import (EVENT_FLOOR, PROPOSAL_SCALE, VERIFY_ALPHA,
 from mechsynth.lang import parse_sketch
 from mechsynth.search import (Example, NoiseRegion, PresampleBank,
                               example_losses_with_se)
-from mechsynth.synth import (Grammar, NoiseExpr, RankedCandidate, SynthError,
+from mechsynth.synth import (NoiseExpr, RankedCandidate, SynthError,
                              _bindings, _inherit_examples, _mixture_at,
                              _proposal_at, _report, _reshape_pair,
-                             enumerate_and_prune, final_verify, fix_params,
-                             gamma_vector, rank_candidates, render_vector,
-                             report_to_json, synth)
+                             enumerate_and_prune, expressions, final_verify,
+                             fix_params, gamma_vector, rank_candidates,
+                             render_vector, report_to_json, synth)
 from mechsynth.tester import CoordEvent, HalfLineEvent, PrefixEvent, ValueEvent
 
 BINDING = {"eps": Fraction(1, 2), "qlen": 5, "T": 2}
@@ -58,7 +58,7 @@ def test_expr_render():
 
 
 def test_grammar_size_and_order():
-    exprs = Grammar().expressions()
+    exprs = expressions()
     assert len(exprs) == 25
     assert exprs[0] is None
     assert exprs[1] == NoiseExpr(1, 0, 1)
@@ -68,7 +68,7 @@ def test_grammar_size_and_order():
 
 
 def test_grammar_gammas_positive():
-    for e in Grammar().expressions()[1:]:
+    for e in expressions()[1:]:
         assert e.gamma(BINDING) > 0
         assert e.gamma({"eps": Fraction(3, 2), "qlen": 10, "T": 2}) > 0
 
@@ -79,16 +79,15 @@ def test_grammar_gammas_positive():
 
 def test_prune_keeps_l1_neighbors():
     region = _region([((2.0, 4.0), 1.0)])
-    grammar = Grammar()
-    kept = enumerate_and_prune(grammar, region, BINDING, radius=3.0)
+    kept = enumerate_and_prune(region, BINDING, radius=3.0)
     gammas = {tuple(gamma_vector(c, BINDING)) for c in kept}
     assert (4.0, 4.0) in gammas  # L1 distance 2
     assert (8.0, 8.0) not in gammas  # L1 distance 10
 
 
-def _brute_force_prune(grammar, region, args, radius):
+def _brute_force_prune(region, args, radius):
     """Direct restatement of the neighborhood rule for cross-checking."""
-    exprs = grammar.expressions()
+    exprs = expressions()
     n = len(region.entries[0][0])
     kept = []
     import itertools
@@ -121,30 +120,26 @@ def test_prune_matches_brute_force(n_holes, seed):
                     for v in rng.uniform(0, 20, n_holes))
         entries.append((vec, float(rng.random())))
     region = _region(entries)
-    grammar = Grammar()
-    fast = enumerate_and_prune(grammar, region, BINDING, radius=3.0)
-    slow = _brute_force_prune(grammar, region, BINDING, radius=3.0)
+    fast = enumerate_and_prune(region, BINDING, radius=3.0)
+    slow = _brute_force_prune(region, BINDING, radius=3.0)
     assert fast == slow
 
 
 def test_prune_bottom_matching():
     # a no-noise hole matches only region coordinates that snapped to none
-    grammar = Grammar()
     with_none = _region([((None, 2.0), 1.0)])
-    kept = enumerate_and_prune(grammar, with_none, BINDING, radius=3.0)
+    kept = enumerate_and_prune(with_none, BINDING, radius=3.0)
     assert (None, NoiseExpr(1, 0, 1)) in kept
     all_noisy = _region([((2.0, 2.0), 1.0)])
-    kept2 = enumerate_and_prune(grammar, all_noisy, BINDING, radius=3.0)
+    kept2 = enumerate_and_prune(all_noisy, BINDING, radius=3.0)
     assert all(c[0] is not None and c[1] is not None for c in kept2)
 
 
 def test_prune_validation():
-    grammar = Grammar()
     with pytest.raises(ValueError):
-        enumerate_and_prune(grammar, _region([]), BINDING, radius=3.0)
+        enumerate_and_prune(_region([]), BINDING, radius=3.0)
     with pytest.raises(ValueError):
-        enumerate_and_prune(grammar, _region([((2.0,), 1.0)]), BINDING,
-                            radius=0.0)
+        enumerate_and_prune(_region([((2.0,), 1.0)]), BINDING, radius=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +147,7 @@ def test_prune_validation():
 # ---------------------------------------------------------------------------
 
 def _example(d1, d2, event=None):
-    return Example(d1=d1, d2=d2, event=event or ValueEvent(frozenset([0])),
+    return Example(d1=d1, d2=d2, event=event or ValueEvent(0),
                    direction=(1,), scale=1.0, p_value=0.5)
 
 
@@ -194,7 +189,7 @@ def test_inherit_drops_out_of_range_events():
     assert _inherit_examples([ex_coord], 5) == []
     assert len(_inherit_examples([ex_coord], 10)) == 1
     ex_tuple = _example((0, 0, 0, 0, 0), (1, 1, 1, 1, 1),
-                        event=ValueEvent(frozenset([(0, 1, 2, 3, 4)])))
+                        event=ValueEvent((0, 1, 2, 3, 4)))
     assert _inherit_examples([ex_tuple], 10) == []
     assert len(_inherit_examples([ex_tuple], 5)) == 1
 
@@ -334,8 +329,7 @@ def test_rank_boundary_candidate_is_not_a_violation(rank_setup):
     cfg, bindings_data, binding = rank_setup
     _, bank, examples = bindings_data[0]
     z = -ndtri(VERIFY_ALPHA / len(examples))
-    losses, se = example_losses_with_se(bank, examples, [(2.0,)], z,
-                                        floor=EVENT_FLOOR)
+    losses, se = example_losses_with_se(bank, examples, [(2.0,)], z)
     log_loss = math.log(losses[0, 0])
     assert log_loss - z * se[0, 0] <= 0.5 <= log_loss + z * se[0, 0]
     cands = [(NoiseExpr(1, 0, 1),), (None,)]
@@ -353,7 +347,7 @@ def test_rank_dry_side_gets_a_one_sided_bound(micro_scalar):
                          scales=(PROPOSAL_SCALE,), seed=0)
     d1, d2 = (0, 0, 0, 0, 0), (1, 0, 0, 0, 0)
     dry = bank.clamp[0]
-    events = tuple(ValueEvent(frozenset([k])) for k in range(1, 200))
+    events = tuple(ValueEvent(k) for k in range(1, 200))
     est, _ = bank.estimate({d1: events, d2: events}, [(4.0,)])
     event = next(e for e in events if est[(d1, e)][0] == dry)
     assert est[(d2, event)][0] >= EVENT_FLOOR
@@ -363,8 +357,7 @@ def test_rank_dry_side_gets_a_one_sided_bound(micro_scalar):
     z = -ndtri(VERIFY_ALPHA)
     # scale 4 = 2/eps has exact loss e^(1/4) < e^eps, yet the ratio to the
     # clamp puts the point estimate far above e^eps
-    losses, se = example_losses_with_se(bank, [example], [(4.0,)], z,
-                                        floor=EVENT_FLOOR)
+    losses, se = example_losses_with_se(bank, [example], [(4.0,)], z)
     assert losses[0, 0] > math.exp(0.5)
     assert se[0, 0] > 0.0
     assert math.log(losses[0, 0]) - z * se[0, 0] <= 0.25

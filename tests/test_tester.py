@@ -356,8 +356,8 @@ def test_gen_input_pairs_rejects_zero_length():
 # ---------------------------------------------------------------------------
 
 def test_event_membership_semantics():
-    assert ValueEvent(frozenset([3])).contains(3)
-    assert not ValueEvent(frozenset([3])).contains(4)
+    assert ValueEvent(3).contains(3)
+    assert not ValueEvent(3).contains(4)
     assert HalfLineEvent(2, "ge").contains(2)
     assert not HalfLineEvent(2, "ge").contains(1)
     assert HalfLineEvent(2, "le").contains(2)
@@ -375,10 +375,10 @@ def test_gen_events_integer_outputs():
     events = gen_events(Outputs.from_values(outs))
     kinds = {type(e) for e in events}
     assert kinds == {ValueEvent, HalfLineEvent}
-    assert ValueEvent(frozenset([1])) in events
-    assert ValueEvent(frozenset([5])) in events
+    assert ValueEvent(1) in events
+    assert ValueEvent(5) in events
     # most frequent observed value leads the singleton list
-    assert events[0] == ValueEvent(frozenset([1]))
+    assert events[0] == ValueEvent(1)
     assert any(e.op == "ge" for e in events if isinstance(e, HalfLineEvent))
     assert len(events) == len(set(events))
 
@@ -401,7 +401,34 @@ def test_gen_events_integer_tuple_outputs():
     assert coords
     assert {e.coord for e in coords} == {0, 1}
     assert {e.op for e in coords} == {"ge", "le"}
-    assert ValueEvent(frozenset([(0, 9)])) in events
+    assert ValueEvent((0, 9)) in events
+
+
+@settings(max_examples=300, deadline=None)
+@given(outs=st.one_of(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=80),
+    st.lists(st.lists(st.booleans(), max_size=4).map(tuple), min_size=1,
+             max_size=40),
+    st.lists(st.lists(st.integers(-5, 5), max_size=10).map(tuple),
+             min_size=1, max_size=40)))
+def test_gen_events_are_distinct(outs):
+    # each kind of event is derived from distinct values, and events of two
+    # kinds never compare equal, so no event repeats
+    events = gen_events(Outputs.from_values(outs))
+    assert len(set(events)) == len(events)
+
+
+@pytest.mark.parametrize("value,text", [
+    (3, '{"kind": "value", "values": [3]}'),
+    (-2, '{"kind": "value", "values": [-2]}'),
+    (True, '{"kind": "value", "values": [true]}'),
+    ((1, -2), '{"kind": "value", "values": [[1, -2]]}'),
+    ((False, True), '{"kind": "value", "values": [[false, true]]}'),
+    ((), '{"kind": "value", "values": [[]]}'),
+])
+def test_value_event_describe_shape(value, text):
+    # reports print an event's value inside a one-element list
+    assert json.dumps(ValueEvent(value).describe(), sort_keys=True) == text
 
 
 def test_gen_events_requires_samples():
@@ -418,24 +445,23 @@ def test_gen_events_singletons_follow_counter_order(outs):
     # ties keep the order of first appearance, as Counter.most_common does
     want = [v for v, _ in Counter(outs).most_common()]
     events = gen_events(Outputs.from_values(outs))
-    got = [next(iter(e.values)) for e in events if isinstance(e, ValueEvent)]
+    got = [e.value for e in events if isinstance(e, ValueEvent)]
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
 
 
 def test_event_hits_match_contains():
     cases = [
-        ([3, 1, 3, 2, -4], [ValueEvent(frozenset([3])),
-                            ValueEvent(frozenset([1, 2])),
+        ([3, 1, 3, 2, -4], [ValueEvent(3), ValueEvent(2), ValueEvent(-1),
                             HalfLineEvent(2, "ge"), HalfLineEvent(1, "le")]),
         ([(1, 2), (0,), (), (1, 2, 3), (5, 1)],
-         [ValueEvent(frozenset([(1, 2)])), ValueEvent(frozenset([(), (0,)])),
-          ValueEvent(frozenset([(1, 2, 3, 4)])), CoordEvent(1, 2, "ge"),
+         [ValueEvent((1, 2)), ValueEvent(()), ValueEvent((0,)),
+          ValueEvent((1, 2, 3, 4)), CoordEvent(1, 2, "ge"),
           CoordEvent(0, 0, "le"), CoordEvent(5, 0, "ge")]),
         ([(True, False), (False,), (), (True, False, True)],
          [PrefixEvent((True,)), PrefixEvent((True, False)),
           PrefixEvent((False, False, False, False)),
-          ValueEvent(frozenset([(False,)]))]),
+          ValueEvent((False,))]),
     ]
     for outs, events in cases:
         packed = Outputs.from_values(outs)
