@@ -35,6 +35,7 @@ from pathlib import Path
 import click
 
 from .config import VERIFY_ALPHA, RunConfig
+from .dist import make_dist
 from .lang import LangError, MechanismSketch, parse_sketch
 from .search import batch_objective, select_examples
 from .synth import (SynthError, fix_params, optimizer_bank, report_to_json,
@@ -87,14 +88,16 @@ def _parse_eps(_ctx, _param, value):
     return eps
 
 
-def _parse_noise(value: str, n_holes: int) -> list:
+def _parse_noise(value: str, holes) -> list:
+    """One scale, or None for 'bot', per hole of ``holes``; a scale that
+    the hole's noise family rejects is a usage error."""
     parts = [p.strip() for p in value.split(",")]
-    if len(parts) != n_holes:
+    if len(parts) != len(holes):
         raise click.UsageError(
             f"noise assignment has {len(parts)} entries, sketch has "
-            f"{n_holes} hole(s)")
+            f"{len(holes)} hole(s)")
     out = []
-    for p in parts:
+    for p, hole in zip(parts, holes):
         if p in ("bot", "none", "_"):
             out.append(None)
         else:
@@ -105,8 +108,16 @@ def _parse_noise(value: str, n_holes: int) -> list:
             if not (math.isfinite(scale) and scale > 0):
                 raise click.UsageError(
                     f"noise scale {p!r} must be finite and positive")
+            _check_family_scale(hole.family, scale)
             out.append(scale)
     return out
+
+
+def _check_family_scale(family: str, scale: float):
+    try:
+        make_dist(family, scale)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +251,11 @@ def cmd_test(sketch, noise, max_records, out, **kw):
     """Test one concrete completion for privacy-loss violations."""
     cfg = _make_config(**kw)
     sk = _load_or_usage(sketch)
-    vec = _parse_noise(noise, sk.n_holes)
+    vec = _parse_noise(noise, sk.holes)
     with _faults_exit_3():
         cands = test_mechanism(sk, fix_params(sk, cfg), vec,
-                               trials=cfg.trials, seed=cfg.seed)
+                               trials=cfg.trials, seed=cfg.seed,
+                               limit=max_records)
     dp = decision_p(cands)
     lines = [json.dumps(counterexample_record(cx, cfg.seed), sort_keys=True)
              for cx in cands[:max_records]]
@@ -296,7 +308,7 @@ def cmd_grid(sketch, holes, fix, grid_spec, out, **kw):
         if idx in (i, j) or idx in fixed:
             raise click.UsageError(
                 f"--fix {item!r}: hole {idx} is swept or already fixed")
-        fixed[idx] = _parse_noise(v, 1)[0]
+        fixed[idx] = _parse_noise(v, [sk.holes[idx - 1]])[0]
     free = {i, j}
     missing = [h for h in range(1, sk.n_holes + 1)
                if h not in free and h not in fixed]
@@ -324,6 +336,9 @@ def cmd_grid(sketch, holes, fix, grid_spec, out, **kw):
         raise click.UsageError(
             f"grid {grid_spec!r} has more than {_GRID_MAX_POINTS} points")
     axis = [round(lo + i * step, 9) for i in range(math.floor(span) + 1)]
+    for h in (i, j):
+        for scale in (axis[0], axis[-1]):
+            _check_family_scale(sk.holes[h - 1].family, scale)
 
     points = [(a, b) for a in axis for b in axis]
     cands = []

@@ -26,6 +26,16 @@ __all__ = [
 ]
 
 
+def _check_scale(scale):
+    if scale is None or not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    # from b = 2^54 (about 1.8e16) on, e^(-1/b) rounds to 1 and no draw is
+    # defined
+    if math.exp(-1.0 / scale) == 1.0:
+        raise ValueError(f"scale {scale:g} is too large: e^(-1/scale) "
+                         "rounds to 1")
+
+
 @dataclass(frozen=True)
 class DiscreteLaplace:
     """Symmetric integer noise: pmf(k) = C q^|k|, C = (1-q)/(1+q)."""
@@ -33,8 +43,7 @@ class DiscreteLaplace:
     scale: float
 
     def __post_init__(self):
-        if self.scale is None or not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        _check_scale(self.scale)
 
     @property
     def q(self) -> float:
@@ -72,8 +81,7 @@ class DiscreteExponential:
     scale: float
 
     def __post_init__(self):
-        if self.scale is None or not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        _check_scale(self.scale)
 
     @property
     def q(self) -> float:

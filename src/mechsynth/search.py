@@ -51,7 +51,7 @@ from scipy.special import logsumexp, ndtr
 from .config import EVENT_FLOOR, ZONE
 from .dist import log_weight_coeffs, make_dist
 from .lang import MechanismSketch, compile_sketch, count_hole_draws
-from .tester import test_mechanism
+from .tester import event_hits, test_mechanism
 
 __all__ = [
     "Example", "PresampleBank", "StatRows", "NoiseRegion",
@@ -266,8 +266,8 @@ class PresampleBank:
             outputs, groups = self.runs_for(answers, mask)
             u = len(groups.mult)
             hit = self._counts[key] = np.stack([
-                np.bincount(groups.index, weights=e.hits(outputs),
-                            minlength=u) for e in events])
+                np.bincount(groups.index, weights=f, minlength=u)
+                for f in event_hits(events, outputs)])
         return hit
 
     def joint_rows(self, d1: tuple, d2: tuple, mask: tuple) -> tuple:
@@ -292,8 +292,8 @@ class PresampleBank:
         """(3, G) hits of ``event`` per :meth:`joint_rows` group: on both
         sides, on d1 and on d2."""
         _, _, mult, inverse = self.joint_rows(d1, d2, mask)
-        f1 = event.hits(self.runs_for(d1, mask)[0])
-        f2 = event.hits(self.runs_for(d2, mask)[0])
+        f1 = event_hits([event], self.runs_for(d1, mask)[0])[0]
+        f2 = event_hits([event], self.runs_for(d2, mask)[0])[0]
         return np.stack([np.bincount(inverse, weights=f, minlength=len(mult))
                          for f in (f1 & f2, f1, f2)])
 

@@ -10,21 +10,25 @@ sampled once and tested in both orientations.  The workflow per input pair:
 1. run the mechanism n/2 times per side (pilot), derive candidate events
    from the observed outputs, and screen them by the empirical probability
    gap |rho1 - rho2| (keeping at most 64);
-2. run n/2 fresh trials per side and count each surviving event;
-3. for each event and each orientation, thin the larger count by e^(-eps)
-   (Binomial quantile coupling, 20 shared uniform draws) and apply a
-   one-sided Fisher exact test to the thinned 2x2 table; the reported
-   p-value is the mean over the 20 thinnings.  Both steps call boost's
-   kernels in ``scipy.special._ufuncs`` directly: ``_binom_ppf`` for the
-   thinning and ``_hypergeom_sf`` for the Fisher tail, the latter with
-   ``scipy.stats.hypergeom.sf``'s edge rule (1 below the support, 0 at and
-   above its top, see :func:`_fisher_sf`), so every value is the
+2. run n/2 fresh trials per side and count the surviving events on them:
+   every event, or the decision events alone when the caller reads
+   nothing else;
+3. for each counted event and each orientation, thin the larger count by
+   e^(-eps) (Binomial quantile coupling, 20 shared uniform draws) and
+   apply a one-sided Fisher exact test to the thinned 2x2 table; the
+   reported p-value is the mean over the 20 thinnings.  Both steps call
+   boost's kernels in ``scipy.special._ufuncs`` directly: ``_binom_ppf``
+   for the thinning and ``_hypergeom_sf`` for the Fisher tail, the latter
+   with ``scipy.stats.hypergeom.sf``'s edge rule (1 below the support, 0
+   at and above its top, see :func:`_fisher_sf`), so every value is the
    ``scipy.stats`` one to the bit without importing ``scipy.stats``.  The
    pilot counts pick the decision event of each (pair, orientation), the
    one of least p: an error-bounded screening tail rules out the pilot
    cells that cannot hold that minimum, and only the rest get exact
    tails, so the pick is the one exact p-values for every pilot cell
-   would make.
+   would make.  A caller that reads only the first ``limit`` cells gets
+   exact tails for those and for the decision cells, found by the same
+   screen, and p = inf for the rest.
 
 Small p-values indicate a likely violation at the tested epsilon.  All
 randomness derives from an explicit seed, so repeated calls are bit-stable.
@@ -32,12 +36,11 @@ Each input side runs its pilot and final runs from seed streams of its
 own; consecutive sides, in pair order, share one lane-kernel call of at
 most max(trials, 2^13) lanes, each side on its own answer rows, so the
 streams and outputs are those of one call per side.  Events are counted
-with array comparisons (:meth:`hits`).  A call makes two
-batched :func:`hypothesis_test` calls: one over the pilot cells the screen
-leaves, which picks the decision events, then one over the final cells --
-all of them, or the decision cells alone when the caller reads nothing
-else.  A :class:`FisherMemo` shared by the calls of one operation computes
-each thinning and each exact Fisher table once.
+by :func:`event_hits`, one array pass per event class and side.  A call
+makes two batched :func:`hypothesis_test` calls: one over the pilot cells
+the screen leaves, which picks the decision events, then one over the
+final cells that step 3 reads.  A :class:`FisherMemo` shared by the calls
+of one operation computes each thinning and each exact Fisher table once.
 
 The minimum p over every (pair, event, orientation) cell is useful for
 harvesting challenging examples but is biased by multiplicity: with
@@ -61,7 +64,8 @@ from .lang import MechanismSketch, Outputs, compile_sketch, count_hole_draws
 
 __all__ = [
     "PATTERN_SETS", "ValueEvent", "HalfLineEvent", "PrefixEvent", "CoordEvent",
-    "Counterexample", "gen_input_pairs", "gen_events", "FisherMemo",
+    "Counterexample", "gen_input_pairs", "gen_events", "event_hits",
+    "FisherMemo",
     "hypothesis_test", "test_mechanism", "counterexample_record",
     "decision_p",
 ]
@@ -162,12 +166,6 @@ class ValueEvent:
     def contains(self, out) -> bool:
         return out == self.value
 
-    def hits(self, outputs: Outputs) -> np.ndarray:
-        if outputs.lengths is None:
-            return outputs.values == self.value
-        return (_rows_start_with(outputs, self.value)
-                & (outputs.lengths == len(self.value)))
-
     def describe(self) -> dict:
         return {"kind": "value", "values": [self.value]}
 
@@ -182,10 +180,6 @@ class HalfLineEvent:
     def contains(self, out) -> bool:
         return out >= self.threshold if self.op == "ge" else out <= self.threshold
 
-    def hits(self, outputs: Outputs) -> np.ndarray:
-        vals = outputs.values
-        return vals >= self.threshold if self.op == "ge" else vals <= self.threshold
-
     def describe(self) -> dict:
         return {"kind": "halfline", "op": self.op, "threshold": self.threshold}
 
@@ -199,9 +193,6 @@ class PrefixEvent:
     def contains(self, out) -> bool:
         k = len(self.pattern)
         return len(out) >= k and tuple(out[:k]) == self.pattern
-
-    def hits(self, outputs: Outputs) -> np.ndarray:
-        return _rows_start_with(outputs, self.pattern)
 
     def describe(self) -> dict:
         return {"kind": "prefix", "pattern": list(self.pattern)}
@@ -222,25 +213,87 @@ class CoordEvent:
         v = out[self.coord]
         return v >= self.threshold if self.op == "ge" else v <= self.threshold
 
-    def hits(self, outputs: Outputs) -> np.ndarray:
-        if self.coord >= outputs.values.shape[1]:
-            return np.zeros(len(outputs), dtype=bool)
-        v = outputs.values[:, self.coord]
-        inside = v >= self.threshold if self.op == "ge" else v <= self.threshold
-        return inside & (outputs.lengths > self.coord)
-
     def describe(self) -> dict:
         return {"kind": "coord", "coord": self.coord, "op": self.op,
                 "threshold": self.threshold}
 
 
-def _rows_start_with(outputs: Outputs, prefix: tuple) -> np.ndarray:
-    """Lanes whose list output begins with ``prefix``."""
-    k = len(prefix)
-    if k > outputs.values.shape[1]:
-        return np.zeros(len(outputs), dtype=bool)
-    head = (outputs.values[:, :k] == np.array(prefix, dtype=np.int64)).all(axis=1)
-    return head & (outputs.lengths >= k)
+# Elements of one event-counting temporary: an (events, lanes) block.
+_COUNT_CHUNK = 1 << 18
+
+
+def event_hits(events, outputs: Outputs) -> np.ndarray:
+    """(events, lanes) bool: row i flags the lanes whose output lies in
+    ``events[i]``, as ``events[i].contains`` would say.
+
+    The events of each class, and of each ``op`` within a class, are
+    counted in one array pass: scalar values and half-lines as one
+    broadcast comparison, list values and prefixes column by column,
+    coordinates as one gather.  Blocks of ``_COUNT_CHUNK`` elements bound
+    the temporaries."""
+    hits = np.empty((len(events), len(outputs)), dtype=bool)
+    by_class = {}
+    for i, e in enumerate(events):
+        by_class.setdefault((type(e), getattr(e, "op", None)), []).append(i)
+    rows = max(1, _COUNT_CHUNK // max(1, len(outputs)))
+    for (cls, _), idx in by_class.items():
+        for at in range(0, len(idx), rows):
+            block = idx[at:at + rows]
+            hits[block] = _CLASS_HITS[cls]([events[i] for i in block],
+                                           outputs)
+    return hits
+
+
+def _column(items) -> np.ndarray:
+    return np.array(items, dtype=np.int64)[:, None]
+
+
+def _side_of(vals, events) -> np.ndarray:
+    """``vals >= t`` or ``vals <= t`` per event row, for events of one
+    ``op``."""
+    thresholds = _column([e.threshold for e in events])
+    return vals >= thresholds if events[0].op == "ge" else vals <= thresholds
+
+
+def _value_hits(events, outputs: Outputs) -> np.ndarray:
+    if outputs.lengths is None:
+        return outputs.values == _column([e.value for e in events])
+    return _start_hits([e.value for e in events], outputs, exact=True)
+
+
+def _prefix_hits(events, outputs: Outputs) -> np.ndarray:
+    return _start_hits([e.pattern for e in events], outputs, exact=False)
+
+
+def _start_hits(patterns, outputs: Outputs, *, exact: bool) -> np.ndarray:
+    """Lanes whose list output begins with each pattern (``exact``: is the
+    pattern).  A lane's length is at most the width, so a pattern longer
+    than the width matches nothing."""
+    vals, lengths = outputs.values, outputs.lengths
+    k = _column([len(p) for p in patterns])
+    hit = lengths == k if exact else lengths >= k
+    for j in range(min(int(k.max()), vals.shape[1])):
+        want = _column([p[j] if j < len(p) else 0 for p in patterns])
+        hit &= (vals[:, j] == want) | (k <= j)
+    return hit
+
+
+def _halfline_hits(events, outputs: Outputs) -> np.ndarray:
+    return _side_of(outputs.values, events)
+
+
+def _coord_hits(events, outputs: Outputs) -> np.ndarray:
+    vals, lengths = outputs.values, outputs.lengths
+    if not vals.shape[1]:
+        return np.zeros((len(events), len(outputs)), dtype=bool)
+    coord = _column([e.coord for e in events])
+    # a coordinate past the width is past every lane's length
+    picked = vals[:, np.minimum(coord[:, 0], vals.shape[1] - 1)].T
+    return _side_of(picked, events) & (lengths > coord)
+
+
+_CLASS_HITS = {ValueEvent: _value_hits, HalfLineEvent: _halfline_hits,
+               PrefixEvent: _prefix_hits, CoordEvent: _coord_hits}
 
 
 _SINGLETON_CAP = 40
@@ -257,12 +310,19 @@ def _most_common(outputs: Outputs, cap: int) -> list:
     """The ``cap`` most frequent output values, ties in order of first
     appearance (as ``Counter.most_common`` orders them)."""
     if outputs.lengths is None:
-        keys = outputs.values
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    else:
-        keys = np.column_stack([outputs.lengths, outputs.values])
-        _, first, counts = np.unique(keys, axis=0, return_index=True,
+        _, first, counts = np.unique(outputs.values, return_index=True,
                                      return_counts=True)
+    else:
+        # a stable sort puts each group's first lane at its start
+        keys = np.vstack([outputs.values.T, outputs.lengths])
+        order = np.lexsort(keys)
+        ranked = keys[:, order]
+        start = np.empty(len(order), dtype=bool)
+        start[:1] = True
+        np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=start[1:])
+        starts = np.flatnonzero(start)
+        first = order[starts]
+        counts = np.diff(starts, append=len(order))
     order = np.lexsort((first, -counts))[:cap]
     return [outputs[int(first[i])] for i in order]
 
@@ -646,9 +706,51 @@ def _decision_events(pilots, n: int, test_epsilon, memo) -> list:
     return [picks[i:i + 2] for i in range(0, len(picks), 2)]
 
 
+def _side_counts(events, sides) -> np.ndarray:
+    """(sides, events) hits of each event on each side's outputs."""
+    return np.stack([np.count_nonzero(event_hits(events, out), axis=1)
+                     for out in sides])
+
+
+def _final_p(c1, c2, decision, limit, n: int, test_epsilon,
+             memo) -> np.ndarray:
+    """The p-values of the final cells: all exact, or with ``limit`` set
+    and more cells than that, exact for the decision cells and the
+    ``limit`` cells of least p, first in a stable sort, and inf for the
+    rest.
+
+    Exact tails go only to the decision cells and the cells that can rank
+    among the ``limit`` first.  The screen (:meth:`FisherMemo.screen`)
+    bounds each cell's exact p between lo = (p~ - alpha) / (1 + rho) and
+    hi = (p~ + alpha) / (1 - rho), or between -inf and inf where it makes
+    no claim.  Let U be the ``limit``-th least hi: at least ``limit``
+    cells have p <= U, so the ``limit``-th least p is at most U, while a
+    cell with lo > U has p > U.  Every cell with lo <= U gets its exact p,
+    so the first ``limit`` cells of a stable sort, and their p-values, are
+    those that exact p-values for every cell give."""
+    if limit is None or len(c1) <= limit:
+        return hypothesis_test(c1, c2, n, test_epsilon, memo=memo)
+    exact = decision.copy()
+    if limit:
+        screen = memo.screen(c1, c2, n, test_epsilon)
+        known = ~np.isnan(screen)
+        lo = np.where(known, (screen - _SCREEN_ALPHA) / (1 + _SCREEN_RHO),
+                      -np.inf)
+        hi = np.where(known, (screen + _SCREEN_ALPHA) / (1 - _SCREEN_RHO),
+                      np.inf)
+        exact |= lo <= np.partition(hi, limit - 1)[limit - 1]
+    p = np.full(len(c1), np.inf)
+    p[exact] = hypothesis_test(c1[exact], c2[exact], n, test_epsilon,
+                               memo=memo)
+    read = decision.copy()
+    read[np.argsort(p, kind="stable")[:limit]] = True
+    p[~read] = np.inf
+    return p
+
+
 def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
                    trials: int, seed, decision_only: bool = False,
-                   memo=None) -> list:
+                   limit: int | None = None, memo=None) -> list:
     """Every counterexample cell over the adjacent pairs and derived events,
     sorted by p-value (the strongest first).
 
@@ -658,12 +760,18 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     hole (``None`` = the hole's noise term is absent).  The list is empty
     when no event passes the count floor.  With ``decision_only`` the list
     holds the decision cells alone, exactly as the full list has them.
-    ``memo`` carries Fisher work over from earlier calls of the operation.
+    With ``limit`` only the decision cells and the ``limit`` cells of
+    least p, the first ``limit`` of the list, carry exact p-values: every
+    other cell, never read by a caller that reads those, has p-value inf,
+    and the list keeps its length.  ``memo`` carries Fisher work over from
+    earlier calls of the operation.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful test")
     if len(noise_vector) != sketch.n_holes:
         raise ValueError("noise vector length must match the hole count")
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be non-negative")
     seed_words = [seed] if isinstance(seed, int) else list(seed)
     qlen = binding["qlen"]
     target_eps = float(binding["eps"])
@@ -705,8 +813,7 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     for pair_idx, (d1, d2) in enumerate(pairs):
         pilot, final = zip(*halves[2 * pair_idx:2 * pair_idx + 2])
         events = gen_events(Outputs.concat(pilot))
-        pcounts = np.array([[e.hits(out).sum() for e in events]
-                            for out in pilot], dtype=np.int64)
+        pcounts = _side_counts(events, pilot)
         keep = np.argsort(-np.abs(pcounts[0] - pcounts[1]),
                           kind="stable")[:_EVENT_CAP]
         sampled.append((d1, d2, [events[i] for i in keep], pcounts[:, keep],
@@ -720,25 +827,27 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     for pair_no, ((_, _, survivors, _, final), picks) in enumerate(
             zip(sampled, decisions)):
         ks = sorted(set(picks)) if decision_only else range(len(survivors))
-        for k in ks:
-            c1, c2 = (int(survivors[k].hits(out).sum()) for out in final)
+        counts = _side_counts([survivors[k] for k in ks], final)
+        for k, (c1, c2) in zip(ks, counts.T.tolist()):
             if max(c1, c2) < floor:
                 continue
             for orient, (ca, cb) in enumerate(((c1, c2), (c2, c1))):
                 if ca >= cb and (picks[orient] == k or not decision_only):
-                    cells.append((pair_no, k, orient, ca, cb))
-    p = hypothesis_test(np.array([c[3] for c in cells], dtype=np.int64),
-                        np.array([c[4] for c in cells], dtype=np.int64),
-                        n_half, target_eps, memo=memo)
+                    cells.append((pair_no, k, orient, ca, cb,
+                                  picks[orient] == k))
+    c1 = np.array([c[3] for c in cells], dtype=np.int64)
+    c2 = np.array([c[4] for c in cells], dtype=np.int64)
+    decision = np.array([c[5] for c in cells], dtype=bool)
+    p = _final_p(c1, c2, decision, limit, n_half, target_eps, memo)
 
     candidates = []
-    for (pair_no, k, orient, ca, cb), p_value in zip(cells, p.tolist()):
+    for (pair_no, k, orient, ca, cb, dec), p_value in zip(cells, p.tolist()):
         d1, d2, survivors, _, _ = sampled[pair_no]
         candidates.append(Counterexample(
             d1=d1 if orient == 0 else d2, d2=d2 if orient == 0 else d1,
             event=survivors[k], p_value=p_value, test_epsilon=target_eps,
             rho1=ca / n_half, rho2=cb / n_half, c1=ca, c2=cb, n_side=n_half,
-            decision=decisions[pair_no][orient] == k))
+            decision=dec))
 
     candidates.sort(key=lambda cx: cx.p_value)
     return candidates

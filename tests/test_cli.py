@@ -132,6 +132,15 @@ def test_cmd_test_usage_errors(runner, micro_path):
     assert bad_cap.exit_code == 2
 
 
+def test_cmd_test_scale_whose_q_rounds_to_one_exits_2(runner):
+    # from 2^54 on e^(-1/b) rounds to 1; the sampler used to die in
+    # rng.geometric with exit 1, the code for "violation found"
+    result = runner.invoke(main, ["test", "--sketch", "sum", "--noise", "1e17",
+                                  "--trials", "1000"])
+    assert result.exit_code == 2, result.output
+    assert "too large" in result.output
+
+
 def test_cmd_test_max_records_zero_prints_the_summary_only(runner,
                                                            micro_path):
     result = runner.invoke(main, ["test", "--sketch", micro_path, "--noise",
@@ -397,6 +406,23 @@ def test_cmd_grid_parse_errors_are_usage_errors(runner, extra):
                                   "1,2", "--fix", "3=bot", *extra])
     assert result.exit_code == 2, result.output
     assert "Usage" in result.output
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--sketch", "noisymax2", "--grid", "1e17:1e17"], "too large"),
+    (["--sketch", "abovet2", "--grid", "2:2", "--fix", "3=1e17"],
+     "too large"),
+    (["--sketch", "noisymax2", "--grid", "1e-300:1e-300"], "positive"),
+    (["--sketch", "noisymax2", "--grid", "1e-300:2"], "positive")])
+def test_cmd_grid_scale_the_noise_family_refuses_exits_2(runner, args,
+                                                         message):
+    # a swept scale whose e^(-1/b) rounds to 1 used to die in
+    # log_weight_coeffs with "math domain error", and one that the lattice
+    # rounds to 0 in the distribution, both with exit 1, the code for "no
+    # challenging examples"
+    result = runner.invoke(main, ["grid", *args, *SMALL["grid"]])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
 
 
 def test_cmd_grid_requires_fix_for_extra_holes(runner, tmp_path):

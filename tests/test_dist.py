@@ -69,6 +69,18 @@ def test_make_dist_families():
         make_dist("lap", 0.0)
 
 
+@pytest.mark.parametrize("cls", [DiscreteLaplace, DiscreteExponential])
+def test_scales_whose_q_rounds_to_one_are_refused(cls):
+    # e^(-1/b) rounds to 1 from b = 2^54 on, where no draw is defined
+    for scale in (2.0 ** 54, 1e17, math.inf):
+        with pytest.raises(ValueError, match="too large"):
+            cls(scale)
+    d = cls(2.0 ** 53)
+    assert 0 < d.q < 1
+    draws = d.sample_array(np.random.default_rng(0), 100)
+    assert draws.dtype == np.int64
+
+
 # ---------------------------------------------------------------------------
 # adjacent-shift ratio invariant
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from mechsynth.search import (BOX_MAX, SNAP_THRESHOLD, Example, NoiseRegion,
                               PresampleBank, batch_objective, directions,
                               example_losses, example_losses_with_se,
                               get_noise_region, select_examples, snap_vector)
-from mechsynth.tester import HalfLineEvent, ValueEvent
+from mechsynth.tester import HalfLineEvent, ValueEvent, event_hits
 from tests.conftest import MICRO_SCALAR, load_benchmark
 
 EPS = 0.5
@@ -298,7 +298,7 @@ def _oracle_example(bank, ex, cand, z):
     for side in (ex.d1, ex.d2):
         outputs, logw = _oracle_run_weights(bank, side, cand)
         w = np.exp(logw - logw.max())
-        f = ex.event.hits(outputs)
+        f = event_hits([ex.event], outputs)[0]
         den = w.sum()
         r = float(np.clip((w * f).sum() / den, lo, hi))
         est.append(r)

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from mechsynth.config import FIXED_ARGS, RunConfig
 from mechsynth.lang import Outputs, RunError, parse_sketch
 from mechsynth.tester import (CoordEvent, HalfLineEvent, PrefixEvent,
                               ValueEvent, counterexample_record, decision_p,
-                              gen_events, gen_input_pairs, hypothesis_test)
+                              event_hits, gen_events, gen_input_pairs,
+                              hypothesis_test)
 from tests.conftest import load_benchmark
 
 
@@ -466,9 +468,54 @@ def test_event_hits_match_contains():
     for outs, events in cases:
         packed = Outputs.from_values(outs)
         assert list(packed) == outs
-        for event in events:
-            got = event.hits(packed).tolist()
-            assert got == [event.contains(o) for o in outs], event
+        got = event_hits(events, packed).tolist()
+        assert got == [[e.contains(o) for o in outs] for e in events]
+
+
+_SMALL_INTS = st.integers(-3, 3)
+_OPS = st.sampled_from(["ge", "le"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_event_hits_equal_contains_on_every_class(data):
+    # scalar, bool-list and int-list outputs, with negative values, empty
+    # lists, prefixes and values longer than the width, coordinates past
+    # it, and blocks of a few elements
+    kind = data.draw(st.sampled_from(["scalar", "bool", "int"]))
+    if kind == "scalar":
+        outs = data.draw(st.lists(_SMALL_INTS, min_size=1, max_size=12))
+        event = st.one_of(st.builds(ValueEvent, _SMALL_INTS),
+                          st.builds(HalfLineEvent, _SMALL_INTS, _OPS))
+    else:
+        item = st.booleans() if kind == "bool" else _SMALL_INTS
+        outs = data.draw(st.lists(st.lists(item, max_size=4).map(tuple),
+                                  min_size=1, max_size=12))
+        tup = st.lists(item, max_size=6).map(tuple)
+        event = st.one_of(st.builds(ValueEvent, tup),
+                          st.builds(PrefixEvent, tup),
+                          st.builds(CoordEvent, st.integers(0, 6),
+                                    _SMALL_INTS, _OPS))
+    events = data.draw(st.lists(event, max_size=10))
+    packed = Outputs.from_values(outs)
+    with mock.patch.object(tester, "_COUNT_CHUNK",
+                           data.draw(st.sampled_from([1, 13, 1 << 18]))):
+        got = event_hits(events, packed)
+    assert got.shape == (len(events), len(outs)) and got.dtype == bool
+    assert got.tolist() == [[e.contains(o) for o in outs] for e in events]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_gen_events_singletons_follow_counter_order_on_random_outputs(data):
+    # few distinct values, so counts tie often
+    item = data.draw(st.sampled_from([st.integers(-2, 2), st.booleans()]))
+    value = data.draw(st.sampled_from(
+        [item, st.lists(item, max_size=3).map(tuple)]))
+    outs = data.draw(st.lists(value, min_size=1, max_size=30))
+    want = [v for v, _ in Counter(outs).most_common(tester._SINGLETON_CAP)]
+    events = gen_events(Outputs.from_values(outs))
+    assert [e.value for e in events if isinstance(e, ValueEvent)] == want
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +587,9 @@ def test_test_mechanism_validation(micro_scalar):
         run_tester(micro_scalar, {}, [None], 0.5, trials=500)
     with pytest.raises(ValueError):
         run_tester(micro_scalar, {}, [1.0, 2.0], 0.5, trials=2000)
+    with pytest.raises(ValueError, match="limit"):
+        tester.test_mechanism(micro_scalar, {"eps": 0.5, "qlen": 5}, [1.0],
+                              trials=1000, seed=0, limit=-1)
 
 
 def test_decision_p_defaults_to_one():
@@ -627,6 +677,93 @@ def test_decision_only_call_returns_the_decision_cells(name, noise):
                                  memo=tester.FisherMemo())
     assert only == [cx for cx in full if cx.decision]
     assert len(only) == len(FROZEN_DECISIONS[(name, noise)][1])
+
+
+# the completions of FROZEN_DECISIONS at trials 1000, and smartsum (2, 2)
+# at 4000 (the perfbench trials), each at seeds 0 and 7
+LIMIT_RUNS = [(name, noise, trials, seed)
+              for name, noise, trials in
+              [(name, noise, 1000) for name, noise in sorted(FROZEN_DECISIONS)]
+              + [("smartsum", (2.0, 2.0), 4000)]
+              for seed in (0, 7)]
+
+
+@pytest.mark.parametrize("name,noise,trials,seed", LIMIT_RUNS)
+def test_limit_keeps_the_first_cells_and_the_decision_cells(name, noise,
+                                                            trials, seed):
+    sk = load_benchmark(name)
+    binding = {"eps": RunConfig().epsilon, "qlen": 5,
+               **{a: FIXED_ARGS[a] for a in sk.args}}
+    full = tester.test_mechanism(sk, binding, list(noise), trials=trials,
+                                 seed=seed)
+    # every run has more than 5 cells; svt's have fewer than 100
+    assert len(full) > 5
+    for k in (0, 1, 5, 100, len(full) + 1):
+        part = tester.test_mechanism(sk, binding, list(noise), trials=trials,
+                                     seed=seed, limit=k)
+        assert len(part) == len(full)
+        assert part[:k] == full[:k]
+        assert ([cx for cx in part if cx.decision]
+                == [cx for cx in full if cx.decision])
+        assert all(cx.p_value == math.inf
+                   for cx in part[k:] if not cx.decision)
+
+
+def test_limit_holds_for_any_screen_within_its_bound(monkeypatch):
+    # a coarse bound and a screen at its edges, so that which cells get
+    # exact tails near the limit-th one turns on the bound
+    rho = 0.2
+    monkeypatch.setattr(tester, "_SCREEN_RHO", rho)
+
+    def screen(self, c1, c2, n, test_epsilon):
+        p = hypothesis_test(c1, c2, n, test_epsilon)
+        return p * (1 + 0.99 * rho * (-1.0) ** np.arange(len(p)))
+    monkeypatch.setattr(tester.FisherMemo, "screen", screen)
+    sk = load_benchmark("smartsum")
+    binding = {"eps": RunConfig().epsilon, "qlen": 5,
+               **{a: FIXED_ARGS[a] for a in sk.args}}
+    full = tester.test_mechanism(sk, binding, [2.0, 2.0], trials=1000,
+                                 seed=0)
+    for k in (1, 5, 100):
+        part = tester.test_mechanism(sk, binding, [2.0, 2.0], trials=1000,
+                                     seed=0, limit=k)
+        assert part[:k] == full[:k]
+        assert ([cx for cx in part if cx.decision]
+                == [cx for cx in full if cx.decision])
+
+
+def test_limit_scores_few_exact_tables(monkeypatch):
+    # smartsum at trials 4000: 100 of 499 final cells are read
+    sk = load_benchmark("smartsum")
+    binding = {"eps": RunConfig().epsilon, "qlen": 5,
+               **{a: FIXED_ARGS[a] for a in sk.args}}
+    tables = []
+    fisher_sf = tester._fisher_sf
+
+    def counting(k, K, n):
+        tables.append(len(k))
+        return fisher_sf(k, K, n)
+    monkeypatch.setattr(tester, "_fisher_sf", counting)
+    full = tester.test_mechanism(sk, binding, [2.0, 2.0], trials=4000, seed=0)
+    every = sum(tables)
+    tables.clear()
+    tester.test_mechanism(sk, binding, [2.0, 2.0], trials=4000, seed=0,
+                          limit=100)
+    assert len(full) > 400
+    assert sum(tables) < every / 2
+
+
+@pytest.mark.parametrize("max_records", ["0", "3", "100", "1000"])
+def test_cmd_test_prints_finite_p_values(max_records):
+    result = CliRunner().invoke(main, [
+        "test", "--sketch", "smartsum", "--noise", "2,2", "--trials", "1000",
+        "--seed", "0", "--max-records", max_records])
+    records = [json.loads(line) for line in result.output.splitlines()]
+    summary = records.pop()
+    assert len(records) == min(int(max_records), summary["candidates"])
+    assert all(math.isfinite(r["p"]) for r in records)
+    assert records == sorted(records, key=lambda r: r["p"])
+    assert math.isfinite(summary["decision_p"])
 
 
 # ---------------------------------------------------------------------------
