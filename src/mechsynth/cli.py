@@ -330,6 +330,11 @@ def cmd_grid(sketch, holes, fix, grid_spec, out, **kw):
         raise click.UsageError("grid requires lo <= hi and step > 0")
     if lo <= 0:
         raise click.UsageError("grid scales must be positive")
+    # the lattice holds its values to 9 decimals
+    if round(lo, 9) == 0:
+        raise click.UsageError(
+            f"grid lo {parts[0]} rounds to 0 at the lattice's 1e-9 "
+            "resolution; grid scales must be positive")
     span = (hi - lo + 1e-9) / step
     # count ** 2 points, count = floor(span) + 1; span may be inf
     if not span < math.isqrt(_GRID_MAX_POINTS):

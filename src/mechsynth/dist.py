@@ -8,7 +8,14 @@ Two families, both parameterized by a positive ``scale`` b with q = e^(-1/b):
   pmf(k) = (1 - q) q^k for k >= 0.
 
 Both expose exact pmf/logpmf/tail (the oracles the samplers and the
-estimator are tested against) and vectorized sampling; closed-form
+estimator are tested against) and vectorized sampling.  A draw is defined
+by numpy's ``Generator.geometric`` with p = 1 - q: a Laplace block of
+``size`` is ``geometric(p, size) - geometric(p, size)``, an exponential
+block ``geometric(p, size) - 1``.  For p < 1/3 numpy computes each
+geometric value as ceil(-E / log1p(-p)) from one ``standard_exponential``
+E, so the samplers draw those exponentials in one call and finish the
+arithmetic on whole arrays (:func:`_geometric`): the same values and the
+same generator state afterwards, at about half the cost.  Closed-form
 importance-weight pieces reweight draws from one scale to another: per draw
 v the log weight is ``alpha + beta * |v|`` with coefficients depending only
 on the two scales.
@@ -70,8 +77,8 @@ class DiscreteLaplace:
         return self.norm_const * q**k / (1.0 - q)
 
     def sample_array(self, rng: np.random.Generator, size) -> np.ndarray:
-        p = 1.0 - self.q
-        return rng.geometric(p, size).astype(np.int64) - rng.geometric(p, size)
+        g = _geometric(rng, 1.0 - self.q, (2, *np.broadcast_shapes(size)))
+        return g[0] - g[1]
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,23 @@ class DiscreteExponential:
         return self.q**k
 
     def sample_array(self, rng: np.random.Generator, size) -> np.ndarray:
-        return rng.geometric(1.0 - self.q, size).astype(np.int64) - 1
+        return _geometric(rng, 1.0 - self.q, size) - 1
+
+
+def _geometric(rng: np.random.Generator, p: float, size) -> np.ndarray:
+    """``rng.geometric(p, size)`` as int64, value for value, leaving ``rng``
+    in the same state.  A leading axis splits the block into the draws of
+    consecutive ``geometric`` calls.
+
+    Below p = 1/3 numpy draws ceil(-E / log1p(-p)) per value, E from
+    ``standard_exponential`` (and clamps values from 2^63 on, which no
+    scale ``_check_scale`` admits reaches: p >= 2^-53 and E < 45); from
+    1/3 on it searches the cdf with one uniform per value and is called
+    as is."""
+    if p >= 1.0 / 3.0:
+        return rng.geometric(p, size).astype(np.int64)
+    return np.ceil(rng.standard_exponential(size) / -math.log1p(-p)) \
+        .astype(np.int64)
 
 
 _FAMILIES = {"lap": DiscreteLaplace, "exp": DiscreteExponential}

@@ -975,7 +975,9 @@ class Outputs:
 # The lane kernel: compile_sketch emits numpy code that runs every lane in
 # lock-step.  These helpers are the kernel's runtime; ``m`` is always the
 # (lanes,) bool mask of the lanes that execute the operation, and a fault
-# raises only when one of those lanes reaches it.
+# raises only when one of those lanes reaches it.  Reads and writes of one
+# element per lane (list indexing, noise draws, appends) go through
+# ``_lanes_at``, which avoids numpy's generic two-array index.
 # ---------------------------------------------------------------------------
 
 def _lane(bad, m) -> int:
@@ -988,6 +990,25 @@ def _lane(bad, m) -> int:
 
 def _at(x, j: int) -> int:
     return int(x[j]) if isinstance(x, np.ndarray) else int(x)
+
+
+def _lanes_at(d, k) -> tuple:
+    """``(a, at)`` such that ``a[at]`` holds the elements that
+    ``d[np.arange(lanes), k]`` picks, or with a ``(lanes, w)`` ``k``
+    ``d[np.arange(lanes)[:, None], k]``; every entry of ``k`` is a column
+    of ``d``.  ``a`` is ``d`` or a view of it when ``d`` is C-contiguous,
+    so ``a[at] = v`` writes into ``d``.
+
+    numpy's two-array fancy index costs 70-90 us at 8,192 lanes.  This
+    takes a column (or a set of columns) when ``k`` is the same on every
+    lane, indexes the one row when all lanes share it (a broadcast answer
+    row, ``strides[0] == 0``), and takes flat offsets otherwise."""
+    if len(k) and (k == k[0]).all():
+        return d, (slice(None), k[0])
+    if d.strides[0] == 0 and len(d):
+        return d[0], k
+    offsets = np.arange(len(d)) * d.shape[1]
+    return d.reshape(-1), (offsets if k.ndim == 1 else offsets[:, None]) + k
 
 
 def _k_const(v: int, m):
@@ -1100,7 +1121,8 @@ def _k_index(lst, i, m):
         raise RunError(f"index {_at(i, j)} out of range 1..{int(n[j])}")
     k = np.clip(np.subtract(i, 1), 0, d.shape[1] - 1)
     if isinstance(i, np.ndarray):
-        return d[np.arange(len(d)), k]
+        a, at = _lanes_at(d, k)
+        return a[at]
     return d[:, k]
 
 
@@ -1123,7 +1145,8 @@ def _k_append(lst, v, m) -> tuple:
     top = int(n.max()) if len(n) else 0
     d = _pad(d, top + 1) if top >= d.shape[1] else d.copy()
     # lanes off the mask get v just past their end, where nothing reads
-    d[np.arange(len(d)), n] = v
+    a, at = _lanes_at(d, n)
+    a[at] = v
     return d, n + m
 
 
@@ -1143,8 +1166,8 @@ def _k_draw(v, draws, cursor, m, hole: int):
         raise RunError(f"noise draws exhausted for hole {hole + 1}")
     if cap == 0:
         return v, cursor
-    d = draws[np.arange(len(cursor)), np.minimum(cursor, cap - 1)]
-    return _k_add(v, d, m), cursor + m
+    a, at = _lanes_at(draws, np.minimum(cursor, cap - 1))
+    return _k_add(v, a[at], m), cursor + m
 
 
 def _k_vdraw(lst, draws, cursor, m, hole: int):
@@ -1156,8 +1179,8 @@ def _k_vdraw(lst, draws, cursor, m, hole: int):
     if cap == 0:
         return lst, cursor
     cols = np.arange(d.shape[1])
-    noise = draws[np.arange(len(d))[:, None],
-                  np.minimum(cursor[:, None] + cols, cap - 1)]
+    a, at = _lanes_at(draws, np.minimum(cursor[:, None] + cols, cap - 1))
+    noise = a[at]
     s = d + noise
     live = (cols < n[:, None]) & m[:, None]
     if (((s < d) != (noise < 0)) & live).any():

@@ -103,7 +103,9 @@ def select_examples(sketch: MechanismSketch, binding: dict, *, scale_grid,
     cells are exactly the anchors that stop the optimizer from drifting
     into a non-private pattern.  When nothing qualifies, the zone widens to
     [0.01, 0.99] and the trial count doubles, once.  Every tester call
-    gets ``memo``, the operation's :class:`~mechsynth.tester.FisherMemo`.
+    gets ``memo``, the operation's :class:`~mechsynth.tester.FisherMemo`,
+    and the zone as its ``band``: only the cells this reads get exact
+    p-values.
     """
     if not scale_grid:
         raise ValueError("scale grid must be nonempty")
@@ -115,6 +117,7 @@ def select_examples(sketch: MechanismSketch, binding: dict, *, scale_grid,
                 vec = [scale * u if u else None for u in direction]
                 for cx in test_mechanism(sketch, binding, vec,
                                          trials=n_trials, seed=seed,
+                                         band=(zone_lo, zone_hi),
                                          memo=memo):
                     anchor = cx.decision and cx.p_value < zone_lo
                     if not (zone_lo <= cx.p_value <= zone_hi or anchor):

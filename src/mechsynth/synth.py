@@ -205,7 +205,7 @@ def _fresh_examples(sketch, binding, best_vector, cfg: RunConfig, seed,
     vec = [None if v is None else float(v) * factor for v in best_vector]
     out = []
     for cx in test_mechanism(sketch, binding, vec, trials=cfg.trials,
-                             seed=seed, memo=memo):
+                             seed=seed, band=ZONE, memo=memo):
         if ZONE[0] <= cx.p_value <= ZONE[1]:
             out.append(Example(d1=cx.d1, d2=cx.d2, event=cx.event,
                                direction=(), scale=round(factor, 6),
@@ -473,10 +473,13 @@ class SynthOutcome:
     counters: dict
 
 
-def _bank_counters(banks) -> dict:
-    """Runs grouped and distinct statistics rows kept, over all ``banks``."""
+def _counters(banks, memo) -> dict:
+    """Runs grouped and distinct statistics rows kept, over all ``banks``,
+    and the exact Fisher tables and thinned counts ``memo`` computed."""
     return {"bank_runs": sum(b.runs_grouped for b in banks),
-            "bank_stat_rows": sum(b.stat_rows for b in banks)}
+            "bank_stat_rows": sum(b.stat_rows for b in banks),
+            "fisher_tables": memo.fisher_tables,
+            "thinned_counts": memo.thinned_counts}
 
 
 def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
@@ -502,7 +505,7 @@ def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
         report = _report(sketch, cfg, examples, None, [], [], [], [],
                          note="no challenging examples found")
         return SynthOutcome(report, timings, [],
-                            _bank_counters([primary_bank]))
+                            _counters([primary_bank], memo))
 
     # --- opti: differential evolution over concrete noise vectors
     with _phase("opti", timings):
@@ -540,8 +543,8 @@ def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
     report = _report(sketch, cfg, examples, region, ranked, survivors,
                      verify_details, test_examples, note=note,
                      radius_used=radius_used)
-    counters = _bank_counters(
-        [primary_bank] + [bank for _, bank, _ in bindings_data])
+    counters = _counters(
+        [primary_bank] + [bank for _, bank, _ in bindings_data], memo)
     return SynthOutcome(report, timings, survivors, counters)
 
 

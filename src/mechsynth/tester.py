@@ -16,19 +16,22 @@ sampled once and tested in both orientations.  The workflow per input pair:
 3. for each counted event and each orientation, thin the larger count by
    e^(-eps) (Binomial quantile coupling, 20 shared uniform draws) and
    apply a one-sided Fisher exact test to the thinned 2x2 table; the
-   reported p-value is the mean over the 20 thinnings.  Both steps call
-   boost's kernels in ``scipy.special._ufuncs`` directly: ``_binom_ppf``
-   for the thinning and ``_hypergeom_sf`` for the Fisher tail, the latter
-   with ``scipy.stats.hypergeom.sf``'s edge rule (1 below the support, 0
-   at and above its top, see :func:`_fisher_sf`), so every value is the
+   reported p-value is the mean over the 20 thinnings.  Both steps use
+   boost's kernels in ``scipy.special._ufuncs`` directly: the thinned
+   count is boost's binomial quantile (``_binom_ppf``), found by stepping
+   its ``_binom_cdf`` from a Cornish-Fisher guess (:func:`_binom_quantiles`),
+   and the Fisher tail is ``_hypergeom_sf`` with
+   ``scipy.stats.hypergeom.sf``'s edge rule (1 below the support, 0 at
+   and above its top, see :func:`_fisher_sf`), so every value is the
    ``scipy.stats`` one to the bit without importing ``scipy.stats``.  The
    pilot counts pick the decision event of each (pair, orientation), the
    one of least p: an error-bounded screening tail rules out the pilot
    cells that cannot hold that minimum, and only the rest get exact
    tails, so the pick is the one exact p-values for every pilot cell
-   would make.  A caller that reads only the first ``limit`` cells gets
-   exact tails for those and for the decision cells, found by the same
-   screen, and p = inf for the rest.
+   would make.  A caller that reads only the first ``limit`` cells, or
+   only the cells whose p lies in a ``band``, gets exact tails for those
+   and for the decision cells, found by the same screen, and p = inf for
+   the rest.
 
 Small p-values indicate a likely violation at the tested epsilon.  All
 randomness derives from an explicit seed, so repeated calls are bit-stable.
@@ -56,8 +59,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.special._ufuncs import _binom_ppf, _hypergeom_sf
+from scipy.special import gammaln, ndtri
+from scipy.special._ufuncs import _binom_cdf, _hypergeom_sf
 
 from .dist import make_dist
 from .lang import MechanismSketch, Outputs, compile_sketch, count_hole_draws
@@ -367,6 +370,7 @@ _N_THINNINGS = 20
 # the per-draw (hence mean) p-value monotone in epsilon.
 _THINNING_U = np.clip(np.random.default_rng(20200817).random(_N_THINNINGS),
                       1e-12, 1 - 1e-12)
+_THINNING_Z = ndtri(_THINNING_U)
 
 
 class FisherMemo:
@@ -377,11 +381,13 @@ class FisherMemo:
     thinned tables again and again; :func:`hypothesis_test` given a memo
     computes each only once.  Thinning rows are kept per epsilon and count,
     tail values per n and table, each store as sorted int64 keys and their
-    values.  A thinned count is boost's ``_binom_ppf`` of a shared uniform
-    and a tail is :func:`_fisher_sf` (boost's ``_hypergeom_sf`` inside the
-    support, 1 below it, 0 at and above its top), each called on the same
-    arguments as a fresh computation, so sharing a memo changes no
-    p-value.
+    values.  A thinned count is boost's binomial quantile of a shared
+    uniform (:func:`_binom_quantiles`, ``_binom_ppf``'s value from
+    ``_binom_cdf``) and a tail is :func:`_fisher_sf` (boost's
+    ``_hypergeom_sf`` inside the support, 1 below it, 0 at and above its
+    top), each computed from the same arguments as a fresh computation, so
+    sharing a memo changes no p-value.  ``thinned_counts`` and
+    ``fisher_tables`` count the quantiles and the exact tails computed.
 
     :meth:`screen` gives cheap, error-bounded p-values from the same
     thinning rows and a table of ln j! for j <= 2n per n; the tester picks
@@ -394,6 +400,8 @@ class FisherMemo:
         self._rows = {}      # eps -> (counts, (counts, 20) thinned counts)
         self._tails = {}     # n -> (tables k * (2n + 1) + K, P[X >= k])
         self._log_fact = {}  # n -> ln j! for j = 0 .. 2n
+        self.thinned_counts = 0   # binomial quantiles computed
+        self.fisher_tables = 0    # exact tails computed
 
     def thinned(self, counts, test_epsilon) -> np.ndarray:
         """The 20 thinned counts of each sorted distinct count; a NaN or
@@ -403,14 +411,15 @@ class FisherMemo:
             raise ValueError(f"test epsilon must be non-negative, got {eps}")
 
         def thin(c):
-            return _binom_ppf(_THINNING_U, c[:, None],
-                              math.exp(-eps)).astype(np.int64)
+            self.thinned_counts += c.size * _N_THINNINGS
+            return _binom_quantiles(c, math.exp(-eps))
         return _recall(self._rows, eps, counts, thin)
 
     def tails(self, n: int, tables) -> np.ndarray:
         """P[X >= k] of each sorted distinct table ``k * (2n + 1) + K``, X
         hypergeometric with population 2n, K successes and n draws."""
         def fisher(t):
+            self.fisher_tables += t.size
             k, K = np.divmod(t, 2 * n + 1)
             return _fisher_sf(k, K, n)
         return _recall(self._tails, n, tables, fisher)
@@ -426,6 +435,38 @@ class FisherMemo:
         tables, where = _thinned_tables(c1, c2, n, test_epsilon, self)
         k, K = np.divmod(tables, 2 * n + 1)
         return _screen_tails(k, K, n, lf)[where].mean(axis=-1)
+
+
+def _binom_quantiles(counts, p: float) -> np.ndarray:
+    """(counts, 20) int64: boost's ``_binom_ppf(_THINNING_U, c, p)`` per
+    count c, the least k with u <= cdf(k) for cdf boost's ``_binom_cdf``
+    of Binomial(c, p).
+
+    A Cornish-Fisher guess, c p + sd z + (1 - 2p)(z^2 - 1)/6 rounded and
+    clipped to [0, c], steps down while cdf(k - 1) >= u, then up while
+    cdf(k) < u, so it ends at cdf(k - 1) < u <= cdf(k); one or two steps
+    settle every quantile, where ``_binom_ppf``'s root finder costs about
+    2.7 us each.  Every count 0..20,000 at 20 uniforms and 9 epsilons from
+    0.001 to 10 gives ``_binom_ppf``'s value."""
+    n = np.repeat(counts.astype(np.float64), _N_THINNINGS)
+    u = np.tile(_THINNING_U, len(counts))
+    z = np.tile(_THINNING_Z, len(counts))
+    mean = n * p
+    k = np.clip(np.ceil(mean + np.sqrt(mean * (1 - p)) * z
+                        + (1 - 2 * p) * (z * z - 1) / 6 - 0.5), 0, n)
+    live = np.flatnonzero(k > 0)
+    live = live[_binom_cdf(k[live] - 1, n[live], p) >= u[live]]
+    while len(live):
+        k[live] -= 1
+        live = live[k[live] > 0]
+        live = live[_binom_cdf(k[live] - 1, n[live], p) >= u[live]]
+    live = np.flatnonzero(k < n)
+    live = live[_binom_cdf(k[live], n[live], p) < u[live]]
+    while len(live):
+        k[live] += 1
+        live = live[k[live] < n[live]]
+        live = live[_binom_cdf(k[live], n[live], p) < u[live]]
+    return k.astype(np.int64).reshape(len(counts), _N_THINNINGS)
 
 
 def _fisher_sf(k, K, n: int) -> np.ndarray:
@@ -712,45 +753,55 @@ def _side_counts(events, sides) -> np.ndarray:
                      for out in sides])
 
 
-def _final_p(c1, c2, decision, limit, n: int, test_epsilon,
+def _final_p(c1, c2, decision, limit, band, n: int, test_epsilon,
              memo) -> np.ndarray:
-    """The p-values of the final cells: all exact, or with ``limit`` set
-    and more cells than that, exact for the decision cells and the
-    ``limit`` cells of least p, first in a stable sort, and inf for the
-    rest.
+    """The p-values of the final cells: all exact; with ``limit`` set and
+    more cells than that, exact for the decision cells and the ``limit``
+    cells of least p, first in a stable sort; with ``band`` = (lo, hi),
+    exact for the decision cells and the cells with lo <= p <= hi.  The
+    rest read inf.
 
-    Exact tails go only to the decision cells and the cells that can rank
-    among the ``limit`` first.  The screen (:meth:`FisherMemo.screen`)
-    bounds each cell's exact p between lo = (p~ - alpha) / (1 + rho) and
-    hi = (p~ + alpha) / (1 - rho), or between -inf and inf where it makes
-    no claim.  Let U be the ``limit``-th least hi: at least ``limit``
-    cells have p <= U, so the ``limit``-th least p is at most U, while a
-    cell with lo > U has p > U.  Every cell with lo <= U gets its exact p,
-    so the first ``limit`` cells of a stable sort, and their p-values, are
-    those that exact p-values for every cell give."""
-    if limit is None or len(c1) <= limit:
+    Exact tails go only to the decision cells and the cells that can be
+    read.  The screen (:meth:`FisherMemo.screen`) bounds each cell's exact
+    p between lo = (p~ - alpha) / (1 + rho) and hi = (p~ + alpha) /
+    (1 - rho), or between -inf and inf where it makes no claim.
+    - ``limit``: let U be the ``limit``-th least hi.  At least ``limit``
+      cells have p <= U, so the ``limit``-th least p is at most U, while a
+      cell with lo > U has p > U.  Every cell with lo <= U gets its exact
+      p, so the first ``limit`` cells of a stable sort, and their
+      p-values, are those that exact p-values for every cell give.
+    - ``band``: a cell whose p lies in the band has lo <= p <= hi, so its
+      bounds overlap the band.  Every such cell gets its exact p."""
+    if band is None and (limit is None or len(c1) <= limit):
         return hypothesis_test(c1, c2, n, test_epsilon, memo=memo)
     exact = decision.copy()
-    if limit:
+    if band is not None or limit:
         screen = memo.screen(c1, c2, n, test_epsilon)
         known = ~np.isnan(screen)
         lo = np.where(known, (screen - _SCREEN_ALPHA) / (1 + _SCREEN_RHO),
                       -np.inf)
         hi = np.where(known, (screen + _SCREEN_ALPHA) / (1 - _SCREEN_RHO),
                       np.inf)
-        exact |= lo <= np.partition(hi, limit - 1)[limit - 1]
+        if band is None:
+            exact |= lo <= np.partition(hi, limit - 1)[limit - 1]
+        else:
+            exact |= (hi >= band[0]) & (lo <= band[1])
     p = np.full(len(c1), np.inf)
     p[exact] = hypothesis_test(c1[exact], c2[exact], n, test_epsilon,
                                memo=memo)
-    read = decision.copy()
-    read[np.argsort(p, kind="stable")[:limit]] = True
+    if band is None:
+        read = decision.copy()
+        read[np.argsort(p, kind="stable")[:limit]] = True
+    else:
+        read = decision | ((band[0] <= p) & (p <= band[1]))
     p[~read] = np.inf
     return p
 
 
 def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
                    trials: int, seed, decision_only: bool = False,
-                   limit: int | None = None, memo=None) -> list:
+                   limit: int | None = None, band: tuple | None = None,
+                   memo=None) -> list:
     """Every counterexample cell over the adjacent pairs and derived events,
     sorted by p-value (the strongest first).
 
@@ -763,8 +814,10 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     With ``limit`` only the decision cells and the ``limit`` cells of
     least p, the first ``limit`` of the list, carry exact p-values: every
     other cell, never read by a caller that reads those, has p-value inf,
-    and the list keeps its length.  ``memo`` carries Fisher work over from
-    earlier calls of the operation.
+    and the list keeps its length.  With ``band`` = (lo, hi) the same
+    holds for the decision cells and the cells with lo <= p <= hi; a call
+    takes ``limit`` or ``band``, not both.  ``memo`` carries Fisher work
+    over from earlier calls of the operation.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful test")
@@ -772,6 +825,9 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
         raise ValueError("noise vector length must match the hole count")
     if limit is not None and limit < 0:
         raise ValueError("limit must be non-negative")
+    if band is not None and (limit is not None or not band[0] <= band[1]):
+        raise ValueError("band must be (lo, hi) with lo <= hi, and no "
+                         "limit")
     seed_words = [seed] if isinstance(seed, int) else list(seed)
     qlen = binding["qlen"]
     target_eps = float(binding["eps"])
@@ -838,7 +894,7 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     c1 = np.array([c[3] for c in cells], dtype=np.int64)
     c2 = np.array([c[4] for c in cells], dtype=np.int64)
     decision = np.array([c[5] for c in cells], dtype=bool)
-    p = _final_p(c1, c2, decision, limit, n_half, target_eps, memo)
+    p = _final_p(c1, c2, decision, limit, band, n_half, target_eps, memo)
 
     candidates = []
     for (pair_no, k, orient, ca, cb, dec), p_value in zip(cells, p.tolist()):

@@ -326,9 +326,14 @@ def test_cmd_synth_writes_report_and_sidecar(runner, micro_path, tmp_path):
                                        "total"}
     # m runs per bank side, grouped into far fewer distinct statistics rows
     counters = sidecar["counters"]
-    assert set(counters) == {"bank_runs", "bank_stat_rows"}
+    assert set(counters) == {"bank_runs", "bank_stat_rows", "fisher_tables",
+                             "thinned_counts"}
     assert counters["bank_runs"] > 0 and counters["bank_runs"] % 20000 == 0
     assert 0 < counters["bank_stat_rows"] < counters["bank_runs"] // 100
+    # 20 thinnings per distinct count
+    assert counters["fisher_tables"] > 0
+    assert counters["thinned_counts"] > 0
+    assert counters["thinned_counts"] % 20 == 0
 
 
 COMMANDS = {"test": ["test", "--noise", "2,2"], "synth": ["synth"],
@@ -423,6 +428,18 @@ def test_cmd_grid_scale_the_noise_family_refuses_exits_2(runner, args,
     result = runner.invoke(main, ["grid", *args, *SMALL["grid"]])
     assert result.exit_code == 2, result.output
     assert message in result.output
+
+
+@pytest.mark.parametrize("lo", ["1e-300", "4e-10"])
+def test_cmd_grid_lo_below_the_lattice_resolution_names_it(runner, lo):
+    # the lattice rounds its values to 9 decimals; the message used to
+    # name the rounded 0.0 instead of the value given
+    result = runner.invoke(main, ["grid", "--sketch", "noisymax2", "--grid",
+                                  f"{lo}:2", *SMALL["grid"]])
+    assert result.exit_code == 2, result.output
+    assert f"grid lo {lo} rounds to 0" in result.output
+    assert "1e-9 resolution" in result.output
+    assert "0.0" not in result.output
 
 
 def test_cmd_grid_requires_fix_for_extra_holes(runner, tmp_path):

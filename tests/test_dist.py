@@ -126,6 +126,28 @@ def test_dexp_sampler_matches_pmf():
     assert p > 1e-3
 
 
+# p = 1 - e^(-1/b) crosses 1/3, where numpy's geometric switches from
+# inversion to search, at b = 1/ln 1.5 ~ 2.4663
+@pytest.mark.parametrize("scale", [0.5, 2.0, 2.466, 2.467, 4.0, 100.0, 1e6,
+                                   1e15])
+@pytest.mark.parametrize("size", [(500, 5), 7])
+def test_samplers_are_numpy_geometric_draws(scale, size):
+    # a draw is defined by Generator.geometric, and a block leaves the
+    # generator where those calls leave it
+    p = 1.0 - math.exp(-1.0 / scale)
+    reference = {
+        "lap": lambda r: (r.geometric(p, size).astype(np.int64)
+                          - r.geometric(p, size)),
+        "exp": lambda r: r.geometric(p, size).astype(np.int64) - 1}
+    for family, draw in reference.items():
+        ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got = make_dist(family, scale).sample_array(ours, size)
+        want = draw(ref)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
 def test_sampling_is_deterministic_per_seed():
     d = DiscreteLaplace(3.0)
     a = d.sample_array(np.random.default_rng(42), 100)

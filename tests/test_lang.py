@@ -5,13 +5,14 @@ noise queues; the interpreter is in turn the oracle of the lane kernel."""
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mechsynth.lang import (MechanismSketch, NoiseTrace, ParseError, RunError,
-                            TypeCheckError, compile_sketch, count_hole_draws,
-                            parse_sketch, run)
+                            TypeCheckError, _lanes_at, compile_sketch,
+                            count_hole_draws, parse_sketch, run)
 from tests.conftest import (BENCHMARK_HOLES, MICRO_SCALAR, UNASSIGNED_SRC,
                             load_benchmark)
 
@@ -374,6 +375,35 @@ def test_compiled_index_out_of_range_raises(k):
         run(sk, {"K": k}, (1, 2, 3), NoiseTrace([(0,)]))
     with pytest.raises(RunError):
         compile_sketch(sk)({"K": k}, [1, 2, 3], [[[0]]])
+
+
+@given(data=st.data())
+def test_lanes_at_picks_what_fancy_indexing_picks(data):
+    lanes = data.draw(st.integers(0, 30), "lanes")
+    width = data.draw(st.integers(1, 6), "width")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # one answer row that every lane shares, or a row per lane
+    if data.draw(st.booleans(), "shared"):
+        d = np.broadcast_to(rng.integers(-9, 9, width), (lanes, width))
+    else:
+        d = rng.integers(-9, 9, (lanes, width))
+    # one column per lane, or a (lanes, w) block as a vector draw reads
+    cols = data.draw(st.integers(0, 3), "cols")
+    shape = (lanes,) if cols == 0 else (lanes, cols)
+    if data.draw(st.booleans(), "uniform"):
+        k = np.broadcast_to(rng.integers(0, width, shape[1:]), shape).copy()
+    else:
+        k = rng.integers(0, width, shape)
+    rows = np.arange(lanes) if cols == 0 else np.arange(lanes)[:, None]
+    a, at = _lanes_at(d, k)
+    assert np.array_equal(a[at], d[rows, k])
+    if cols == 0 and d.strides[0]:
+        v = rng.integers(-9, 9, lanes)
+        got, want = d.copy(), d.copy()
+        a, at = _lanes_at(got, k)
+        a[at] = v
+        want[rows, k] = v
+        assert np.array_equal(got, want)
 
 
 def test_kernel_arguments_must_be_integers():

@@ -25,7 +25,7 @@ from scipy.stats import binom, hypergeom
 
 from mechsynth import tester
 from mechsynth.cli import main
-from mechsynth.config import FIXED_ARGS, RunConfig
+from mechsynth.config import FIXED_ARGS, ZONE, RunConfig
 from mechsynth.lang import Outputs, RunError, parse_sketch
 from mechsynth.tester import (CoordEvent, HalfLineEvent, PrefixEvent,
                               ValueEvent, counterexample_record, decision_p,
@@ -204,7 +204,9 @@ def test_tails_are_hypergeom_sf_bit_for_bit_at_n_2000():
 
 @pytest.mark.parametrize("eps", [0.05, 0.2, 0.5, 1.5, 3.0])
 def test_thinned_counts_are_binom_ppf(eps):
-    counts = np.arange(2001)
+    # every count to 2,000 and a sample of the counts to 20,000
+    sampled = np.random.default_rng(5).integers(2001, 20_001, 1000)
+    counts = np.unique(np.concatenate([np.arange(2001), sampled, [20_000]]))
     got = tester.FisherMemo().thinned(counts, eps)
     want = binom.ppf(tester._THINNING_U, counts[:, None], math.exp(-eps))
     assert got.dtype == np.int64
@@ -590,6 +592,10 @@ def test_test_mechanism_validation(micro_scalar):
     with pytest.raises(ValueError, match="limit"):
         tester.test_mechanism(micro_scalar, {"eps": 0.5, "qlen": 5}, [1.0],
                               trials=1000, seed=0, limit=-1)
+    for kw in ({"band": (0.9, 0.05)}, {"band": (0.05, 0.9), "limit": 5}):
+        with pytest.raises(ValueError, match="band"):
+            tester.test_mechanism(micro_scalar, {"eps": 0.5, "qlen": 5},
+                                  [1.0], trials=1000, seed=0, **kw)
 
 
 def test_decision_p_defaults_to_one():
@@ -730,6 +736,61 @@ def test_limit_holds_for_any_screen_within_its_bound(monkeypatch):
         assert part[:k] == full[:k]
         assert ([cx for cx in part if cx.decision]
                 == [cx for cx in full if cx.decision])
+
+
+def _in_band(cx, band):
+    return cx.decision or band[0] <= cx.p_value <= band[1]
+
+
+@pytest.mark.parametrize("name,noise,trials,seed", LIMIT_RUNS)
+def test_band_keeps_the_cells_in_the_band_and_the_decision_cells(
+        name, noise, trials, seed):
+    sk = load_benchmark(name)
+    binding = {"eps": RunConfig().epsilon, "qlen": 5,
+               **{a: FIXED_ARGS[a] for a in sk.args}}
+    full = tester.test_mechanism(sk, binding, list(noise), trials=trials,
+                                 seed=seed)
+    # the zone, its widened form, a band holding one cell's p on both
+    # edges, and bands holding every cell or none
+    mid = full[len(full) // 2].p_value
+    for band in (ZONE, (0.01, 0.99), (mid, mid), (0.0, 1.0), (2.0, 3.0)):
+        memo = tester.FisherMemo()
+        part = tester.test_mechanism(sk, binding, list(noise), trials=trials,
+                                     seed=seed, band=band, memo=memo)
+        assert len(part) == len(full)
+        assert ([cx for cx in part if _in_band(cx, band)]
+                == [cx for cx in full if _in_band(cx, band)])
+        assert all(cx.p_value == math.inf
+                   for cx in part if not _in_band(cx, band))
+        assert memo.fisher_tables > 0
+        if band == (mid, mid):
+            assert any(cx.p_value == mid for cx in part)
+
+
+def test_band_holds_for_a_screen_at_the_edge_of_its_bound(monkeypatch):
+    # a coarse bound, a screen that reads each cell's p as far from it as
+    # the bound allows (short of the comparisons' rounding, for which the
+    # bound leaves room), and band edges on cells' exact p-values, so that
+    # which cells get exact tails at the edges turns on the bound
+    rho = 0.2
+    monkeypatch.setattr(tester, "_SCREEN_RHO", rho)
+    sk = load_benchmark("smartsum")
+    binding = {"eps": RunConfig().epsilon, "qlen": 5,
+               **{a: FIXED_ARGS[a] for a in sk.args}}
+    full = tester.test_mechanism(sk, binding, [2.0, 2.0], trials=1000,
+                                 seed=0)
+    p = sorted({cx.p_value for cx in full})
+    for sign in (1.0, -1.0):
+        def screen(self, c1, c2, n, test_epsilon):
+            exact = hypothesis_test(c1, c2, n, test_epsilon)
+            return (exact * (1 + sign * rho * (1 - 1e-9))
+                    + sign * tester._SCREEN_ALPHA)
+        monkeypatch.setattr(tester.FisherMemo, "screen", screen)
+        for band in ((p[10], p[-10]), (p[len(p) // 2], p[len(p) // 2])):
+            part = tester.test_mechanism(sk, binding, [2.0, 2.0],
+                                         trials=1000, seed=0, band=band)
+            assert ([cx for cx in part if _in_band(cx, band)]
+                    == [cx for cx in full if _in_band(cx, band)])
 
 
 def test_limit_scores_few_exact_tables(monkeypatch):
