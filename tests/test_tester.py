@@ -748,8 +748,9 @@ def test_band_keeps_the_cells_in_the_band_and_the_decision_cells(
     sk = load_benchmark(name)
     binding = {"eps": RunConfig().epsilon, "qlen": 5,
                **{a: FIXED_ARGS[a] for a in sk.args}}
+    every = tester.FisherMemo()
     full = tester.test_mechanism(sk, binding, list(noise), trials=trials,
-                                 seed=seed)
+                                 seed=seed, memo=every)
     # the zone, its widened form, a band holding one cell's p on both
     # edges, and bands holding every cell or none
     mid = full[len(full) // 2].p_value
@@ -762,9 +763,11 @@ def test_band_keeps_the_cells_in_the_band_and_the_decision_cells(
                 == [cx for cx in full if _in_band(cx, band)])
         assert all(cx.p_value == math.inf
                    for cx in part if not _in_band(cx, band))
-        assert memo.fisher_tables > 0
+        assert 0 < memo.fisher_tables <= every.fisher_tables
         if band == (mid, mid):
             assert any(cx.p_value == mid for cx in part)
+            # one p-value's cells need fewer exact tables than every cell
+            assert memo.fisher_tables < every.fisher_tables
 
 
 def test_band_holds_for_a_screen_at_the_edge_of_its_bound(monkeypatch):
