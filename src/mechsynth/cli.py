@@ -17,8 +17,8 @@ candidate survived (``synth``) or no challenging example found (``grid``);
 2 usage error, such as an ``--out`` path that cannot be written; 3 a sketch
 argument without a fixed value, a runtime fault while running the sketch,
 such as an out-of-range index, a read of an unassigned variable, an int64
-overflow or exhausted noise draws, or (``synth``) any other failure inside
-a synthesis phase.
+overflow or exhausted noise draws, an allocation that runs out of memory,
+or (``synth``) any other failure inside a synthesis phase.
 """
 
 from __future__ import annotations
@@ -189,8 +189,8 @@ def _emit(text: str, out: str):
 
 @contextlib.contextmanager
 def _faults_exit_3():
-    """Report a synthesis-phase error or a sketch runtime fault on stderr
-    and exit 3."""
+    """Report a synthesis-phase error, a sketch runtime fault or an
+    allocation failure on stderr and exit 3."""
     try:
         yield
     except SynthError as exc:
@@ -198,6 +198,9 @@ def _faults_exit_3():
         sys.exit(3)
     except LangError as exc:
         click.echo(f"runtime error in sketch: {exc}", err=True)
+        sys.exit(3)
+    except MemoryError as exc:
+        click.echo(f"out of memory: {exc}", err=True)
         sys.exit(3)
 
 

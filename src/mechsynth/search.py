@@ -548,8 +548,8 @@ _F = 0.7
 _CR = 0.9
 
 
-def get_noise_region(bank: PresampleBank, examples, n_holes: int, target_eps,
-                     *, lam: float, population: int, steps: int, seed: int,
+def get_noise_region(bank: PresampleBank, examples, target_eps, *,
+                     lam: float, population: int, steps: int, seed: int,
                      history: Optional[list] = None) -> NoiseRegion:
     """rand/1/bin differential evolution over the [0, 16]^n box.
 
@@ -567,6 +567,7 @@ def get_noise_region(bank: PresampleBank, examples, n_holes: int, target_eps,
     if steps < 1:
         raise ValueError("steps must be positive")
     rng = np.random.default_rng([seed, 2])
+    n_holes = bank.sketch.n_holes
     champs = {}
 
     def score(rows):

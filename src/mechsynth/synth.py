@@ -292,8 +292,7 @@ def _verdict_json(verdict) -> dict:
     return out
 
 
-def rank_candidates(cands, bindings_data, gamma_binding: dict,
-                    cfg: RunConfig) -> list:
+def rank_candidates(cands, bindings_data, gamma_binding: dict) -> list:
     """Score every candidate at every binding and sort by the lexicographic
     key (violations asc, worst loss desc, magnitude asc, enumeration order).
 
@@ -429,12 +428,6 @@ def _rescale(cfg: RunConfig, eps) -> float:
     return float(Fraction(cfg.epsilon) / Fraction(eps))
 
 
-def _proposal_at(cfg: RunConfig, eps) -> float:
-    # keep target/proposal scale ratios stable across bindings: the fixed
-    # binding uses PROPOSAL_SCALE as-is, others rescale by 1/eps
-    return PROPOSAL_SCALE * _rescale(cfg, eps)
-
-
 def _mixture_at(cfg: RunConfig, eps) -> tuple:
     # scoring banks cover the whole discovery grid, rescaled to the binding,
     # so candidates far from the central proposal still get stable weights
@@ -444,11 +437,10 @@ def _mixture_at(cfg: RunConfig, eps) -> tuple:
 
 def optimizer_bank(sketch: MechanismSketch, binding: dict,
                    cfg: RunConfig) -> PresampleBank:
-    """The bank the optimizer's objective is scored on: one component at the
-    proposal scale, rescaled to the binding."""
+    """The bank the optimizer's objective is scored on: one component at
+    ``PROPOSAL_SCALE``."""
     return PresampleBank(sketch, binding, m=cfg.presamples,
-                         scales=(_proposal_at(cfg, binding["eps"]),),
-                         seed=cfg.seed)
+                         scales=(PROPOSAL_SCALE,), seed=cfg.seed)
 
 
 @contextmanager
@@ -510,7 +502,7 @@ def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
     # --- opti: differential evolution over concrete noise vectors
     with _phase("opti", timings):
         region = get_noise_region(
-            primary_bank, examples, sketch.n_holes, float(cfg.epsilon),
+            primary_bank, examples, float(cfg.epsilon),
             lam=cfg.lam, population=cfg.population,
             steps=cfg.steps_per_hole * sketch.n_holes, seed=cfg.seed)
 
@@ -530,7 +522,7 @@ def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
                               scales=_mixture_at(cfg, b["eps"]),
                               seed=cfg.seed),
              test_examples[_binding_key(b)]) for b in bindings]
-        ranked = rank_candidates(cands, bindings_data, gamma_binding, cfg) \
+        ranked = rank_candidates(cands, bindings_data, gamma_binding) \
             if cands else []
 
     # --- verify: statistical re-test of the top candidates

@@ -23,15 +23,15 @@ sampled once and tested in both orientations.  The workflow per input pair:
    and the Fisher tail is ``_hypergeom_sf`` with
    ``scipy.stats.hypergeom.sf``'s edge rule (1 below the support, 0 at
    and above its top, see :func:`_fisher_sf`), so every value is the
-   ``scipy.stats`` one to the bit without importing ``scipy.stats``.  The
-   pilot counts pick the decision event of each (pair, orientation), the
-   one of least p: an error-bounded screening tail rules out the pilot
-   cells that cannot hold that minimum, and only the rest get exact
-   tails, so the pick is the one exact p-values for every pilot cell
-   would make.  A caller that reads only the first ``limit`` cells, or
-   only the cells whose p lies in a ``band``, gets exact tails for those
-   and for the decision cells, found by the same screen, and p = inf for
-   the rest.
+   ``scipy.stats`` one to the bit without importing ``scipy.stats``.
+   Exact tails go only to the cells that can be read: :func:`_may_rank`
+   keeps those whose screened bounds (:func:`_screen_bounds`) let them
+   rank among the k least p of their segment, k = 1 per (pair,
+   orientation) for its decision event, the pilot cell of least p, and
+   k = ``limit`` over the final cells for a caller that reads the first
+   ``limit``; one that reads a ``band`` of p gets the cells whose bounds
+   overlap it.  The decision cells always get exact tails, the rest read
+   p = inf, and each pick and p-value is the one exact p-values give.
 
 Small p-values indicate a likely violation at the tested epsilon.  All
 randomness derives from an explicit seed, so repeated calls are bit-stable.
@@ -312,20 +312,17 @@ def _quantile_thresholds(values):
 def _most_common(outputs: Outputs, cap: int) -> list:
     """The ``cap`` most frequent output values, ties in order of first
     appearance (as ``Counter.most_common`` orders them)."""
-    if outputs.lengths is None:
-        _, first, counts = np.unique(outputs.values, return_index=True,
-                                     return_counts=True)
-    else:
-        # a stable sort puts each group's first lane at its start
-        keys = np.vstack([outputs.values.T, outputs.lengths])
-        order = np.lexsort(keys)
-        ranked = keys[:, order]
-        start = np.empty(len(order), dtype=bool)
-        start[:1] = True
-        np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=start[1:])
-        starts = np.flatnonzero(start)
-        first = order[starts]
-        counts = np.diff(starts, append=len(order))
+    # a stable sort puts each group's first lane at its start
+    keys = np.vstack([outputs.values.T] if outputs.lengths is None
+                     else [outputs.values.T, outputs.lengths])
+    order = np.lexsort(keys)
+    ranked = keys[:, order]
+    start = np.empty(len(order), dtype=bool)
+    start[:1] = True
+    np.any(ranked[:, 1:] != ranked[:, :-1], axis=0, out=start[1:])
+    starts = np.flatnonzero(start)
+    first = order[starts]
+    counts = np.diff(starts, append=len(order))
     order = np.lexsort((first, -counts))[:cap]
     return [outputs[int(first[i])] for i in order]
 
@@ -390,8 +387,8 @@ class FisherMemo:
     ``fisher_tables`` count the quantiles and the exact tails computed.
 
     :meth:`screen` gives cheap, error-bounded p-values from the same
-    thinning rows and a table of ln j! for j <= 2n per n; the tester picks
-    its decision events with them (see :func:`test_mechanism`).  Screening
+    thinning rows and a table of ln j! for j <= 2n per n; the tester bounds
+    exact p-values with them (see :func:`_screen_bounds`).  Screening
     values are not kept: only exact tails are ever reported.  Keep one memo
     per operation (one ``synth`` call, one command), not per process.
     """
@@ -710,24 +707,43 @@ def _count_floor(n_side: int) -> int:
     return max(20, math.ceil(0.003 * n_side))
 
 
+def _screen_bounds(c1, c2, n: int, test_epsilon, memo):
+    """Per cell, bounds lo <= p <= hi on its exact p from the screen
+    (:meth:`FisherMemo.screen`): |p~ - p| <= rho p + alpha gives
+    lo = (p~ - alpha) / (1 + rho) and hi = (p~ + alpha) / (1 - rho), and
+    where the screen makes no claim, lo = -inf and hi = inf."""
+    screen = memo.screen(c1, c2, n, test_epsilon)
+    known = ~np.isnan(screen)
+    lo = np.where(known, (screen - _SCREEN_ALPHA) / (1 + _SCREEN_RHO),
+                  -np.inf)
+    hi = np.where(known, (screen + _SCREEN_ALPHA) / (1 - _SCREEN_RHO),
+                  np.inf)
+    return lo, hi
+
+
+def _may_rank(lo, hi, starts, k: int) -> np.ndarray:
+    """Per cell, whether its exact p, bounded by lo <= p <= hi, can rank
+    among the ``k`` least p of its segment, first in a stable sort;
+    segment s runs from ``starts[s]`` to the next start and holds at
+    least ``k`` cells.  With U its ``k``-th least hi, at least ``k`` cells
+    have p <= U, so a cell with lo > U has p above the ``k``-th least p:
+    the cells with lo <= U hold every cell at or below it, ties included,
+    and their exact p-values alone give the stable sort's first ``k``."""
+    segment = np.repeat(np.arange(len(starts)),
+                        np.diff(starts, append=len(hi)))
+    bound = hi[np.lexsort((hi, segment))][starts + k - 1]
+    return lo <= bound[segment]
+
+
 def _decision_events(pilots, n: int, test_epsilon, memo) -> list:
     """Per pair, the decision event of each orientation: the index of the
     first event with the least exact p among its pilot cells, as
     ``np.argmin`` over every cell's :func:`hypothesis_test` would pick it.
 
     ``pilots`` holds each pair's pilot counts, shape (2 sides, events);
-    orientation o tests side o against side 1 - o.  The screen
-    (:meth:`FisherMemo.screen`) scores every cell; only the cells of
-    C = {i : p~_i (1 - rho) <= min p~ (1 + rho) + 2 alpha} of each
-    orientation, plus any cell whose screen value is not finite, get
-    exact p-values.  C holds every cell the exact argmin can fall on:
-    |p~ - p| <= rho p + alpha gives p >= (p~ - alpha) / (1 + rho) and
-    p <= (p~ + alpha) / (1 - rho), so a cell i outside C, with j the
-    screen's argmin, has p_i >= (p~_i - alpha) / (1 + rho)
-    > (p~_j + alpha) / (1 - rho) >= p_j >= min p: strictly above the exact
-    minimum.  C thus holds the exact argmin and all its ties, the first
-    exact minimum over C in cell order is ``np.argmin``'s pick, and every
-    p-value the tester reports is still the exact one.
+    orientation o tests side o against side 1 - o.  Only the cells that
+    :func:`_may_rank` first in their (pair, orientation) get exact
+    p-values, and the first exact minimum among them is the pick.
     """
     c1 = np.concatenate([pc[o] for pc in pilots for o in (0, 1)])
     c2 = np.concatenate([pc[1 - o] for pc in pilots for o in (0, 1)])
@@ -735,13 +751,10 @@ def _decision_events(pilots, n: int, test_epsilon, memo) -> list:
     starts = np.cumsum(widths) - widths
     # the (pair, orientation) of each cell
     segment = np.repeat(np.arange(len(widths)), widths)
-    screen = memo.screen(c1, c2, n, test_epsilon)
-    low = np.fmin.reduceat(screen, starts)[segment]
-    # NaN compares false, so a cell without a finite screen value stays in
-    near = np.flatnonzero(~(screen * (1 - _SCREEN_RHO)
-                            > low * (1 + _SCREEN_RHO) + 2 * _SCREEN_ALPHA))
+    near = np.flatnonzero(_may_rank(
+        *_screen_bounds(c1, c2, n, test_epsilon, memo), starts, 1))
     p = hypothesis_test(c1[near], c2[near], n, test_epsilon, memo=memo)
-    # per segment, its cells in C by exact p, ties in cell order
+    # per segment, its marked cells by exact p, ties in cell order
     ranked = near[np.lexsort((near, p, segment[near]))]
     _, first = np.unique(segment[ranked], return_index=True)
     picks = (ranked[first] - starts).tolist()
@@ -763,28 +776,16 @@ def _final_p(c1, c2, decision, limit, band, n: int, test_epsilon,
     rest read inf.
 
     Exact tails go only to the decision cells and the cells that can be
-    read.  The screen (:meth:`FisherMemo.screen`) bounds each cell's exact
-    p between lo = (p~ - alpha) / (1 + rho) and hi = (p~ + alpha) /
-    (1 - rho), or between -inf and inf where it makes no claim.
-    - ``limit``: let U be the ``limit``-th least hi.  At least ``limit``
-      cells have p <= U, so the ``limit``-th least p is at most U, while a
-      cell with lo > U has p > U.  Every cell with lo <= U gets its exact
-      p, so the first ``limit`` cells of a stable sort, and their
-      p-values, are those that exact p-values for every cell give.
-    - ``band``: a cell whose p lies in the band has lo <= p <= hi, so its
-      bounds overlap the band.  Every such cell gets its exact p."""
+    read: with ``limit``, those that :func:`_may_rank` among the ``limit``
+    least p; with ``band``, those whose :func:`_screen_bounds` overlap
+    it, as a cell whose p lies in the band lies within its bounds."""
     if band is None and (limit is None or len(c1) <= limit):
         return hypothesis_test(c1, c2, n, test_epsilon, memo=memo)
     exact = decision.copy()
     if band is not None or limit:
-        screen = memo.screen(c1, c2, n, test_epsilon)
-        known = ~np.isnan(screen)
-        lo = np.where(known, (screen - _SCREEN_ALPHA) / (1 + _SCREEN_RHO),
-                      -np.inf)
-        hi = np.where(known, (screen + _SCREEN_ALPHA) / (1 - _SCREEN_RHO),
-                      np.inf)
+        lo, hi = _screen_bounds(c1, c2, n, test_epsilon, memo)
         if band is None:
-            exact |= lo <= np.partition(hi, limit - 1)[limit - 1]
+            exact |= _may_rank(lo, hi, np.zeros(1, dtype=np.int64), limit)
         else:
             exact |= (hi >= band[0]) & (lo <= band[1])
     p = np.full(len(c1), np.inf)
@@ -813,12 +814,13 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     when no event passes the count floor.  With ``decision_only`` the list
     holds the decision cells alone, exactly as the full list has them.
     With ``limit`` only the decision cells and the ``limit`` cells of
-    least p, the first ``limit`` of the list, carry exact p-values: every
-    other cell, never read by a caller that reads those, has p-value inf,
-    and the list keeps its length.  With ``band`` = (lo, hi) the same
-    holds for the decision cells and the cells with lo <= p <= hi; a call
-    takes ``limit`` or ``band``, not both.  ``memo`` carries Fisher work
-    over from earlier calls of the operation.
+    least p, the first ``limit`` of the list, carry exact p-values (see
+    :func:`_may_rank`); every other cell, never read by a caller that
+    reads those, has p-value inf, and the list keeps its length.  With
+    ``band`` = (lo, hi) the same holds for the decision cells and the
+    cells with lo <= p <= hi; a call takes ``limit`` or ``band``, not
+    both.  ``memo`` carries Fisher work over from earlier calls of the
+    operation.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials for a meaningful test")

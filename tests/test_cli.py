@@ -364,6 +364,24 @@ def test_unwritable_out_exits_2_before_any_work(runner, duo_path, tmp_path,
     assert "cannot write" in result.output
 
 
+@pytest.mark.parametrize("name,work", [("test", "test_mechanism"),
+                                       ("grid", "select_examples")])
+def test_allocation_failure_exits_3(runner, duo_path, monkeypatch, name,
+                                    work):
+    # exit 1 would read as a violation (test) or as no challenging example
+    # (grid); the failure is raised, not caused, so nothing is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with "
+                          "shape (2, 500, 1000000) and data type float64")
+    monkeypatch.setattr(f"mechsynth.cli.{work}", out_of_memory)
+    result = runner.invoke(main, [*COMMANDS[name], "--sketch", duo_path,
+                                  *SMALL[name]])
+    assert result.exit_code == 3
+    assert result.output == (
+        "out of memory: Unable to allocate 7.45 GiB for an array with "
+        "shape (2, 500, 1000000) and data type float64\n")
+
+
 # ---------------------------------------------------------------------------
 # grid subcommand
 # ---------------------------------------------------------------------------

@@ -448,17 +448,17 @@ def test_objective_requires_examples(bank):
 def test_region_validation(bank):
     ex = [_shift_example()]
     with pytest.raises(ValueError):
-        get_noise_region(bank, ex, 1, EPS, lam=1.0, population=3,
+        get_noise_region(bank, ex, EPS, lam=1.0, population=3,
                          steps=500, seed=0)
     with pytest.raises(ValueError):
-        get_noise_region(bank, ex, 1, EPS, lam=1.0, population=50, steps=0,
+        get_noise_region(bank, ex, EPS, lam=1.0, population=50, steps=0,
                          seed=0)
 
 
 @pytest.fixture(scope="module")
 def micro_region(bank):
     history = []
-    region = get_noise_region(bank, [_shift_example()], 1, EPS, lam=1.0,
+    region = get_noise_region(bank, [_shift_example()], EPS, lam=1.0,
                               population=20, steps=60, seed=5,
                               history=history)
     return region, history
@@ -488,9 +488,9 @@ def test_optimizer_finds_inverse_epsilon_scale(micro_region):
 
 def test_region_deterministic(bank):
     ex = [_shift_example()]
-    a = get_noise_region(bank, ex, 1, EPS, lam=1.0, population=8, steps=5,
+    a = get_noise_region(bank, ex, EPS, lam=1.0, population=8, steps=5,
                          seed=11)
-    b = get_noise_region(bank, ex, 1, EPS, lam=1.0, population=8, steps=5,
+    b = get_noise_region(bank, ex, EPS, lam=1.0, population=8, steps=5,
                          seed=11)
     assert a.entries == b.entries
 

@@ -24,9 +24,9 @@ from mechsynth.search import (Example, NoiseRegion, PresampleBank,
                               example_losses_with_se)
 from mechsynth.synth import (NoiseExpr, RankedCandidate, SynthError,
                              _bindings, _inherit_examples, _mixture_at,
-                             _proposal_at, _report, _reshape_pair,
-                             enumerate_and_prune, expressions, final_verify,
-                             fix_params, gamma_vector, rank_candidates,
+                             _report, _reshape_pair, enumerate_and_prune,
+                             expressions, final_verify, fix_params,
+                             gamma_vector, optimizer_bank, rank_candidates,
                              render_vector, report_to_json, synth)
 from mechsynth.tester import CoordEvent, HalfLineEvent, PrefixEvent, ValueEvent
 
@@ -238,13 +238,14 @@ def test_bindings_cover_eps_and_qlen_grid(micro_scalar):
         (e, q) for e in cfg.test_eps for q in cfg.test_qlens}
 
 
-def test_banks_at_the_target_epsilon_use_the_configured_scales():
+def test_banks_at_the_target_epsilon_use_the_configured_scales(
+        micro_scalar):
     # the fixed binding's epsilon is cfg.epsilon, so its banks must not be
     # rescaled whatever that epsilon is
-    cfg = RunConfig(epsilon=Fraction(1))
-    assert _proposal_at(cfg, cfg.epsilon) == PROPOSAL_SCALE
+    cfg = RunConfig(epsilon=Fraction(1), presamples=10)
+    bank = optimizer_bank(micro_scalar, fix_params(micro_scalar, cfg), cfg)
+    assert bank.scales == (PROPOSAL_SCALE,)
     assert _mixture_at(cfg, cfg.epsilon) == cfg.scale_grid
-    assert _proposal_at(cfg, Fraction(1, 2)) == 2 * PROPOSAL_SCALE
 
 
 def test_report_config_block_names_every_field(micro_scalar):
@@ -291,21 +292,20 @@ def test_sort_key_ties_losses_within_grain_then_prefers_less_noise():
 
 @pytest.fixture(scope="module")
 def rank_setup(micro_scalar):
-    cfg = RunConfig()
     bank = PresampleBank(micro_scalar, {"qlen": 5}, m=40000,
                          scales=(0.5, 1.0, 2.0, 4.0, 8.0), seed=2)
     example = Example(d1=(0, 0, 0, 0, 0), d2=(1, 0, 0, 0, 0),
                       event=HalfLineEvent(0, "le"), direction=(1,),
                       scale=1.0, p_value=0.5)
     binding = {"eps": Fraction(1, 2), "qlen": 5}
-    return cfg, [(binding, bank, [example])], binding
+    return [(binding, bank, [example])], binding
 
 
 def test_rank_tighter_private_candidate_first(rank_setup):
-    cfg, bindings_data, binding = rank_setup
+    bindings_data, binding = rank_setup
     # both candidates are private here; the tighter scale has higher loss
     cands = [(NoiseExpr(4, 0, 1),), (NoiseExpr(1, 0, 1),)]
-    ranked = rank_candidates(cands, bindings_data, binding, cfg)
+    ranked = rank_candidates(cands, bindings_data, binding)
     assert render_vector(ranked[0].exprs) == "(1/eps)"
     assert ranked[0].violations == ranked[1].violations == 0
     assert ranked[0].worst_loss > ranked[1].worst_loss
@@ -313,9 +313,9 @@ def test_rank_tighter_private_candidate_first(rank_setup):
 
 
 def test_rank_counts_violations_for_no_noise(rank_setup):
-    cfg, bindings_data, binding = rank_setup
+    bindings_data, binding = rank_setup
     cands = [(None,), (NoiseExpr(1, 0, 1),)]
-    ranked = rank_candidates(cands, bindings_data, binding, cfg)
+    ranked = rank_candidates(cands, bindings_data, binding)
     assert render_vector(ranked[0].exprs) == "(1/eps)"
     bot = ranked[1]
     assert bot.violations == 1
@@ -326,14 +326,14 @@ def test_rank_counts_violations_for_no_noise(rank_setup):
 def test_rank_boundary_candidate_is_not_a_violation(rank_setup):
     # (1/eps) sits exactly on e^eps: its interval must cover the truth and
     # the estimate's noise alone must not count as a violation
-    cfg, bindings_data, binding = rank_setup
+    bindings_data, binding = rank_setup
     _, bank, examples = bindings_data[0]
     z = -ndtri(VERIFY_ALPHA / len(examples))
     losses, se = example_losses_with_se(bank, examples, [(2.0,)], z)
     log_loss = math.log(losses[0, 0])
     assert log_loss - z * se[0, 0] <= 0.5 <= log_loss + z * se[0, 0]
     cands = [(NoiseExpr(1, 0, 1),), (None,)]
-    ranked = rank_candidates(cands, bindings_data, binding, cfg)
+    ranked = rank_candidates(cands, bindings_data, binding)
     assert [render_vector(r.exprs) for r in ranked] == ["(1/eps)", "(bot)"]
     assert [r.violations for r in ranked] == [0, 1]
 
@@ -342,7 +342,6 @@ def test_rank_dry_side_gets_a_one_sided_bound(micro_scalar):
     # out = a[1] + v with shared draws v: the event {out = k} is hit by
     # d1 = (0, ..) when v = k and by d2 = (1, ..) when v = k - 1.  At the
     # first k no draw reaches, d1 is dry while d2 has hits.
-    cfg = RunConfig()
     bank = PresampleBank(micro_scalar, {"qlen": 5}, m=2000,
                          scales=(PROPOSAL_SCALE,), seed=0)
     d1, d2 = (0, 0, 0, 0, 0), (1, 0, 0, 0, 0)
@@ -364,7 +363,7 @@ def test_rank_dry_side_gets_a_one_sided_bound(micro_scalar):
     # 4/eps reweights the same lone hit to a far larger estimate; neither is
     # a violation, so both read as "at the bound" and the lighter one wins
     ranked = rank_candidates([(NoiseExpr(4, 0, 1),), (NoiseExpr(2, 0, 1),)],
-                             [(binding, bank, [example])], binding, cfg)
+                             [(binding, bank, [example])], binding)
     assert [r.violations for r in ranked] == [0, 0]
     assert [render_vector(r.exprs) for r in ranked] == ["(2/eps)", "(4/eps)"]
     assert ranked[1].worst_loss > ranked[0].worst_loss
@@ -372,19 +371,18 @@ def test_rank_dry_side_gets_a_one_sided_bound(micro_scalar):
 
 
 def test_rank_equal_keys_fall_back_to_enumeration_order(rank_setup):
-    cfg, bindings_data, binding = rank_setup
+    bindings_data, binding = rank_setup
     # identical concrete scale at this binding: all keys tie except the index
     cands = [(NoiseExpr(2, 0, 1),), (NoiseExpr(1, 0, 2),)]
-    ranked = rank_candidates(cands, bindings_data, binding, cfg)
+    ranked = rank_candidates(cands, bindings_data, binding)
     assert render_vector(ranked[0].exprs) == "(2/eps)"
     assert ranked[0].worst_loss == ranked[1].worst_loss
     assert ranked[0].magnitude == ranked[1].magnitude == 4
 
 
 def test_rank_records_per_binding_detail(rank_setup):
-    cfg, bindings_data, binding = rank_setup
-    ranked = rank_candidates([(NoiseExpr(1, 0, 1),)], bindings_data, binding,
-                             cfg)
+    bindings_data, binding = rank_setup
+    ranked = rank_candidates([(NoiseExpr(1, 0, 1),)], bindings_data, binding)
     assert len(ranked[0].per_binding) == 1
     key, loss, viol = ranked[0].per_binding[0]
     assert key == "eps=1/2,qlen=5"
@@ -393,10 +391,10 @@ def test_rank_records_per_binding_detail(rank_setup):
 
 
 def test_rank_requires_examples(rank_setup):
-    cfg, (entry,), binding = rank_setup
+    (entry,), binding = rank_setup
     with pytest.raises(ValueError):
         rank_candidates([(NoiseExpr(1, 0, 1),)], [(entry[0], entry[1], [])],
-                        binding, cfg)
+                        binding)
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ def _exact_picks(pilots, n, eps):
              for o in (0, 1)] for pc in pilots]
 
 
-@pytest.mark.parametrize("pilots", [
+PICK_PILOTS = [
     # every cell ties at p = 1: the first event wins
     [np.zeros((2, 5), dtype=np.int64)],
     # two cells tie at the minimum, after a larger p
@@ -278,7 +278,10 @@ def _exact_picks(pilots, n, eps):
     # a near-tie the screen orders the other way: exact p 0.52124645477
     # and 0.52124645515, screen values 0.52124645477 and 0.52124645476
     [np.array([[868, 145], [518, 84]])],
-])
+]
+
+
+@pytest.mark.parametrize("pilots", PICK_PILOTS)
 def test_decision_events_are_the_exact_argmin(pilots):
     n, eps = 1000, 0.5
     memo = tester.FisherMemo()
@@ -297,6 +300,39 @@ def test_decision_events_match_the_argmin_on_random_pilots(data):
               for _ in range(data.draw(st.integers(1, 4)))]
     assert (tester._decision_events(pilots, n, eps, tester.FisherMemo())
             == _exact_picks(pilots, n, eps))
+
+
+def test_decision_events_hold_for_a_screen_at_the_edge_of_its_bound(
+        monkeypatch):
+    # a coarse bound and a screen that reads each cell's p as far from it
+    # as the bound allows, above and below by turns, so that which cells
+    # get exact tails next to each least p turns on the bound
+    sk = load_benchmark("smartsum")
+    binding = {"eps": RunConfig().epsilon, "qlen": 5,
+               **{a: FIXED_ARGS[a] for a in sk.args}}
+    runs = [(pilots, 1000, 0.5) for pilots in PICK_PILOTS]
+    decide = tester._decision_events
+
+    def capture(pilots, n, test_epsilon, memo):
+        runs.append((pilots, n, test_epsilon))
+        return decide(pilots, n, test_epsilon, memo)
+    with monkeypatch.context() as m:
+        m.setattr(tester, "_decision_events", capture)
+        tester.test_mechanism(sk, binding, [2.0, 2.0], trials=1000, seed=0,
+                              decision_only=True)
+    rho = 0.2
+    monkeypatch.setattr(tester, "_SCREEN_RHO", rho)
+    for sign in (1.0, -1.0):
+        def screen(self, c1, c2, n, test_epsilon):
+            exact = hypothesis_test(c1, c2, n, test_epsilon)
+            side = sign * (-1.0) ** np.arange(len(exact))
+            return (exact * (1 + side * rho * (1 - 1e-9))
+                    + side * tester._SCREEN_ALPHA)
+        monkeypatch.setattr(tester.FisherMemo, "screen", screen)
+        for pilots, n, eps in runs:
+            assert (tester._decision_events(pilots, n, eps,
+                                            tester.FisherMemo())
+                    == _exact_picks(pilots, n, eps))
 
 
 def test_pick_scores_few_exact_tables(monkeypatch):
