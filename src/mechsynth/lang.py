@@ -24,7 +24,12 @@ matrix, and keeps one kernel per sketch and off-mask.  Hole
 ``h``'s noise is a ``(lanes, cap)`` int64 matrix, lane ``j`` reading row
 ``j`` in order; the kernel returns the lanes' :class:`Outputs` and a
 ``(lanes, n_holes)`` count of the draws each consumed.  Control flow
-becomes per-lane masks, and a fault (unassigned read, index outside
+becomes per-lane masks.  A value that every lane holds equally (a loop
+counter, a draw cursor, a list length, a mask of all lanes or none) stays
+one Python int or bool, and becomes a ``(lanes,)`` array only when a write
+under a mask that splits the lanes gives them different values, so a loop
+whose trip count does not depend on the noise pays no per-lane work for
+its own bookkeeping.  A fault (unassigned read, index outside
 ``1..len``, division by zero, int64 overflow, exhausted draws, exhausted
 loop fuel) raises :class:`RunError` as soon as a lane that executes the
 faulting operation reaches it; masked-off lanes and short-circuited
@@ -973,16 +978,68 @@ class Outputs:
 
 # ---------------------------------------------------------------------------
 # The lane kernel: compile_sketch emits numpy code that runs every lane in
-# lock-step.  These helpers are the kernel's runtime; ``m`` is always the
-# (lanes,) bool mask of the lanes that execute the operation, and a fault
-# raises only when one of those lanes reaches it.  Reads and writes of one
-# element per lane (list indexing, noise draws, appends) go through
-# ``_lanes_at``, which avoids numpy's generic two-array index.
+# lock-step.  These helpers are the kernel's runtime; ``m`` is the mask of
+# the lanes that execute the operation, and a fault raises only when one of
+# those lanes reaches it.  A value that every lane holds equally stays a
+# Python int or bool: an int or bool variable, a draw cursor, a list's
+# length, and a mask of all lanes (True) or none (False).  A write under a
+# mask that splits the lanes (``_k_set``, ``_k_lset``, a draw or a list
+# update) turns it into a (lanes,) int64 or bool array, and the helpers
+# accept either form.  Masks are combined through ``_k_and``, ``_k_or`` and
+# ``_k_not``, because ``~True`` is -2.  Reads and writes of one element per
+# lane at per-lane positions go through ``_lanes_at``, which avoids numpy's
+# generic two-array index; a lane-uniform position takes one column.
 # ---------------------------------------------------------------------------
+
+def _k_any(m) -> bool:
+    return m.any() if isinstance(m, np.ndarray) else m
+
+
+def _k_not(a):
+    return ~a if isinstance(a, np.ndarray) else not a
+
+
+def _k_and(a, b):
+    if not isinstance(a, np.ndarray):
+        return b if a else False
+    if not isinstance(b, np.ndarray):
+        return a if b else False
+    return a & b
+
+
+def _k_or(a, b):
+    if not isinstance(a, np.ndarray):
+        return True if a else b
+    if not isinstance(b, np.ndarray):
+        return True if b else a
+    return a | b
+
+
+def _k_set(m, new, old):
+    """``new`` on the lanes in ``m``, ``old`` on the others."""
+    if not isinstance(m, np.ndarray):
+        return new if m else old
+    if isinstance(new, np.ndarray) or isinstance(old, np.ndarray):
+        kind = (new if isinstance(new, np.ndarray) else old).dtype
+        if kind == bool:
+            return (m & new) | (old & ~m)
+        # np.where branches per lane, which costs about twice this on a
+        # mask that splits the lanes at random; int64 wraps, so it is exact
+        d = new - old
+        d *= m
+        d += old
+        return d
+    return np.where(m, new, old)
+
+
+def _col(x):
+    """``x`` as a column against (lanes, w) arrays."""
+    return x[:, None] if isinstance(x, np.ndarray) else x
+
 
 def _lane(bad, m) -> int:
     """First lane active in ``m`` that ``bad`` flags, or -1."""
-    if not (bad.any() if isinstance(bad, np.ndarray) else bad):
+    if not _k_any(bad):
         return -1
     hit = np.flatnonzero(bad & m)
     return int(hit[0]) if hit.size else -1
@@ -1014,15 +1071,24 @@ def _lanes_at(d, k) -> tuple:
 def _k_const(v: int, m):
     """A lane-uniform result computed in Python ints."""
     if not _I64_MIN <= v <= _I64_MAX:
-        if m.any():
+        if _k_any(m):
             raise RunError("integer overflow")
         return 0
     return v
 
 
 def _k_add(l, r, m):
-    if not isinstance(l, np.ndarray) and not isinstance(r, np.ndarray):
-        return _k_const(l + r, m)
+    if not isinstance(r, np.ndarray):
+        if not isinstance(l, np.ndarray):
+            return _k_const(l + r, m)
+        l, r = r, l
+    if not isinstance(l, np.ndarray):
+        # one bound, on the side the sign of the uniform term pushes to
+        bad = (r > _I64_MAX - l) if l > 0 else (r < _I64_MIN - l) if l < 0 \
+            else False
+        if _lane(bad, m) >= 0:
+            raise RunError("integer overflow")
+        return l + r
     s = l + r
     # the wrapped sum moved against the sign of r
     if _lane((s < l) != (r < 0), m) >= 0:
@@ -1031,12 +1097,21 @@ def _k_add(l, r, m):
 
 
 def _k_sub(l, r, m):
-    if not isinstance(l, np.ndarray) and not isinstance(r, np.ndarray):
-        return _k_const(l - r, m)
-    s = l - r
-    if _lane((s > l) != (r < 0), m) >= 0:
+    if not isinstance(r, np.ndarray):
+        if not isinstance(l, np.ndarray):
+            return _k_const(l - r, m)
+        bad = (l < _I64_MIN + r) if r > 0 else (l > _I64_MAX + r) if r < 0 \
+            else False
+    elif not isinstance(l, np.ndarray):
+        bad = (r < l - _I64_MAX) if l >= 0 else (r > l - _I64_MIN)
+    else:
+        s = l - r
+        if _lane((s > l) != (r < 0), m) >= 0:
+            raise RunError("integer overflow")
+        return s
+    if _lane(bad, m) >= 0:
         raise RunError("integer overflow")
-    return s
+    return l - r
 
 
 def _k_mul(l, r, m):
@@ -1059,7 +1134,7 @@ def _k_div(l, r, m, mod=False):
         try:
             return _imod(l, r) if mod else _idiv(l, r)
         except RunError:
-            if m.any():
+            if _k_any(m):
                 raise
             return 0
     zero = r == 0
@@ -1077,7 +1152,7 @@ def _k_div(l, r, m, mod=False):
 
 
 def _k_read(x, assigned, m, name: str):
-    if _lane(~assigned, m) >= 0:
+    if _lane(_k_not(assigned), m) >= 0:
         raise RunError(f"read of unassigned variable {name!r}")
     return x
 
@@ -1094,8 +1169,7 @@ def _k_arg(args: dict, name: str) -> int:
 
 
 def _k_empty(lanes: int) -> tuple:
-    return (np.zeros((lanes, 1), dtype=np.int64),
-            np.zeros(lanes, dtype=np.int64))
+    return np.zeros((lanes, 1), dtype=np.int64), 0
 
 
 def _k_answers(answers, lanes: int) -> tuple:
@@ -1111,29 +1185,34 @@ def _k_answers(answers, lanes: int) -> tuple:
     qlen = arr.shape[1]
     if qlen == 0:
         return _k_empty(lanes), 0
-    return (arr, np.full(lanes, qlen, dtype=np.int64)), qlen
+    return (arr, qlen), qlen
 
 
 def _k_index(lst, i, m):
     d, n = lst
     j = _lane((i < 1) | (i > n), m)
     if j >= 0:
-        raise RunError(f"index {_at(i, j)} out of range 1..{int(n[j])}")
-    k = np.clip(np.subtract(i, 1), 0, d.shape[1] - 1)
+        raise RunError(f"index {_at(i, j)} out of range 1..{_at(n, j)}")
     if isinstance(i, np.ndarray):
-        a, at = _lanes_at(d, k)
+        a, at = _lanes_at(d, np.clip(i - 1, 0, d.shape[1] - 1))
         return a[at]
+    k = min(max(i - 1, 0), d.shape[1] - 1)
+    # every lane reads one element of the one row they share
+    if d.strides[0] == 0 and len(d):
+        return int(d[0, k])
     return d[:, k]
 
 
 def _k_leq(a, b):
     (da, na), (db, nb) = a, b
     w = max(da.shape[1], db.shape[1])
-    same = (_pad(da, w) == _pad(db, w)) | (np.arange(w) >= na[:, None])
+    same = (_pad(da, w) == _pad(db, w)) | (np.arange(w) >= _col(na))
     return (na == nb) & same.all(axis=1)
 
 
 def _k_lset(m, new, old) -> tuple:
+    if not isinstance(m, np.ndarray):
+        return new if m else old
     (dn, nn), (do, no) = new, old
     w = max(dn.shape[1], do.shape[1])
     return (np.where(m[:, None], _pad(dn, w), _pad(do, w)),
@@ -1142,11 +1221,14 @@ def _k_lset(m, new, old) -> tuple:
 
 def _k_append(lst, v, m) -> tuple:
     d, n = lst
-    top = int(n.max()) if len(n) else 0
+    top = int(np.max(n, initial=0))
     d = _pad(d, top + 1) if top >= d.shape[1] else d.copy()
     # lanes off the mask get v just past their end, where nothing reads
-    a, at = _lanes_at(d, n)
-    a[at] = v
+    if isinstance(n, np.ndarray):
+        a, at = _lanes_at(d, n)
+        a[at] = v
+    else:
+        d[:, n] = v
     return d, n + m
 
 
@@ -1155,6 +1237,8 @@ def _k_prepend(lst, v, m) -> tuple:
     shifted = np.empty((len(d), d.shape[1] + 1), dtype=np.int64)
     shifted[:, 0] = v
     shifted[:, 1:] = d
+    if not isinstance(m, np.ndarray):
+        return (shifted, n + 1) if m else lst
     return (np.where(m[:, None], shifted, _pad(d, d.shape[1] + 1)),
             n + m)
 
@@ -1166,8 +1250,12 @@ def _k_draw(v, draws, cursor, m, hole: int):
         raise RunError(f"noise draws exhausted for hole {hole + 1}")
     if cap == 0:
         return v, cursor
-    a, at = _lanes_at(draws, np.minimum(cursor, cap - 1))
-    return _k_add(v, a[at], m), cursor + m
+    if isinstance(cursor, np.ndarray):
+        a, at = _lanes_at(draws, np.minimum(cursor, cap - 1))
+        noise = a[at]
+    else:
+        noise = draws[:, min(cursor, cap - 1)]
+    return _k_add(v, noise, m), cursor + m
 
 
 def _k_vdraw(lst, draws, cursor, m, hole: int):
@@ -1179,13 +1267,17 @@ def _k_vdraw(lst, draws, cursor, m, hole: int):
     if cap == 0:
         return lst, cursor
     cols = np.arange(d.shape[1])
-    a, at = _lanes_at(draws, np.minimum(cursor[:, None] + cols, cap - 1))
-    noise = a[at]
+    k = np.minimum(_col(cursor) + cols, cap - 1)
+    if isinstance(cursor, np.ndarray):
+        a, at = _lanes_at(draws, k)
+        noise = a[at]
+    else:
+        noise = draws[:, k]
     s = d + noise
-    live = (cols < n[:, None]) & m[:, None]
+    live = (cols < _col(n)) & _col(m)
     if (((s < d) != (noise < 0)) & live).any():
         raise RunError("integer overflow")
-    return (s, n), cursor + np.where(m, n, 0)
+    return (s, n), cursor + _k_set(m, n, 0)
 
 
 def _k_matrix(draws, lanes: int, hole: int) -> np.ndarray:
@@ -1196,13 +1288,20 @@ def _k_matrix(draws, lanes: int, hole: int) -> np.ndarray:
     return arr
 
 
-def _k_finish(out, is_list: bool, boolean: bool) -> Outputs:
+def _k_finish(lanes: int, out, cursors, is_list: bool, boolean: bool):
+    """The call's :class:`Outputs` and consumed counts, lane-uniform
+    values broadcast to every lane."""
+    consumed = np.empty((lanes, len(cursors)), dtype=np.int64)
+    for h, c in enumerate(cursors):
+        consumed[:, h] = c
     if not is_list:
-        return Outputs(out, None, boolean)
+        values = np.array(np.broadcast_to(out, lanes), dtype=np.int64)
+        return Outputs(values, None, boolean), consumed
     d, n = out
-    w = int(n.max()) if len(n) else 0
+    n = np.array(np.broadcast_to(n, lanes), dtype=np.int64)
+    w = int(n.max(initial=0))
     values = np.where(np.arange(w) < n[:, None], _pad(d, w)[:, :w], 0)
-    return Outputs(values, n, boolean)
+    return Outputs(values, n, boolean), consumed
 
 
 _KERNEL_NAMES = {k: v for k, v in globals().items() if k.startswith("_k_")}
@@ -1222,9 +1321,12 @@ def _contains(cmd, kind, into_loops: bool) -> bool:
 class _Emitter:
     """Python source of one kernel.
 
-    Sketch variable ``x`` lives in ``v_x``: an int64 or bool (lanes,)
-    array, a Python int for a lane-uniform input, or a ``(data, lengths)``
-    list pair.  ``defd`` sets hold the variables assigned on every path to
+    Sketch variable ``x`` lives in ``v_x``: a Python int or bool while
+    every lane holds the same value, an int64 or bool (lanes,) array once
+    the lanes differ, or a ``(data, lengths)`` list pair whose lengths
+    follow the same rule.  Masks, draw cursors and ``_out`` do too; the
+    code is the same either way, since the runtime helpers take both
+    forms.  ``defd`` sets hold the variables assigned on every path to
     the current point; a read outside it checks ``_s_x``, the mask of lanes
     that assigned ``x``, kept only for the variables in ``tracked``."""
 
@@ -1297,7 +1399,7 @@ class _Emitter:
         if isinstance(e, EmptyList):
             return "_k_empty(_L)"
         if isinstance(e, Not):
-            return f"np.logical_not({self.expr(e.operand, m, pad, defd)})"
+            return f"_k_not({self.expr(e.operand, m, pad, defd)})"
         if isinstance(e, Length):
             return f"{self.expr(e.operand, m, pad, defd)}[1]"
         if isinstance(e, Index):
@@ -1305,15 +1407,15 @@ class _Emitter:
             return f"_k_index({base}, {i}, {m})"
         if e.op in ("and", "or"):
             l = self.expr(e.left, m, pad, defd)
-            op = "&" if e.op == "and" else "|"
+            fn = "_k_and" if e.op == "and" else "_k_or"
             if not self.can_fault(e.right, defd):
-                return f"({l} {op} {self.expr(e.right, m, pad, defd)})"
+                return f"{fn}({l}, {self.expr(e.right, m, pad, defd)})"
             # the right operand runs only where the left did not decide
             t, mr = self.fresh("t"), self.fresh("m")
             self.emit(pad, f"{t} = {l}")
-            gate = t if e.op == "and" else f"np.logical_not({t})"
-            self.emit(pad, f"{mr} = {m} & {gate}")
-            return f"({t} {op} {self.expr(e.right, mr, pad, defd)})"
+            gate = t if e.op == "and" else f"_k_not({t})"
+            self.emit(pad, f"{mr} = _k_and({m}, {gate})")
+            return f"{fn}({t}, {self.expr(e.right, mr, pad, defd)})"
         l, r = self.pair(e.left, e.right, m, pad, defd)
         if e.op == "mod":
             return f"_k_div({l}, {r}, {m}, True)"
@@ -1322,17 +1424,22 @@ class _Emitter:
             return f"{fn}({l}, {r}, {m})"
         if e.op in ("==", "!=") and _check_expr(e.left, self.types) == _LIST:
             eq = f"_k_leq({l}, {r})"
-            return eq if e.op == "==" else f"np.logical_not({eq})"
+            return eq if e.op == "==" else f"_k_not({eq})"
         return f"({l} {e.op} {r})"
 
     # -- statements --------------------------------------------------------
 
     def assign(self, name: str, value: str, m: str, pad: int, defd):
-        fn = "_k_lset" if self.types[name] == _LIST else "np.where"
+        fn = "_k_lset" if self.types[name] == _LIST else "_k_set"
         self.emit(pad, f"v_{name} = {fn}({m}, {value}, v_{name})")
         if name in self.tracked:
-            self.emit(pad, f"_s_{name} = _s_{name} | {m}")
+            self.emit(pad, f"_s_{name} = _k_or(_s_{name}, {m})")
         defd.add(name)
+
+    def stop(self, m: str, stops: list, pad: int):
+        """Take the lanes that stopped (returned or broke) out of ``m``."""
+        stopped = stops[0] if len(stops) == 1 else f"_k_or({', '.join(stops)})"
+        self.emit(pad, f"{m} = _k_and({m}, _k_not({stopped}))")
 
     def block(self, body, m: str, pad: int, defd) -> set:
         """Emit ``body`` for the lanes in mask variable ``m``, which the
@@ -1344,8 +1451,8 @@ class _Emitter:
             if self.loops and _contains(cmd, Break, False):
                 stops.append(f"_brk{self.loops[-1]}")
             if stops and idx < len(body) - 1:
-                self.emit(pad, f"{m} = {m} & ~({' | '.join(stops)})")
-                self.emit(pad, f"if {m}.any():")
+                self.stop(m, stops, pad)
+                self.emit(pad, f"if _k_any({m}):")
                 pad += 1
                 self.emit(pad, "pass")
         return defd
@@ -1370,14 +1477,14 @@ class _Emitter:
         elif isinstance(cmd, If):
             c, mt = self.fresh("c"), self.fresh("m")
             self.emit(pad, f"{c} = {self.expr(cmd.cond, m, pad, defd)}")
-            self.emit(pad, f"{mt} = {m} & {c}")
-            self.emit(pad, f"if {mt}.any():")
+            self.emit(pad, f"{mt} = _k_and({m}, {c})")
+            self.emit(pad, f"if _k_any({mt}):")
             then_defd = self.block(cmd.then_body, mt, pad + 1, set(defd))
             else_defd = set(defd)
             if cmd.else_body:
                 me = self.fresh("m")
-                self.emit(pad, f"{me} = {m} & np.logical_not({c})")
-                self.emit(pad, f"if {me}.any():")
+                self.emit(pad, f"{me} = _k_and({m}, _k_not({c}))")
+                self.emit(pad, f"if _k_any({me}):")
                 else_defd = self.block(cmd.else_body, me, pad + 1, else_defd)
             defd |= then_defd & else_defd
         elif isinstance(cmd, While):
@@ -1387,10 +1494,11 @@ class _Emitter:
             self.emit(pad, f"_n{k} = 0")
             breaks = any(_contains(c, Break, False) for c in cmd.body)
             if breaks:
-                self.emit(pad, f"_brk{k} = np.zeros(_L, dtype=bool)")
+                self.emit(pad, f"_brk{k} = False")
             self.emit(pad, "while True:")
-            self.emit(pad + 1, f"{w} = {w} & {self.expr(cmd.cond, w, pad + 1, defd)}")
-            self.emit(pad + 1, f"if not {w}.any():")
+            self.emit(pad + 1, f"{w} = _k_and({w}, "
+                               f"{self.expr(cmd.cond, w, pad + 1, defd)})")
+            self.emit(pad + 1, f"if not _k_any({w}):")
             self.emit(pad + 2, "break")
             self.emit(pad + 1, f"_n{k} += 1")
             self.emit(pad + 1, f"if _n{k} > _fuel:")
@@ -1403,16 +1511,16 @@ class _Emitter:
                 ["_ret"] if any(_contains(c, Return, True) for c in cmd.body)
                 else [])
             if stops:
-                self.emit(pad + 1, f"{w} = {w} & ~({' | '.join(stops)})")
+                self.stop(w, stops, pad + 1)
         elif isinstance(cmd, Break):
             b = f"_brk{self.loops[-1]}"
-            self.emit(pad, f"{b} = {b} | {m}")
+            self.emit(pad, f"{b} = _k_or({b}, {m})")
         elif isinstance(cmd, Return):
             value = self.expr(cmd.expr, m, pad, defd)
             is_list = _check_expr(cmd.expr, self.types) == _LIST
-            fn = "_k_lset" if is_list else "np.where"
+            fn = "_k_lset" if is_list else "_k_set"
             self.emit(pad, f"_out = {fn}({m}, {value}, _out)")
-            self.emit(pad, f"_ret = _ret | {m}")
+            self.emit(pad, f"_ret = _k_or(_ret, {m})")
         elif not isinstance(cmd, Skip):
             raise LangError(f"cannot compile {cmd!r}")
 
@@ -1428,29 +1536,27 @@ class _Emitter:
         self.emit(1, f"v_{sk.private_input}, v_qlen = _k_answers(_answers, _L)")
         self.emit(1, "_fuel = 10 * v_qlen + 100")
         for h in range(sk.n_holes):
-            self.emit(1, f"_cur{h} = np.zeros(_L, dtype=np.int64)")
+            self.emit(1, f"_cur{h} = 0")
             if not self.bottoms[h]:
                 self.emit(1, f"_D{h} = _k_matrix(_draws[{h}], _L, {h})")
         for name, t in self.types.items():
             if name in inputs or name == "return":
                 continue
-            init = {_INT: "np.zeros(_L, dtype=np.int64)",
-                    _BOOL: "np.zeros(_L, dtype=bool)",
-                    _LIST: "_k_empty(_L)"}[t]
+            init = {_INT: "0", _BOOL: "False", _LIST: "_k_empty(_L)"}[t]
             self.emit(1, f"v_{name} = {init}")
             if name in self.tracked:
-                self.emit(1, f"_s_{name} = np.zeros(_L, dtype=bool)")
+                self.emit(1, f"_s_{name} = False")
         is_list = out_type == _LIST
-        self.emit(1, "_out = " + ("_k_empty(_L)" if is_list
-                                  else "np.zeros(_L, dtype=np.int64)"))
-        self.emit(1, "_ret = np.zeros(_L, dtype=bool)")
-        self.emit(1, "_m0 = np.ones(_L, dtype=bool)")
+        self.emit(1, "_out = " + ("_k_empty(_L)" if is_list else "0"))
+        self.emit(1, "_ret = False")
+        # a call of no lanes executes nothing
+        self.emit(1, "_m0 = _L > 0")
         self.block(sk.body, "_m0", 1, set(inputs))
-        self.emit(1, "if not _ret.all():")
+        self.emit(1, "if _k_any(_k_and(_m0, _k_not(_ret))):")
         self.emit(2, f"raise RunError({f'sketch {sk.name} finished without returning'!r})")
         cursors = ", ".join(f"_cur{h}" for h in range(sk.n_holes))
-        self.emit(1, f"return (_k_finish(_out, {is_list}, {boolean}), "
-                     f"np.stack([{cursors}], axis=1))")
+        self.emit(1, f"return _k_finish(_L, _out, ({cursors},), {is_list}, "
+                     f"{boolean})")
         return "\n".join(["def _kernel(_args, _answers, _draws):"] + self.lines)
 
 
@@ -1474,7 +1580,13 @@ def compile_sketch(sketch: MechanismSketch, bottoms=None):
     ``(lanes, n_holes)`` int64 array of draws each lane consumed.
 
     The lanes run in lock-step: ``if``, ``while``, ``break`` and
-    ``return`` become per-lane masks.  Values are int64 and booleans.  The
+    ``return`` become per-lane masks.  Values are int64 and booleans.  A
+    value that every lane holds equally (a variable, a draw cursor, a
+    list length or a mask) is kept as one Python int or bool, and a write
+    under a mask that splits the lanes turns it into a ``(lanes,)`` array:
+    on one shared answer row noisymax1's counter, cursor and loop mask
+    stay scalars, while svt's become arrays after the first ``break``.
+    The returned arrays are the same either way.  The
     call raises :class:`RunError`, with :func:`run`'s message, when any
     lane that executes an operation faults there: a read of an unassigned
     variable, an index outside ``1..len``, a division by zero, a result

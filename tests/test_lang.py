@@ -337,6 +337,29 @@ def test_compiled_equals_interpreted(name, benchmarks):
             assert len(widths) > 1
 
 
+@pytest.mark.parametrize("name", ["noisymax1", "smartsum"])
+def test_lane_uniform_values_skip_per_lane_gathers(name, benchmarks,
+                                                   monkeypatch):
+    # on one shared row the loop counter, the draw cursors and the loop
+    # mask stay equal on every lane, so every list read and draw takes
+    # one column (smartsum's i mod M branch is lane-uniform as well)
+    from mechsynth import lang
+    gather, calls = lang._lanes_at, []
+
+    def counted(d, k):
+        calls.append(k)
+        return gather(d, k)
+
+    monkeypatch.setattr(lang, "_lanes_at", counted)
+    sk = benchmarks[name]
+    args = {"M": 2} if "M" in sk.args else {}
+    rng = np.random.default_rng(7)
+    draws = [rng.integers(-4, 5, (64, c)) for c in count_hole_draws(sk, 5)]
+    want = _assert_lanes_match(sk, args, (2, 0, 3, 3, 1), draws)
+    assert not any(isinstance(w, RunError) for w in want)
+    assert calls == []
+
+
 def test_compile_sketch_returns_one_kernel_per_off_mask(benchmarks):
     sk = benchmarks["svt"]
     mask = (False, True)
@@ -670,5 +693,11 @@ def test_kernel_equals_interpreter_on_random_sketches(src, seed, answers, T,
                               max_size=sk.n_holes))
     bottoms = data.draw(st.lists(st.booleans(), min_size=sk.n_holes,
                                  max_size=sk.n_holes))
-    draws = [rng.integers(-3, 4, (16, c)) for c in caps]
-    _assert_lanes_match(sk, {"T": T}, tuple(answers), draws, bottoms)
+    # lane-uniform values arise differently on one shared row, on a row
+    # per lane and on one lane
+    lanes, answers = 16, tuple(answers)
+    if data.draw(st.booleans(), "per_lane"):
+        lanes = data.draw(st.integers(1, 16), "lanes")
+        answers = rng.integers(-2, 4, (lanes, len(answers)))
+    draws = [rng.integers(-3, 4, (lanes, c)) for c in caps]
+    _assert_lanes_match(sk, {"T": T}, answers, draws, bottoms)

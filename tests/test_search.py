@@ -10,15 +10,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtr
 
 from mechsynth import search
 from mechsynth.config import PROPOSAL_SCALE as PROPOSAL
 from mechsynth.dist import log_weight_coeffs, make_dist
 from mechsynth.lang import compile_sketch, parse_sketch
-from mechsynth.search import (BOX_MAX, SNAP_THRESHOLD, Example, NoiseRegion,
+from mechsynth.search import (BOX_MAX, SNAP_THRESHOLD, Example,
                               PresampleBank, batch_objective, directions,
                               example_losses, example_losses_with_se,
                               get_noise_region, select_examples, snap_vector)

@@ -28,7 +28,7 @@ from mechsynth.synth import (NoiseExpr, RankedCandidate, SynthError,
                              expressions, final_verify, fix_params,
                              gamma_vector, optimizer_bank, rank_candidates,
                              render_vector, report_to_json, synth)
-from mechsynth.tester import CoordEvent, HalfLineEvent, PrefixEvent, ValueEvent
+from mechsynth.tester import CoordEvent, HalfLineEvent, ValueEvent
 
 BINDING = {"eps": Fraction(1, 2), "qlen": 5, "T": 2}
 
