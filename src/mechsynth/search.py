@@ -155,11 +155,14 @@ class StatRows(NamedTuple):
     ``rows`` is (u, 2n + 1): per-hole draw counts N_1..N_n, magnitude sums
     S_1..S_n, and the mixture's log-density M against the first component,
     in lexicographic order of (N, S).  Run i has the statistics
-    ``rows[index[i]]``; ``mult`` counts the runs of each row."""
+    ``rows[index[i]]``; ``mult`` counts the runs of each row.  ``fp`` is a
+    digest of ``rows`` and ``index``: sides with equal digests consumed
+    identical draws, so they share importance weights and joint groups."""
 
     rows: np.ndarray
     index: np.ndarray
     mult: np.ndarray
+    fp: bytes
 
 
 class PresampleBank:
@@ -174,7 +177,9 @@ class PresampleBank:
     run's weight depends only on its statistics row, so the bank weighs
     each distinct row once and counts runs and event hits per row;
     ``runs_grouped`` and ``stat_rows`` sum m and the row count over every
-    side the bank has run.
+    side the bank has run.  Every cache is per side; the joint groups of
+    two sides are built where the standard error reads them
+    (:func:`_log_loss_se`).
 
     ``draws`` holds one read-only (m, cap) int64 matrix per hole: row i is
     the noise run i consumes, in order, on every side and off-mask."""
@@ -212,9 +217,7 @@ class PresampleBank:
         self.runs_grouped = 0
         self.stat_rows = 0
         self._runs = {}         # (answers, mask) -> (Outputs, StatRows)
-        self._stats_fp = {}     # (answers, mask) -> digest of the StatRows
         self._counts = {}       # (answers, mask, events) -> (E, u) hits
-        self._joint = {}        # (fp1, fp2) -> joint rows of two sides
 
     def runs_for(self, answers: tuple, mask: tuple):
         """The :class:`Outputs` of the m presampled runs on this input side
@@ -252,13 +255,12 @@ class PresampleBank:
             mix += logsumexp(per_comp, axis=1) - logk
         rows[:, 2 * n] = mix
         mult = np.bincount(index, minlength=u).astype(np.float64)
-        groups = StatRows(rows, index, mult)
+        fp = hashlib.blake2b(rows.tobytes() + index.tobytes(),
+                             digest_size=16).digest()
+        groups = StatRows(rows, index, mult, fp)
         self._runs[key] = (outputs, groups)
         self.runs_grouped += self.m
         self.stat_rows += u
-        # sides with identical consumption patterns share importance weights
-        self._stats_fp[key] = hashlib.blake2b(
-            rows.tobytes() + index.tobytes(), digest_size=16).digest()
         return outputs, groups
 
     def event_counts(self, answers: tuple, mask: tuple, events: tuple):
@@ -272,33 +274,6 @@ class PresampleBank:
                 np.bincount(groups.index, weights=f, minlength=u)
                 for f in event_hits(events, outputs)])
         return hit
-
-    def joint_rows(self, d1: tuple, d2: tuple, mask: tuple) -> tuple:
-        """The joint groups of two sides' runs, ``(g1, g2, mult, inverse)``:
-        group g holds the ``mult[g]`` runs whose rows are ``g1[g]`` on d1
-        and ``g2[g]`` on d2; ``inverse`` maps each run to its group."""
-        i1 = self.runs_for(d1, mask)[1].index
-        groups2 = self.runs_for(d2, mask)[1]
-        key = (self._stats_fp[(tuple(d1), mask)],
-               self._stats_fp[(tuple(d2), mask)])
-        hit = self._joint.get(key)
-        if hit is None:
-            pair = i1 * len(groups2.mult) + groups2.index
-            _, first, inverse, mult = np.unique(
-                pair, return_index=True, return_inverse=True,
-                return_counts=True)
-            hit = self._joint[key] = (i1[first], groups2.index[first],
-                                      mult.astype(np.float64), inverse)
-        return hit
-
-    def joint_counts(self, d1: tuple, d2: tuple, mask: tuple, event):
-        """(3, G) hits of ``event`` per :meth:`joint_rows` group: on both
-        sides, on d1 and on d2."""
-        _, _, mult, inverse = self.joint_rows(d1, d2, mask)
-        f1 = event_hits([event], self.runs_for(d1, mask)[0])[0]
-        f2 = event_hits([event], self.runs_for(d2, mask)[0])[0]
-        return np.stack([np.bincount(inverse, weights=f, minlength=len(mult))
-                         for f in (f1 & f2, f1, f2)])
 
     def weight_coeffs(self, candidates) -> np.ndarray:
         """(2n + 1, B) coefficient matrix over the :class:`StatRows`
@@ -332,7 +307,7 @@ class PresampleBank:
         pair of (u, B) importance weights, one per statistics row of the
         side's :meth:`runs_for`, and their (B,) sums over all m runs.  An
         estimate is the event's hits per row, weighted, over that sum.
-        Sides whose runs consumed identical draws share one pair object,
+        Sides with equal :attr:`StatRows.fp` share one pair object,
         computed once."""
         candidates = [tuple(c) for c in candidates]
         if any(len(c) != self.sketch.n_holes for c in candidates):
@@ -346,13 +321,12 @@ class PresampleBank:
         for side, events in side_events.items():
             events = tuple(events)
             _, groups = self.runs_for(side, mask)
-            fp = self._stats_fp[(side, mask)]
-            if fp not in by_fp:
+            if groups.fp not in by_fp:
                 logw = groups.rows @ coeffs
                 logw -= logw.max(axis=0, keepdims=True)
                 w = np.exp(logw, out=logw)
-                by_fp[fp] = (w, groups.mult @ w)
-            w, den = weights[side] = by_fp[fp]
+                by_fp[groups.fp] = (w, groups.mult @ w)
+            w, den = weights[side] = by_fp[groups.fp]
             counts = self.event_counts(side, mask, events)
             for event, row in zip(events, np.clip((counts @ w) / den, lo, hi)):
                 est[(side, event)] = row
@@ -447,20 +421,33 @@ def _log_loss_se(bank, examples, mask, weights, r1, r2, z):
     Draw i moves log r_k by a_ki = w_ki (f_ki - r_k) / (den_k r_k), so the
     variance of the difference is sum_i (a_1i - a_2i)^2 = v11 + v22 - 2 v12,
     each term an :func:`_influence_dot` over the joint groups of the two
-    sides' statistics rows, within which both weights are constant."""
+    sides' statistics rows, within which both weights are constant.  The
+    examples whose sides share weights (equal :attr:`StatRows.fp`) form one
+    block, whose joint groups are built here once: group g holds the
+    ``mult[g]`` runs that share one row on d1 and one on d2, and each
+    example's event hits are counted per group."""
     v11, v22, v12, ess1, ess2 = (np.zeros_like(r1) for _ in range(5))
     blocks = {}
     for j, ex in enumerate(examples):
         w1, w2 = weights[ex.d1], weights[ex.d2]
-        blocks.setdefault((id(w1), id(w2)), (ex, w1, w2, []))[3].append(j)
-    for ex, (w1, den1), (w2, den2), js in blocks.values():
-        g1, g2, mult, _ = bank.joint_rows(ex.d1, ex.d2, mask)
-        c = np.stack([bank.joint_counts(examples[j].d1, examples[j].d2,
-                                        mask, examples[j].event)
-                      for j in js])
-        c12, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+        blocks.setdefault((id(w1), id(w2)), (w1, w2, []))[2].append(j)
+    for (w1, den1), (w2, den2), js in blocks.values():
+        sides = [(bank.runs_for(examples[j].d1, mask),
+                  bank.runs_for(examples[j].d2, mask)) for j in js]
+        (_, s1), (_, s2) = sides[0]
+        _, first, inverse, mult = np.unique(
+            s1.index * len(s2.mult) + s2.index, return_index=True,
+            return_inverse=True, return_counts=True)
+        mult = mult.astype(np.float64)
+        c = []
+        for j, ((out1, _), (out2, _)) in zip(js, sides):
+            f1, f2 = (event_hits([examples[j].event], out)[0]
+                      for out in (out1, out2))
+            c.append([np.bincount(inverse, weights=f, minlength=len(mult))
+                      for f in (f1 & f2, f1, f2)])
+        c12, c1, c2 = np.array(c).transpose(1, 0, 2)
         a, b = r1[js], r2[js]
-        p1, p2 = w1[g1], w2[g2]
+        p1, p2 = w1[s1.index[first]], w2[s2.index[first]]
         v12[js] = _influence_dot(c12, c1, c2, mult, p1 * p2, a, b) \
             / (den1 * den2)
         for f, r, p, den, v, ess in ((c1, a, p1, den1, v11, ess1),

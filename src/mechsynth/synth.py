@@ -22,7 +22,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -250,9 +249,9 @@ class RankedCandidate:
     worst_loss: float        # max estimated loss over all test examples
     magnitude: Fraction      # total gamma at the fixed binding
     enum_index: int
+    tight_loss: float        # worst loss the tightness key reads
     per_binding: tuple = ()  # ((binding key, worst loss, violations), ...)
     verdicts: tuple = ()     # ((binding key, min p, confirm p or None), ...)
-    tight_loss: Optional[float] = None  # worst loss the tightness key reads
 
     def sort_key(self):
         # losses are Monte-Carlo estimates, so the key compares them at the
@@ -260,8 +259,7 @@ class RankedCandidate:
         # on loss and fall through to the noise-magnitude key (a completion
         # that merely post-processes another has the same true loss and
         # should lose on the extra noise, not win on estimate wobble)
-        loss = self.worst_loss if self.tight_loss is None else self.tight_loss
-        quantized = round(math.log(loss) / LOSS_GRAIN)
+        quantized = round(math.log(self.tight_loss) / LOSS_GRAIN)
         return (self.violations, -quantized, self.magnitude, self.enum_index)
 
     def to_json(self) -> dict:

@@ -371,8 +371,8 @@ _THINNING_Z = ndtri(_THINNING_U)
 
 
 class FisherMemo:
-    """The thinning rows, Fisher tail values and log-factorial tables
-    computed so far in one operation.
+    """The thinning rows and Fisher tail values computed so far in one
+    operation.
 
     The tester calls of one synthesis run see the same counts and the same
     thinned tables again and again; :func:`hypothesis_test` given a memo
@@ -387,16 +387,16 @@ class FisherMemo:
     ``fisher_tables`` count the quantiles and the exact tails computed.
 
     :meth:`screen` gives cheap, error-bounded p-values from the same
-    thinning rows and a table of ln j! for j <= 2n per n; the tester bounds
-    exact p-values with them (see :func:`_screen_bounds`).  Screening
-    values are not kept: only exact tails are ever reported.  Keep one memo
-    per operation (one ``synth`` call, one command), not per process.
+    thinning rows and a table of ln j! for j <= 2n, computed per call; the
+    tester bounds exact p-values with them (see :func:`_screen_bounds`).
+    Screening values and tables are not kept: only exact tails are ever
+    reported.  Keep one memo per operation (one ``synth`` call, one
+    command), not per process.
     """
 
     def __init__(self):
         self._rows = {}      # eps -> (counts, (counts, 20) thinned counts)
         self._tails = {}     # n -> (tables k * (2n + 1) + K, P[X >= k])
-        self._log_fact = {}  # n -> ln j! for j = 0 .. 2n
         self.thinned_counts = 0   # binomial quantiles computed
         self.fisher_tables = 0    # exact tails computed
 
@@ -426,11 +426,9 @@ class FisherMemo:
         arrays: each within ``_SCREEN_RHO * p + _SCREEN_ALPHA`` of the p
         that :func:`hypothesis_test` returns, or NaN where
         :func:`_screen_tails` makes no claim."""
-        lf = self._log_fact.get(n)
-        if lf is None:
-            lf = self._log_fact[n] = gammaln(np.arange(1.0, 2 * n + 2))
         tables, where = _thinned_tables(c1, c2, n, test_epsilon, self)
         k, K = np.divmod(tables, 2 * n + 1)
+        lf = gammaln(np.arange(1.0, 2 * n + 2))   # ln j!, j = 0 .. 2n
         return _screen_tails(k, K, n, lf)[where].mean(axis=-1)
 
 

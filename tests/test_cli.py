@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, output formats, usage errors."""
 
+import importlib
 import json
 import re
 import time
@@ -310,6 +311,20 @@ def test_each_command_lists_only_the_options_it_reads(runner, command,
         == options | {"help"}
 
 
+def test_cmd_synth_without_examples_exits_1(runner, micro_path, tmp_path,
+                                            monkeypatch):
+    # the package's ``synth`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("mechsynth.synth"),
+                        "select_examples", lambda *args, **kw: [])
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["synth", "--sketch", micro_path,
+                                  "--out", str(out), *SMALL["synth"]])
+    assert result.exit_code == 1
+    report = json.loads(out.read_text())
+    assert report["note"] == "no challenging examples found"
+    assert report["survivors"] == []
+
+
 def test_cmd_synth_writes_report_and_sidecar(runner, micro_path, tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(main, [
@@ -398,6 +413,16 @@ def test_cmd_grid_emits_lattice(runner, duo_path):
         a, b, obj = line.split(",")
         assert float(a) in (2.0, 4.0) and float(b) in (2.0, 4.0)
         assert float(obj) >= 0.0
+
+
+def test_cmd_grid_without_examples_exits_1(runner, duo_path, monkeypatch):
+    monkeypatch.setattr("mechsynth.cli.select_examples",
+                        lambda *args, **kw: [])
+    result = runner.invoke(main, ["grid", "--sketch", duo_path, "--holes",
+                                  "1,2", "--grid", "2:2", *SMALL["grid"]])
+    assert result.exit_code == 1
+    assert result.stderr == "no challenging examples found\n"
+    assert result.stdout == ""
 
 
 def test_cmd_grid_usage_errors(runner, duo_path, micro_path):

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import logsumexp, ndtr
 
 from mechsynth import search
-from mechsynth.config import PROPOSAL_SCALE as PROPOSAL
+from mechsynth.config import PROPOSAL_SCALE as PROPOSAL, ZONE
 from mechsynth.dist import log_weight_coeffs, make_dist
 from mechsynth.lang import compile_sketch, parse_sketch
 from mechsynth.search import (BOX_MAX, SNAP_THRESHOLD, Example,
@@ -548,3 +548,25 @@ def test_select_examples_rejects_empty_grid(micro_scalar):
     with pytest.raises(ValueError):
         select_examples(micro_scalar, {"eps": 0.5, "qlen": 5}, scale_grid=(),
                         trials=20000, seed=0)
+
+
+def test_select_examples_widens_the_zone_once_when_nothing_qualifies(
+        micro_scalar, monkeypatch):
+    # the first sweep finds no cell, so the second reads the band
+    # [0.01, 0.99] at twice the trials
+    calls = []
+    real = search.test_mechanism
+
+    def first_sweep_empty(sketch, binding, vec, *, trials, band, **kw):
+        calls.append((tuple(vec), trials, band))
+        if band == ZONE:
+            return []
+        return real(sketch, binding, vec, trials=trials, band=band, **kw)
+
+    monkeypatch.setattr(search, "test_mechanism", first_sweep_empty)
+    found = select_examples(micro_scalar, {"eps": 0.5, "qlen": 5},
+                            scale_grid=(2.0,), trials=1000, seed=0)
+    assert calls == [((2.0,), 1000, ZONE), ((2.0,), 2000, (0.01, 0.99))]
+    assert found
+    assert all(0.01 <= ex.p_value <= 0.99 for ex in found)
+    assert any(ex.p_value > ZONE[1] for ex in found)

@@ -6,6 +6,7 @@ whose loss at scale b is exactly e^(1/b).
 """
 
 import hashlib
+import importlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +31,8 @@ from mechsynth.synth import (NoiseExpr, RankedCandidate, SynthError,
                              render_vector, report_to_json, synth)
 from mechsynth.tester import CoordEvent, HalfLineEvent, ValueEvent
 
+# the package's ``synth`` attribute is the function, not the module
+SYNTH = importlib.import_module("mechsynth.synth")
 BINDING = {"eps": Fraction(1, 2), "qlen": 5, "T": 2}
 
 
@@ -270,10 +273,10 @@ def test_report_config_block_names_every_field(micro_scalar):
 # ---------------------------------------------------------------------------
 
 def test_sort_key_orders_lexicographically():
-    a = RankedCandidate((), 0, 2.0, Fraction(8), 3)
-    b = RankedCandidate((), 0, 2.0, Fraction(12), 1)
-    c = RankedCandidate((), 0, 3.0, Fraction(12), 2)
-    d = RankedCandidate((), 1, 9.0, Fraction(1), 0)
+    a = RankedCandidate((), 0, 2.0, Fraction(8), 3, tight_loss=2.0)
+    b = RankedCandidate((), 0, 2.0, Fraction(12), 1, tight_loss=2.0)
+    c = RankedCandidate((), 0, 3.0, Fraction(12), 2, tight_loss=3.0)
+    d = RankedCandidate((), 1, 9.0, Fraction(1), 0, tight_loss=9.0)
     assert sorted([d, b, a, c], key=RankedCandidate.sort_key) == [c, a, b, d]
 
 
@@ -281,12 +284,12 @@ def test_sort_key_ties_losses_within_grain_then_prefers_less_noise():
     # losses within one log grain count as equal, so the lighter candidate
     # wins even though its raw estimate is marginally lower (a completion
     # that post-processes another shows exactly this signature)
-    post = RankedCandidate((), 0, 4.54, Fraction(6), 0)
-    plain = RankedCandidate((), 0, 4.48, Fraction(4), 1)
+    post = RankedCandidate((), 0, 4.54, Fraction(6), 0, tight_loss=4.54)
+    plain = RankedCandidate((), 0, 4.48, Fraction(4), 1, tight_loss=4.48)
     assert sorted([post, plain], key=RankedCandidate.sort_key) == [plain, post]
     # clearly separated losses still dominate the magnitude key
-    tight = RankedCandidate((), 0, 4.48, Fraction(12), 1)
-    loose = RankedCandidate((), 0, 2.00, Fraction(2), 0)
+    tight = RankedCandidate((), 0, 4.48, Fraction(12), 1, tight_loss=4.48)
+    loose = RankedCandidate((), 0, 2.00, Fraction(2), 0, tight_loss=2.00)
     assert sorted([loose, tight], key=RankedCandidate.sort_key) == [tight, loose]
 
 
@@ -405,8 +408,10 @@ def test_final_verify_rejects_no_noise(micro_scalar):
     cfg = RunConfig(trials=2000)
     bindings = [{"eps": Fraction(1, 2), "qlen": 5}]
     ranked = [
-        RankedCandidate((NoiseExpr(1, 0, 1),), 0, 1.6, Fraction(2), 1),
-        RankedCandidate((None,), 6, 5e5, Fraction(0), 0),
+        RankedCandidate((NoiseExpr(1, 0, 1),), 0, 1.6, Fraction(2), 1,
+                        tight_loss=1.6),
+        RankedCandidate((None,), 6, 5e5, Fraction(0), 0,
+                        tight_loss=5e5),
     ]
     survivors, details = final_verify(micro_scalar, ranked, bindings, cfg)
     assert [render_vector(s.exprs) for s in survivors] == ["(1/eps)"]
@@ -483,6 +488,37 @@ def test_synth_memo_does_not_outlive_the_operation(micro_scalar, monkeypatch):
         tables.append(0)
         synth(micro_scalar, RunConfig(**MICRO_BUDGET))
     assert tables[0] == tables[1] > 0
+
+
+def test_synth_without_examples_returns_an_empty_report(micro_scalar,
+                                                       monkeypatch):
+    monkeypatch.setattr(SYNTH, "select_examples", lambda *args, **kw: [])
+    outcome = synth(micro_scalar, RunConfig(**MICRO_BUDGET))
+    report = outcome.report
+    assert report["note"] == "no challenging examples found"
+    assert report["region"] is None
+    assert report["survivors"] == [] and outcome.survivors == []
+    assert report["candidate_count"] == 0
+    assert outcome.counters == {"bank_runs": 0, "bank_stat_rows": 0,
+                                "fisher_tables": 0, "thinned_counts": 0}
+
+
+def test_synth_doubles_the_radius_when_nothing_survives_pruning(
+        micro_scalar, monkeypatch):
+    radii = []
+    real = enumerate_and_prune
+
+    def empty_at_first_radius(region, binding, *, radius):
+        radii.append(radius)
+        return [] if len(radii) == 1 else real(region, binding,
+                                               radius=radius)
+
+    monkeypatch.setattr(SYNTH, "enumerate_and_prune", empty_at_first_radius)
+    cfg = RunConfig(**MICRO_BUDGET)
+    report = synth(micro_scalar, cfg).report
+    assert radii == [cfg.radius, 2 * cfg.radius]
+    assert report["radius_used"] == 2 * cfg.radius
+    assert report["candidate_count"] > 0
 
 
 def test_micro_synth_report_is_frozen(micro_synth_run):
