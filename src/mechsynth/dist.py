@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DiscreteLaplace", "DiscreteExponential", "make_dist", "log_weight_coeffs",
+    "DiscreteLaplace", "DiscreteExponential", "make_dist", "log_norm_const",
+    "log_weight_coeffs",
 ]
 
 
@@ -145,6 +146,16 @@ def make_dist(family: str, scale: float):
     return cls(scale)
 
 
+def log_norm_const(family: str, scale: float) -> float:
+    """ln C(b): ``math.log(make_dist(family, scale).norm_const)`` by the
+    same float operations, without building the distribution."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown noise family {family!r}")
+    _check_scale(scale)
+    q = math.exp(-1.0 / scale)
+    return math.log((1.0 - q) / (1.0 + q) if family == "lap" else 1.0 - q)
+
+
 def log_weight_coeffs(family: str, target_scale: float, proposal_scale: float):
     """Coefficients (alpha, beta) of the per-draw log importance weight.
 
@@ -152,9 +163,8 @@ def log_weight_coeffs(family: str, target_scale: float, proposal_scale: float):
     ``target_scale``, log w(v) = alpha + beta * |v| (the Laplace pmf depends
     on |v|; exponential draws are nonnegative, so |v| = v there).
     """
-    target = make_dist(family, target_scale)
-    proposal = make_dist(family, proposal_scale)
-    alpha = math.log(target.norm_const) - math.log(proposal.norm_const)
+    alpha = (log_norm_const(family, target_scale)
+             - log_norm_const(family, proposal_scale))
     beta = 1.0 / proposal_scale - 1.0 / target_scale
     return alpha, beta
 

@@ -49,7 +49,7 @@ import numpy as np
 from scipy.special import logsumexp, ndtr
 
 from .config import EVENT_FLOOR, ZONE
-from .dist import log_weight_coeffs, make_dist
+from .dist import log_norm_const, log_weight_coeffs, make_dist
 from .lang import MechanismSketch, compile_sketch, count_hole_draws
 from .tester import event_hits, test_mechanism
 
@@ -177,9 +177,13 @@ class PresampleBank:
     run's weight depends only on its statistics row, so the bank weighs
     each distinct row once and counts runs and event hits per row;
     ``runs_grouped`` and ``stat_rows`` sum m and the row count over every
-    side the bank has run.  Every cache is per side; the joint groups of
-    two sides are built where the standard error reads them
-    (:func:`_log_loss_se`).
+    side the bank has run.  The bank keeps three caches: outputs and
+    statistics rows per side (``_runs``), event hits per side and event
+    set (``_counts``), and statistics rows per pattern of draw counts
+    (``_groups``, keyed by a digest of the kernel's (m, n) count matrix),
+    so sides that consumed identical draws share one :class:`StatRows`.
+    The joint groups of two sides are built where the standard error
+    reads them (:func:`_log_loss_se`).
 
     ``draws`` holds one read-only (m, cap) int64 matrix per hole: row i is
     the noise run i consumes, in order, on every side and off-mask."""
@@ -214,25 +218,48 @@ class PresampleBank:
             np.cumsum(np.abs(arr), axis=1, out=cum[:, 1:])
             self._cum_abs.append(cum)
         self.draws = tuple(draws)
+        # per hole: ln C at the first component, the weights' reference
+        self._log_norm0 = [log_norm_const(hole.family, self.scales[0])
+                           for hole in sketch.holes]
         self.runs_grouped = 0
         self.stat_rows = 0
         self._runs = {}         # (answers, mask) -> (Outputs, StatRows)
         self._counts = {}       # (answers, mask, events) -> (E, u) hits
+        self._groups = {}       # digest of (m, n) draw counts -> StatRows
 
     def runs_for(self, answers: tuple, mask: tuple):
         """The :class:`Outputs` of the m presampled runs on this input side
         under this off-mask (one kernel call), plus their :class:`StatRows`.
 
-        Runs are grouped by one ``lexsort`` over the integer (N, S) columns;
-        the mixture column M, a function of (N, S), is computed on the
-        distinct rows only."""
+        The statistics rows are a function of the runs' draw counts alone:
+        S reads the bank's prefix sums at the counts, M the bank's mixture
+        coefficients, and a switched-off hole consumes no draw.  Sides whose
+        kernel calls consumed identical counts therefore share one
+        :class:`StatRows` object, cached under a digest of the (m, n) count
+        matrix, and only a new count pattern is grouped
+        (:meth:`_group`)."""
         key = (tuple(answers), mask)
         hit = self._runs.get(key)
         if hit is not None:
             return hit
-        n = self.sketch.n_holes
         kernel = compile_sketch(self.sketch, mask)
         outputs, counts = kernel(self.args, answers, self.draws)
+        pattern = hashlib.blake2b(counts.tobytes(), digest_size=16).digest()
+        groups = self._groups.get(pattern)
+        if groups is None:
+            groups = self._groups[pattern] = self._group(counts)
+        self._runs[key] = (outputs, groups)
+        self.runs_grouped += self.m
+        self.stat_rows += len(groups.mult)
+        return outputs, groups
+
+    def _group(self, counts) -> StatRows:
+        """The :class:`StatRows` of runs that consumed ``counts`` draws.
+
+        Runs are grouped by one ``lexsort`` over the integer (N, S) columns;
+        the mixture column M, a function of (N, S), is computed on the
+        distinct rows only."""
+        n = self.sketch.n_holes
         ns = np.empty((self.m, 2 * n), dtype=np.int64)
         ns[:, :n] = counts
         runs = np.arange(self.m)
@@ -257,11 +284,7 @@ class PresampleBank:
         mult = np.bincount(index, minlength=u).astype(np.float64)
         fp = hashlib.blake2b(rows.tobytes() + index.tobytes(),
                              digest_size=16).digest()
-        groups = StatRows(rows, index, mult, fp)
-        self._runs[key] = (outputs, groups)
-        self.runs_grouped += self.m
-        self.stat_rows += u
-        return outputs, groups
+        return StatRows(rows, index, mult, fp)
 
     def event_counts(self, answers: tuple, mask: tuple, events: tuple):
         """(E, u) hits of each event per statistics row of this side."""
@@ -278,18 +301,21 @@ class PresampleBank:
     def weight_coeffs(self, candidates) -> np.ndarray:
         """(2n + 1, B) coefficient matrix over the :class:`StatRows`
         columns: column b is candidate b's log-density against the first
-        component, minus the mixture's (the last row, all -1)."""
+        component, minus the mixture's (the last row, all -1).  Each pair
+        (alpha, beta) is :func:`~mechsynth.dist.log_weight_coeffs`' to the
+        bit, from the first component's log normalizer kept per hole."""
         n = self.sketch.n_holes
         coeffs = np.zeros((2 * n + 1, len(candidates)))
         coeffs[2 * n] = -1.0
+        inv0 = 1.0 / self.scales[0]
         for b, cand in enumerate(candidates):
             for h, hole in enumerate(self.sketch.holes):
                 if cand[h] is None:
                     continue
-                alpha, beta = log_weight_coeffs(
-                    hole.family, float(cand[h]), self.scales[0])
-                coeffs[h, b] = alpha
-                coeffs[n + h, b] = beta
+                t = float(cand[h])
+                coeffs[h, b] = (log_norm_const(hole.family, t)
+                                - self._log_norm0[h])
+                coeffs[n + h, b] = inv0 - 1.0 / t
         return coeffs
 
     @property

@@ -41,9 +41,10 @@ most max(trials, 2^13) lanes, each side on its own answer rows, so the
 streams and outputs are those of one call per side.  Events are counted
 by :func:`event_hits`, one array pass per event class and side.  A call
 makes two batched :func:`hypothesis_test` calls: one over the pilot cells
-the screen leaves, which picks the decision events, then one over the
-final cells that step 3 reads.  A :class:`FisherMemo` shared by the calls
-of one operation computes each thinning and each exact Fisher table once.
+the screen leaves where a pick needs them, which picks the decision
+events, then one over the final cells that step 3 reads.  A
+:class:`FisherMemo` shared by the calls of one operation computes each
+thinning and each exact Fisher table once.
 
 The minimum p over every (pair, event, orientation) cell is useful for
 harvesting challenging examples but is biased by multiplicity: with
@@ -740,8 +741,13 @@ def _decision_events(pilots, n: int, test_epsilon, memo) -> list:
 
     ``pilots`` holds each pair's pilot counts, shape (2 sides, events);
     orientation o tests side o against side 1 - o.  Only the cells that
-    :func:`_may_rank` first in their (pair, orientation) get exact
-    p-values, and the first exact minimum among them is the pick.
+    :func:`_may_rank` first in their (pair, orientation) can be the pick.
+    Of those, a cell whose counts repeat an earlier one's has its p and
+    cannot be first, so it is dropped.  A segment left with one cell picks
+    it without an exact tail: it has the counts of the cell whose upper
+    bound is the segment's least, U, and every other cell has p > U.  The
+    other segments' cells get exact p-values, and the first exact minimum
+    among them is the pick.
     """
     c1 = np.concatenate([pc[o] for pc in pilots for o in (0, 1)])
     c2 = np.concatenate([pc[1 - o] for pc in pilots for o in (0, 1)])
@@ -751,9 +757,17 @@ def _decision_events(pilots, n: int, test_epsilon, memo) -> list:
     segment = np.repeat(np.arange(len(widths)), widths)
     near = np.flatnonzero(_may_rank(
         *_screen_bounds(c1, c2, n, test_epsilon, memo), starts, 1))
-    p = hypothesis_test(c1[near], c2[near], n, test_epsilon, memo=memo)
+    _, first_seen = np.unique(
+        np.stack([segment[near], c1[near], c2[near]]), axis=1,
+        return_index=True)
+    near = near[np.sort(first_seen)]
+    seg = segment[near]
+    tested = near[np.bincount(seg)[seg] > 1]
+    p = np.zeros(len(c1))
+    p[tested] = hypothesis_test(c1[tested], c2[tested], n, test_epsilon,
+                                memo=memo)
     # per segment, its marked cells by exact p, ties in cell order
-    ranked = near[np.lexsort((near, p, segment[near]))]
+    ranked = near[np.lexsort((near, p[near], seg))]
     _, first = np.unique(segment[ranked], return_index=True)
     picks = (ranked[first] - starts).tolist()
     return [picks[i:i + 2] for i in range(0, len(picks), 2)]

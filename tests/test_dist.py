@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from mechsynth.dist import (DiscreteExponential, DiscreteLaplace,
-                            log_weight_coeffs, make_dist)
+                            log_norm_const, log_weight_coeffs, make_dist)
 
 SCALES = (0.5, 1.0, 2.0, 4.0)
 
@@ -163,6 +163,17 @@ def test_log_weight_coeffs_oracle():
     alpha, beta = log_weight_coeffs("lap", 2.0, 4.0)
     assert alpha == pytest.approx(0.677801855578, abs=1e-12)
     assert beta == pytest.approx(-0.25, abs=1e-15)
+
+
+def test_log_norm_const_is_the_distributions_to_the_bit():
+    for family in ("lap", "exp"):
+        for scale in (0.25, 0.3, 0.5, 1.0, 1.5, 2.0, 7.25, 16.0, 1e6, 1e15):
+            assert (log_norm_const(family, scale)
+                    == math.log(make_dist(family, scale).norm_const))
+        with pytest.raises(ValueError, match="too large"):
+            log_norm_const(family, 1e17)
+    with pytest.raises(ValueError, match="unknown noise family"):
+        log_norm_const("gauss", 1.0)
 
 
 # alpha + beta * |v| is the log pmf ratio target / proposal at v

@@ -372,32 +372,125 @@ def test_grouped_estimates_match_the_per_run_oracle(name, scales,
             assert abs(se[b, j] - want_se) <= 1e-12 * max(want_se, spread)
 
 
-def test_stat_rows_rebuild_every_run():
-    # abovet2 draws a whole noise vector per run, so under an
-    # eight-component mixture most runs have magnitude sums of their own
-    sketch = load_benchmark("abovet2")
-    bank = PresampleBank(sketch, {"qlen": 10, "T": 2}, m=12000,
-                         scales=MIXTURE8, seed=0)
-    mask = (False,) * 3
-    answers = (1, 0, 2, 1, 0, 1, 2, 0, 1, 1)
+def _assert_stat_rows_oracle(bank, answers, mask):
+    """The side's :class:`StatRows` against its runs' own (N, S, M)."""
+    sketch = bank.sketch
+    n = sketch.n_holes
     _, groups = bank.runs_for(answers, mask)
     _, counts = compile_sketch(sketch, mask)(bank.args, answers, bank.draws)
     sums = np.stack([
         np.where(np.arange(d.shape[1]) < counts[:, h, None], np.abs(d),
                  0).sum(axis=1) for h, d in enumerate(bank.draws)], axis=1)
     stats = np.hstack([counts, sums])
-    assert np.array_equal(groups.rows[groups.index, :6], stats)
+    assert np.array_equal(groups.rows[groups.index, :2 * n], stats)
     assert np.array_equal(groups.mult, np.bincount(groups.index))
     assert len(groups.rows) == len(np.unique(stats, axis=0))
-    assert bank.m // 2 < len(groups.rows) < bank.m
     # the mixture column is a function of the row, on the rows only
     coeffs = [np.array([log_weight_coeffs(hole.family, s, bank.scales[0])
                         for s in bank.scales]) for hole in sketch.holes]
     mix = sum(logsumexp(np.outer(stats[:, h], coeffs[h][:, 0])
-                        + np.outer(stats[:, 3 + h], coeffs[h][:, 1]),
-                        axis=1) - math.log(8) for h in range(3))
-    assert groups.rows[groups.index, 6] == pytest.approx(mix, rel=1e-12)
+                        + np.outer(stats[:, n + h], coeffs[h][:, 1]),
+                        axis=1) - math.log(len(bank.scales))
+              for h in range(n))
+    assert groups.rows[groups.index, 2 * n] == pytest.approx(mix, rel=1e-12)
+    return counts, groups
+
+
+def test_stat_rows_rebuild_every_run():
+    # abovet2 draws a whole noise vector per run, so under an
+    # eight-component mixture most runs have magnitude sums of their own
+    sketch = load_benchmark("abovet2")
+    bank = PresampleBank(sketch, {"qlen": 10, "T": 2}, m=12000,
+                         scales=MIXTURE8, seed=0)
+    answers = (1, 0, 2, 1, 0, 1, 2, 0, 1, 1)
+    _, groups = _assert_stat_rows_oracle(bank, answers, (False,) * 3)
+    assert bank.m // 2 < len(groups.rows) < bank.m
     assert (bank.runs_grouped, bank.stat_rows) == (bank.m, len(groups.rows))
+    # svt stops at its first answer above the threshold, so the draws a
+    # side consumes depend on its answers: a second side with counts of
+    # its own is grouped afresh
+    sketch = load_benchmark("svt")
+    bank = PresampleBank(sketch, {"qlen": 10, "T": 2, "N": 1}, m=12000,
+                         scales=MIXTURE8, seed=0)
+    mask = (False, False)
+    counts1, groups1 = _assert_stat_rows_oracle(bank, (0,) * 10, mask)
+    counts2, groups2 = _assert_stat_rows_oracle(
+        bank, (1, 2, 1, 0, 2, 1, 0, 1, 2, 0), mask)
+    assert not np.array_equal(counts1, counts2)
+    assert groups1.fp != groups2.fp
+    assert (bank.runs_grouped, bank.stat_rows) == (
+        2 * bank.m, len(groups1.rows) + len(groups2.rows))
+
+
+def test_sides_with_equal_draw_counts_share_stat_rows():
+    # noisymax1 draws one noise per answer whatever the answers are, so
+    # every side consumes the same counts and reuses the first grouping
+    sketch = load_benchmark("noisymax1")
+    bank = PresampleBank(sketch, {"qlen": 5}, m=3000, scales=MIXTURE8,
+                         seed=0)
+    mask = (False,)
+    out1, g1 = bank.runs_for((1, 1, 1, 1, 1), mask)
+    assert (bank.runs_grouped, bank.stat_rows) == (bank.m, len(g1.rows))
+    out2, g2 = bank.runs_for((2, 0, 1, 1, 0), mask)
+    assert not np.array_equal(out1.values, out2.values)
+    assert g2 is g1
+    # the counters grow per side, hit or miss
+    assert (bank.runs_grouped, bank.stat_rows) == (2 * bank.m,
+                                                   2 * len(g1.rows))
+    _assert_stat_rows_oracle(bank, (2, 0, 1, 1, 0), mask)
+
+
+def test_grouping_runs_once_per_draw_count_pattern(monkeypatch):
+    sketch = load_benchmark("svt")
+    bank = PresampleBank(sketch, {"qlen": 5, "T": 2, "N": 1}, m=2000,
+                         scales=MIXTURE8, seed=0)
+    patterns = []
+    group = PresampleBank._group
+
+    def counted(self, counts):
+        patterns.append(counts.tobytes())
+        return group(self, counts)
+
+    monkeypatch.setattr(PresampleBank, "_group", counted)
+    sides = [(0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (0, 0, 0, 0, 0),
+             (2, 2, 2, 2, 2), (5, 5, 5, 5, 5), (6, 6, 6, 6, 6),
+             (2, 0, 1, 0, 2)]
+    masks = [(False, False), (True, False), (False, True), (True, True)]
+    want = set()
+    for mask in masks:
+        for answers in sides:
+            bank.runs_for(answers, mask)
+            _, counts = compile_sketch(sketch, mask)(bank.args, answers,
+                                                     bank.draws)
+            want.add(counts.tobytes())
+    # (0, 0, 0, 0, 0) twice per mask is one side; far above the threshold
+    # every run stops at the first answer, so those sides share counts, and
+    # with both holes off no side draws at all
+    distinct_sides = len(masks) * (len(sides) - 1)
+    assert len(patterns) == len(set(patterns)) == len(want) < distinct_sides
+    assert bank.runs_grouped == bank.m * distinct_sides
+
+
+def test_weight_coeffs_match_log_weight_coeffs_to_the_bit():
+    sketch = parse_sketch(LAP_EXP)
+    grid = [SNAP_THRESHOLD, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.25, 12.0,
+            BOX_MAX, 1e6]
+    for scales in ((PROPOSAL,), (3.0, 0.5, 8.0), (0.7,)):
+        bank = PresampleBank(sketch, {"qlen": 5}, m=100, scales=scales,
+                             seed=0)
+        cands = [(a, b) for a in grid + [None] for b in grid + [None]]
+        coeffs = bank.weight_coeffs(cands)
+        for b, cand in enumerate(cands):
+            for h, hole in enumerate(sketch.holes):
+                if cand[h] is None:
+                    assert coeffs[h, b] == coeffs[2 + h, b] == 0.0
+                    continue
+                alpha, beta = log_weight_coeffs(hole.family, cand[h],
+                                                scales[0])
+                assert coeffs[h, b] == alpha and coeffs[2 + h, b] == beta
+            assert coeffs[4, b] == -1.0
+    with pytest.raises(ValueError, match="too large"):
+        bank.weight_coeffs([(1e17, 1.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -530,3 +530,19 @@ def test_micro_synth_report_is_frozen(micro_synth_run):
     digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
     assert digest == ("156cb77c6eb2eb50c9845b3c692ac0ca"
                       "2d9789e5cc936168a32e1f99c12f669a")
+
+
+def test_synth_small_report_is_frozen(benchmarks):
+    # the benchmark's synth-small call, pinned as the micro report is:
+    # bank and tester speed-ups must leave its report and its bank's work
+    # counters as they are
+    cfg = RunConfig(seed=0, epsilon=Fraction(1, 2), qlen=5, trials=1000,
+                    presamples=4000, population=20, steps_per_hole=30)
+    outcome = synth(benchmarks["noisymax1"], cfg)
+    report = dict(outcome.report)
+    del report["config"]
+    digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    assert digest == ("be1bb024777c63ac564e596558156bb7"
+                      "80f29ee89136263072fa6b4acf9f97cf")
+    assert (outcome.counters["bank_runs"],
+            outcome.counters["bank_stat_rows"]) == (264000, 10640)

@@ -933,3 +933,40 @@ def test_packed_call_raises_the_fault_its_lanes_reach_first(monkeypatch):
     monkeypatch.setattr(tester, "_LANE_CAP", 1)
     with pytest.raises(RunError, match=r"^index 0 out of range 1\.\.5$"):
         tester.test_mechanism(sk, binding, [2.0], trials=1000, seed=0)
+
+
+@pytest.mark.parametrize("name,noise", [
+    ("noisymax1", [4.0]), ("noisymax1", [None]), ("svt", [4.0, 8.0]),
+    ("smartsum", [2.0, 2.0]), ("smartsum", [None, None]),
+    ("abovet2", [4.0, 8.0, 4.0])])
+def test_decision_events_are_the_argmin_on_tester_pilots(name, noise,
+                                                         monkeypatch):
+    # the pilots of real tester calls repeat counts within a segment and
+    # leave segments with one cell near the least p; the pick is still
+    # the first cell of least exact p, and a segment whose near cells all
+    # share one count pair gets no exact tail
+    sk = load_benchmark(name)
+    binding = {"eps": RunConfig().epsilon, "qlen": 5,
+               **{a: FIXED_ARGS[a] for a in sk.args}}
+    runs, tested = [], []
+    decide = tester._decision_events
+    exact = tester.hypothesis_test
+
+    def capture(pilots, n, test_epsilon, memo):
+        picks = decide(pilots, n, test_epsilon, memo)
+        runs.append((pilots, n, test_epsilon, picks))
+        return picks
+
+    def counted(c1, *args, **kw):
+        tested.append(np.size(c1))
+        return exact(c1, *args, **kw)
+
+    monkeypatch.setattr(tester, "_decision_events", capture)
+    monkeypatch.setattr(tester, "hypothesis_test", counted)
+    tester.test_mechanism(sk, binding, noise, trials=1000, seed=0,
+                          decision_only=True)
+    (pilots, n, eps, picks), = runs
+    monkeypatch.setattr(tester, "hypothesis_test", exact)
+    assert picks == _exact_picks(pilots, n, eps)
+    # each segment given exact tails sends at least two cells
+    assert tested[0] < 2 * 2 * len(pilots)
