@@ -156,8 +156,9 @@ class StatRows(NamedTuple):
     S_1..S_n, and the mixture's log-density M against the first component,
     in lexicographic order of (N, S).  Run i has the statistics
     ``rows[index[i]]``; ``mult`` counts the runs of each row.  ``fp`` is a
-    digest of ``rows`` and ``index``: sides with equal digests consumed
-    identical draws, so they share importance weights and joint groups."""
+    digest of the runs' draw counts, which fix ``rows`` and ``index``:
+    sides with equal digests consumed identical draws, so they share one
+    :class:`StatRows`, its importance weights and joint groups."""
 
     rows: np.ndarray
     index: np.ndarray
@@ -235,8 +236,8 @@ class PresampleBank:
         S reads the bank's prefix sums at the counts, M the bank's mixture
         coefficients, and a switched-off hole consumes no draw.  Sides whose
         kernel calls consumed identical counts therefore share one
-        :class:`StatRows` object, cached under a digest of the (m, n) count
-        matrix, and only a new count pattern is grouped
+        :class:`StatRows` object, cached under its ``fp``, a digest of the
+        (m, n) count matrix, and only a new count pattern is grouped
         (:meth:`_group`)."""
         key = (tuple(answers), mask)
         hit = self._runs.get(key)
@@ -244,17 +245,18 @@ class PresampleBank:
             return hit
         kernel = compile_sketch(self.sketch, mask)
         outputs, counts = kernel(self.args, answers, self.draws)
-        pattern = hashlib.blake2b(counts.tobytes(), digest_size=16).digest()
-        groups = self._groups.get(pattern)
+        fp = hashlib.blake2b(counts.tobytes(), digest_size=16).digest()
+        groups = self._groups.get(fp)
         if groups is None:
-            groups = self._groups[pattern] = self._group(counts)
+            groups = self._groups[fp] = StatRows(*self._group(counts), fp)
         self._runs[key] = (outputs, groups)
         self.runs_grouped += self.m
         self.stat_rows += len(groups.mult)
         return outputs, groups
 
-    def _group(self, counts) -> StatRows:
-        """The :class:`StatRows` of runs that consumed ``counts`` draws.
+    def _group(self, counts) -> tuple:
+        """``rows``, ``index`` and ``mult`` of the :class:`StatRows` of runs
+        that consumed ``counts`` draws.
 
         Runs are grouped by one ``lexsort`` over the integer (N, S) columns;
         the mixture column M, a function of (N, S), is computed on the
@@ -281,10 +283,7 @@ class PresampleBank:
             per_comp = rows[:, [h, n + h]] @ self._mix_coeffs[h]
             mix += logsumexp(per_comp, axis=1) - logk
         rows[:, 2 * n] = mix
-        mult = np.bincount(index, minlength=u).astype(np.float64)
-        fp = hashlib.blake2b(rows.tobytes() + index.tobytes(),
-                             digest_size=16).digest()
-        return StatRows(rows, index, mult, fp)
+        return rows, index, np.bincount(index, minlength=u).astype(np.float64)
 
     def event_counts(self, answers: tuple, mask: tuple, events: tuple):
         """(E, u) hits of each event per statistics row of this side."""
