@@ -949,18 +949,6 @@ class Outputs:
         return (self[j] for j in range(len(self)))
 
     @classmethod
-    def concat(cls, parts) -> "Outputs":
-        """The lanes of several outputs of one sketch, in order."""
-        parts = list(parts)
-        if parts[0].lengths is None:
-            return cls(np.concatenate([p.values for p in parts]), None,
-                       parts[0].boolean)
-        width = max(p.values.shape[1] for p in parts)
-        return cls(np.concatenate([_pad(p.values, width) for p in parts]),
-                   np.concatenate([p.lengths for p in parts]),
-                   parts[0].boolean)
-
-    @classmethod
     def from_values(cls, values) -> "Outputs":
         """Pack outputs in the form :func:`run` returns them."""
         values = list(values)

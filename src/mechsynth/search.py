@@ -43,13 +43,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp, ndtr
 
 from .config import EVENT_FLOOR, ZONE
-from .dist import log_norm_const, log_weight_coeffs, make_dist
+from .dist import log_weight_coeffs, make_dist
 from .lang import MechanismSketch, compile_sketch, count_hole_draws
 from .tester import event_hits, test_mechanism
 
@@ -219,9 +219,6 @@ class PresampleBank:
             np.cumsum(np.abs(arr), axis=1, out=cum[:, 1:])
             self._cum_abs.append(cum)
         self.draws = tuple(draws)
-        # per hole: ln C at the first component, the weights' reference
-        self._log_norm0 = [log_norm_const(hole.family, self.scales[0])
-                           for hole in sketch.holes]
         self.runs_grouped = 0
         self.stat_rows = 0
         self._runs = {}         # (answers, mask) -> (Outputs, StatRows)
@@ -300,21 +297,17 @@ class PresampleBank:
     def weight_coeffs(self, candidates) -> np.ndarray:
         """(2n + 1, B) coefficient matrix over the :class:`StatRows`
         columns: column b is candidate b's log-density against the first
-        component, minus the mixture's (the last row, all -1).  Each pair
-        (alpha, beta) is :func:`~mechsynth.dist.log_weight_coeffs`' to the
-        bit, from the first component's log normalizer kept per hole."""
+        component, minus the mixture's (the last row, all -1).  Rows h and
+        n + h hold hole h's :func:`~mechsynth.dist.log_weight_coeffs`
+        (alpha, beta) from the first component to the candidate's scale."""
         n = self.sketch.n_holes
         coeffs = np.zeros((2 * n + 1, len(candidates)))
         coeffs[2 * n] = -1.0
-        inv0 = 1.0 / self.scales[0]
         for b, cand in enumerate(candidates):
             for h, hole in enumerate(self.sketch.holes):
-                if cand[h] is None:
-                    continue
-                t = float(cand[h])
-                coeffs[h, b] = (log_norm_const(hole.family, t)
-                                - self._log_norm0[h])
-                coeffs[n + h, b] = inv0 - 1.0 / t
+                if cand[h] is not None:
+                    coeffs[h, b], coeffs[n + h, b] = log_weight_coeffs(
+                        hole.family, float(cand[h]), self.scales[0])
         return coeffs
 
     @property
@@ -561,8 +554,8 @@ _CR = 0.9
 
 
 def get_noise_region(bank: PresampleBank, examples, target_eps, *,
-                     lam: float, population: int, steps: int, seed: int,
-                     history: Optional[list] = None) -> NoiseRegion:
+                     lam: float, population: int, steps: int,
+                     seed: int) -> NoiseRegion:
     """rand/1/bin differential evolution over the [0, 16]^n box.
 
     Each generation mutates every member (x_r1 + _F*(x_r2 - x_r3),
@@ -571,8 +564,6 @@ def get_noise_region(bank: PresampleBank, examples, target_eps, *,
     execute as "no noise" and count zero toward the L0 term.  Alongside the
     population the search records a champion (best vector evaluated) per
     no-noise mask.
-    ``history``, when supplied, collects the best objective after each
-    generation.
     """
     if population < 4:
         raise ValueError("rand/1/bin needs a population of at least 4")
@@ -593,8 +584,6 @@ def get_noise_region(bank: PresampleBank, examples, target_eps, *,
 
     x = rng.uniform(0.0, BOX_MAX, (population, n_holes))
     obj = score(x)
-    if history is not None:
-        history.append(float(obj.min()))
     idx = np.arange(population)
     for _ in range(steps):
         donors = np.empty((population, 3), dtype=np.int64)
@@ -612,8 +601,6 @@ def get_noise_region(bank: PresampleBank, examples, target_eps, *,
         better = tobj <= obj
         x[better] = trial[better]
         obj[better] = tobj[better]
-        if history is not None:
-            history.append(float(obj.min()))
     order = np.argsort(obj, kind="stable")
     entries = tuple((snap_vector(x[i]), float(obj[i])) for i in order)
     champions = tuple(sorted(champs.values(), key=lambda e: e[1]))

@@ -135,30 +135,22 @@ def enumerate_and_prune(region: NoiseRegion, args: dict, *,
     if not radius > 0:
         raise ValueError("radius must be positive")
     exprs = expressions()
-    anchors = _prune_anchors(region)
-    n = len(anchors[0])
     gvals = np.array([0.0 if e is None else float(e.gamma(args)) for e in exprs])
     gbot = np.array([e is None for e in exprs])
-
-    rvec = np.array([[0.0 if v is None else v for v in vec]
-                     for vec in anchors])                      # (R, n)
-    rbot = np.array([[v is None for v in vec]
-                     for vec in anchors])                      # (R, n)
-
-    kept = []
-    per_hole = [np.arange(len(exprs))] * n
-    for combo in itertools.product(*per_hole):
-        idx = np.array(combo)
-        cg = gvals[idx]                                        # (n,)
-        cb = gbot[idx]                                         # (n,)
-        bad = cb[None, :] & ~rbot                              # (R, n)
-        diff = np.abs(cg[None, :] - rvec)
-        diff[:, cb] = 0.0
-        dist = diff.sum(axis=1)
-        dist[bad.any(axis=1)] = np.inf
-        if dist.min() <= radius + 1e-9:
-            kept.append(tuple(exprs[i] for i in combo))
-    return kept
+    # per combination of one expression per hole (axis h indexes hole h's
+    # expression), its least distance over the anchors; each anchor's
+    # distances add up hole by hole, as a row sum over holes would
+    best = np.inf
+    for vec in _prune_anchors(region):
+        dist = 0.0
+        for r in vec:
+            hole = np.abs(gvals - (0.0 if r is None else r))
+            if r is not None:
+                hole[gbot] = np.inf
+            dist = np.add.outer(dist, hole)
+        best = np.minimum(best, dist)
+    return [tuple(exprs[i] for i in combo)
+            for combo in np.argwhere(best <= radius + 1e-9)]
 
 
 # ---------------------------------------------------------------------------

@@ -35,16 +35,18 @@ sampled once and tested in both orientations.  The workflow per input pair:
 
 Small p-values indicate a likely violation at the tested epsilon.  All
 randomness derives from an explicit seed, so repeated calls are bit-stable.
-Each input side runs its pilot and final runs from seed streams of its
-own; consecutive sides, in pair order, share one lane-kernel call of at
-most max(trials, 2^13) lanes, each side on its own answer rows, so the
-streams and outputs are those of one call per side.  Events are counted
-by :func:`event_hits`, one array pass per event class and side.  A call
-makes two batched :func:`hypothesis_test` calls: one over the pilot cells
-the screen leaves where a pick needs them, which picks the decision
-events, then one over the final cells that step 3 reads.  A
-:class:`FisherMemo` shared by the calls of one operation computes each
-thinning and each exact Fisher table once.
+Each input pair runs in one block of lanes: pilot d1, pilot d2, final
+d1, final d2, each part n/2 lanes from a seed stream of its own.  Whole
+pairs share one lane-kernel call of at most max(2 * trials, 2^13) lanes,
+each part on its own answer rows; lanes are independent, so the streams
+and outputs are those of one call per pair.  Events are counted by
+:func:`event_hits`, one array pass per event class over both sides of a
+stage (pilot or final).  A call makes two batched
+:func:`hypothesis_test` calls: one over the pilot cells the screen leaves
+where a pick needs them, which picks the decision events, then one over
+the final cells that step 3 reads.  A :class:`FisherMemo` shared by the
+calls of one operation computes each thinning and each exact Fisher table
+once.
 
 The minimum p over every (pair, event, orientation) cell is useful for
 harvesting challenging examples but is biased by multiplicity: with
@@ -79,59 +81,30 @@ __all__ = [
 # Adjacent input pairs
 # ---------------------------------------------------------------------------
 
-def _ones(length):
-    return (1,) * length
+def _shifted_pairs(L):
+    """All-zeros against all-ones, then all-ones against six d2 rows: the
+    first answer above (below) the rest, the first above and the rest
+    below (and the reverse), the first half above and the rest below, and
+    above and below in turn."""
+    ones, rest = (1,) * L, L - 1
+    rows = [(2,) + (1,) * rest, (0,) + (1,) * rest, (2,) + (0,) * rest,
+            (0,) + (2,) * rest, (2,) * (L // 2) + (0,) * (L - L // 2),
+            tuple(2 - 2 * (i % 2) for i in range(L))]
+    return [((0,) * L, ones)] + [(ones, d2) for d2 in rows]
 
 
-def _p_all_above(L):
-    return [((0,) * L, (1,) * L)]
+def _single_bumps(L):
+    """All-ones against each single answer moved up, then down."""
+    ones = (1,) * L
+    return [(ones, ones[:i] + (v,) + ones[i + 1:])
+            for i in range(L) for v in (2, 0)]
 
 
-def _p_one_above(L):
-    return [(_ones(L), (2,) + (1,) * (L - 1))]
-
-
-def _p_one_below(L):
-    return [(_ones(L), (0,) + (1,) * (L - 1))]
-
-
-def _p_one_above_rest_below(L):
-    return [(_ones(L), (2,) + (0,) * (L - 1))]
-
-
-def _p_one_below_rest_above(L):
-    return [(_ones(L), (0,) + (2,) * (L - 1))]
-
-
-def _p_half_half(L):
-    k = L // 2
-    return [(_ones(L), (2,) * k + (0,) * (L - k))]
-
-
-def _p_x_shape(L):
-    d2 = tuple(2 if i % 2 == 0 else 0 for i in range(L))
-    return [(_ones(L), d2)]
-
-
-def _p_single_bumps(L):
-    pairs = []
-    for i in range(L):
-        up = tuple(1 + (j == i) for j in range(L))
-        down = tuple(1 - (j == i) for j in range(L))
-        pairs.append((_ones(L), up))
-        pairs.append((_ones(L), down))
-    return pairs
-
-
-# Pair generators per adjacency, each a function of the answer-vector
+# The pair generator of each adjacency, a function of the answer-vector
 # length.  "one": at most one answer changes between neighbors (sums,
 # histograms); "all": every answer may shift together (counting-query
 # workloads).  New adjacent pairs belong here.
-PATTERN_SETS = {
-    "one": (_p_single_bumps,),
-    "all": (_p_all_above, _p_one_above, _p_one_below, _p_one_above_rest_below,
-            _p_one_below_rest_above, _p_half_half, _p_x_shape),
-}
+PATTERN_SETS = {"one": _single_bumps, "all": _shifted_pairs}
 
 
 def gen_input_pairs(adjacency: str, length: int) -> list:
@@ -145,14 +118,13 @@ def gen_input_pairs(adjacency: str, length: int) -> list:
         raise ValueError("length must be at least 1")
     seen = set()
     pairs = []
-    for make in PATTERN_SETS[adjacency]:
-        for d1, d2 in make(length):
-            assert len(d1) == len(d2) == length
-            assert all(abs(x - y) <= 1 for x, y in zip(d1, d2)), (d1, d2)
-            key = frozenset((d1, d2))
-            if d1 != d2 and key not in seen:
-                seen.add(key)
-                pairs.append((d1, d2))
+    for d1, d2 in PATTERN_SETS[adjacency](length):
+        assert len(d1) == len(d2) == length
+        assert all(abs(x - y) <= 1 for x, y in zip(d1, d2)), (d1, d2)
+        key = frozenset((d1, d2))
+        if d1 != d2 and key not in seen:
+            seen.add(key)
+            pairs.append((d1, d2))
     return pairs
 
 
@@ -696,9 +668,10 @@ def _draw_matrices(sketch, scales, caps, n_runs: int, rng) -> list:
 
 
 _EVENT_CAP = 64   # events per input pair kept after the pilot
-# Lanes of one kernel call that packs several input sides, unless one side
-# alone runs more: enough to amortise numpy's per-operation cost over
-# 1,000-trial sides while bounding the kernel's temporaries.
+# Lanes of one kernel call that packs several whole input pairs, unless one
+# pair alone runs more (2 * trials lanes): enough to amortise numpy's
+# per-operation cost over 1,000-trial pairs while bounding the kernel's
+# temporaries.
 _LANE_CAP = 1 << 13
 
 
@@ -773,10 +746,12 @@ def _decision_events(pilots, n: int, test_epsilon, memo) -> list:
     return [picks[i:i + 2] for i in range(0, len(picks), 2)]
 
 
-def _side_counts(events, sides) -> np.ndarray:
-    """(sides, events) hits of each event on each side's outputs."""
-    return np.stack([np.count_nonzero(event_hits(events, out), axis=1)
-                     for out in sides])
+def _side_counts(events, outputs: Outputs, n: int) -> np.ndarray:
+    """(2 sides, events) hits of each event on the first ``n`` lanes of
+    ``outputs``, side d1, and on the next ``n``, side d2, from one
+    :func:`event_hits` pass."""
+    hits = event_hits(events, outputs).reshape(len(events), 2, n)
+    return np.count_nonzero(hits, axis=2).T
 
 
 def _final_p(c1, c2, decision, limit, band, n: int, test_epsilon,
@@ -856,39 +831,32 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     floor = _count_floor(n_half)
     caps = count_hole_draws(sketch, qlen)
 
-    # Each input side runs its pilot (phase 0) and final (phase 1) runs,
-    # every block from its own stream, in 2 * n_half lanes; consecutive
-    # sides share one kernel call of at most max(trials, _LANE_CAP) lanes,
-    # each on its own answer rows
-    sides = [(pair_idx, s, answers) for pair_idx, pair in enumerate(pairs)
-             for s, answers in enumerate(pair)]
-    lanes = 2 * n_half
-    per_call = max(trials, _LANE_CAP) // lanes
-    halves = []   # per side: its pilot and final outputs
-    for at in range(0, len(sides), per_call):
-        batch = sides[at:at + per_call]
+    # Each pair runs in one block of 4 * n_half lanes: pilot d1, pilot d2,
+    # final d1, final d2, each part from its own stream; whole pairs share
+    # one kernel call of at most max(2 * trials, _LANE_CAP) lanes.  Per
+    # pair, ``sampled`` holds its events kept after the pilot, their pilot
+    # counts of shape (2 sides, events) and the final outputs of both sides
+    block = 4 * n_half
+    per_call = max(2 * trials, _LANE_CAP) // block
+    sampled = []
+    for at in range(0, len(pairs), per_call):
+        batch = pairs[at:at + per_call]
         draws = [np.concatenate(m) for m in zip(*[_draw_matrices(
             sketch, noise_vector, caps, n_half,
-            np.random.default_rng(seed_words + [pair_idx, s, phase]))
-            for pair_idx, s, _ in batch for phase in (0, 1)])]
-        answers = batch[0][2] if len(batch) == 1 else np.repeat(
-            np.array([a for _, _, a in batch], dtype=np.int64), lanes, axis=0)
-        outputs, _ = runner(args, answers, draws)
-        for lo in range(0, len(batch) * lanes, lanes):
-            halves.append((outputs[lo:lo + n_half],
-                           outputs[lo + n_half:lo + lanes]))
-
-    # per pair: its events kept after the pilot, their pilot counts of
-    # shape (2 sides, events) and the final outputs of both sides
-    sampled = []
-    for pair_idx, (d1, d2) in enumerate(pairs):
-        pilot, final = zip(*halves[2 * pair_idx:2 * pair_idx + 2])
-        events = gen_events(Outputs.concat(pilot))
-        pcounts = _side_counts(events, pilot)
-        keep = np.argsort(-np.abs(pcounts[0] - pcounts[1]),
-                          kind="stable")[:_EVENT_CAP]
-        sampled.append((d1, d2, [events[i] for i in keep], pcounts[:, keep],
-                        final))
+            np.random.default_rng(seed_words + [at + i, s, phase]))
+            for i in range(len(batch)) for phase in (0, 1) for s in (0, 1)])]
+        rows = np.tile(np.array(batch, dtype=np.int64), (1, 2, 1))
+        outputs, _ = runner(args, np.repeat(rows.reshape(-1, qlen), n_half,
+                                            axis=0), draws)
+        for i, (d1, d2) in enumerate(batch):
+            pilot = outputs[i * block:i * block + 2 * n_half]
+            events = gen_events(pilot)
+            pcounts = _side_counts(events, pilot, n_half)
+            keep = np.argsort(-np.abs(pcounts[0] - pcounts[1]),
+                              kind="stable")[:_EVENT_CAP]
+            sampled.append((d1, d2, [events[k] for k in keep],
+                            pcounts[:, keep],
+                            outputs[i * block + 2 * n_half:(i + 1) * block]))
 
     decisions = _decision_events([pc for _, _, _, pc, _ in sampled],
                                  n_half, target_eps, memo)
@@ -898,7 +866,7 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     for pair_no, ((_, _, survivors, _, final), picks) in enumerate(
             zip(sampled, decisions)):
         ks = sorted(set(picks)) if decision_only else range(len(survivors))
-        counts = _side_counts([survivors[k] for k in ks], final)
+        counts = _side_counts([survivors[k] for k in ks], final, n_half)
         for k, (c1, c2) in zip(ks, counts.T.tolist()):
             if max(c1, c2) < floor:
                 continue

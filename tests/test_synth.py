@@ -114,7 +114,8 @@ def _brute_force_prune(region, args, radius):
     return kept
 
 
-@pytest.mark.parametrize("n_holes,seed", [(1, 0), (1, 3), (2, 1), (2, 7)])
+@pytest.mark.parametrize("n_holes,seed", [(1, 0), (1, 3), (2, 1), (2, 7),
+                                          (3, 2), (3, 5)])
 def test_prune_matches_brute_force(n_holes, seed):
     rng = np.random.default_rng(seed)
     entries = []

@@ -391,6 +391,63 @@ def test_gen_input_pairs_rejects_zero_length():
         gen_input_pairs("one", 0)
 
 
+# gen_input_pairs at lengths 1..8, each pair as "d1/d2" digit strings, in
+# the order the tester runs them
+PINNED_PAIRS = {
+    ("all", 1): "0/1 1/2",
+    ("all", 2): "00/11 11/21 11/01 11/20 11/02",
+    ("all", 3): "000/111 111/211 111/011 111/200 111/022 111/202",
+    ("all", 4): (
+        "0000/1111 1111/2111 1111/0111 1111/2000 1111/0222 1111/2200 "
+        "1111/2020"),
+    ("all", 5): (
+        "00000/11111 11111/21111 11111/01111 11111/20000 11111/02222 "
+        "11111/22000 11111/20202"),
+    ("all", 6): (
+        "000000/111111 111111/211111 111111/011111 111111/200000 "
+        "111111/022222 111111/222000 111111/202020"),
+    ("all", 7): (
+        "0000000/1111111 1111111/2111111 1111111/0111111 1111111/2000000 "
+        "1111111/0222222 1111111/2220000 1111111/2020202"),
+    ("all", 8): (
+        "00000000/11111111 11111111/21111111 11111111/01111111 "
+        "11111111/20000000 11111111/02222222 11111111/22220000 "
+        "11111111/20202020"),
+    ("one", 1): "1/2 1/0",
+    ("one", 2): "11/21 11/01 11/12 11/10",
+    ("one", 3): "111/211 111/011 111/121 111/101 111/112 111/110",
+    ("one", 4): (
+        "1111/2111 1111/0111 1111/1211 1111/1011 1111/1121 1111/1101 "
+        "1111/1112 1111/1110"),
+    ("one", 5): (
+        "11111/21111 11111/01111 11111/12111 11111/10111 11111/11211 "
+        "11111/11011 11111/11121 11111/11101 11111/11112 11111/11110"),
+    ("one", 6): (
+        "111111/211111 111111/011111 111111/121111 111111/101111 "
+        "111111/112111 111111/110111 111111/111211 111111/111011 "
+        "111111/111121 111111/111101 111111/111112 111111/111110"),
+    ("one", 7): (
+        "1111111/2111111 1111111/0111111 1111111/1211111 1111111/1011111 "
+        "1111111/1121111 1111111/1101111 1111111/1112111 1111111/1110111 "
+        "1111111/1111211 1111111/1111011 1111111/1111121 1111111/1111101 "
+        "1111111/1111112 1111111/1111110"),
+    ("one", 8): (
+        "11111111/21111111 11111111/01111111 11111111/12111111 "
+        "11111111/10111111 11111111/11211111 11111111/11011111 "
+        "11111111/11121111 11111111/11101111 11111111/11112111 "
+        "11111111/11110111 11111111/11111211 11111111/11111011 "
+        "11111111/11111121 11111111/11111101 11111111/11111112 "
+        "11111111/11111110"),
+}
+
+
+def test_gen_input_pairs_pinned():
+    for (adjacency, length), want in PINNED_PAIRS.items():
+        got = " ".join("/".join("".join(map(str, d)) for d in pair)
+                       for pair in gen_input_pairs(adjacency, length))
+        assert got == want, (adjacency, length)
+
+
 # ---------------------------------------------------------------------------
 # Event derivation and membership
 # ---------------------------------------------------------------------------
@@ -870,14 +927,16 @@ def test_cmd_test_prints_finite_p_values(max_records):
 # Packed kernel calls
 # ---------------------------------------------------------------------------
 
-# lanes per kernel call at the default cap: noisymax1 and svt have 14
-# sides, smartsum 20; 1,000-trial sides go 8 to a call (14 and 20 are no
-# multiple of 8), 4,000-trial sides 2 to a call
-PACKED_CALLS = {1000: {14: [8000, 6000], 20: [8000, 8000, 4000]},
-                4000: {14: [8000] * 7, 20: [8000] * 10}}
+# lanes per kernel call at the default cap: noisymax1 and svt have 7
+# pairs, smartsum 10; a pair runs 2 * trials lanes, so 1,000-trial pairs
+# go 4 to a call (7 and 10 are no multiple of 4), 1,500-trial pairs 2 to
+# a call and 4,000-trial pairs 1 to a call
+PACKED_CALLS = {1000: {7: [8000, 6000], 10: [8000, 8000, 4000]},
+                1500: {7: [6000] * 3 + [3000], 10: [6000] * 5},
+                4000: {7: [8000] * 7, 10: [8000] * 10}}
 
 
-@pytest.mark.parametrize("trials", [1000, 4000])
+@pytest.mark.parametrize("trials", [1000, 1500, 4000])
 @pytest.mark.parametrize("name,noise", sorted(FROZEN_DECISIONS))
 def test_packed_sides_give_the_one_side_per_call_result(monkeypatch, name,
                                                         noise, trials):
@@ -886,7 +945,7 @@ def test_packed_sides_give_the_one_side_per_call_result(monkeypatch, name,
     sk = load_benchmark(name)
     binding = {"eps": RunConfig().epsilon, "qlen": 5,
                **{a: FIXED_ARGS[a] for a in sk.args}}
-    sides = 2 * len(tester.gen_input_pairs(sk.adjacency, 5))
+    pairs = len(tester.gen_input_pairs(sk.adjacency, 5))
     lanes = []   # the lane count of every kernel call
     compile_sketch = tester.compile_sketch
 
@@ -900,13 +959,13 @@ def test_packed_sides_give_the_one_side_per_call_result(monkeypatch, name,
     monkeypatch.setattr(tester, "compile_sketch", counting)
     packed = tester.test_mechanism(sk, binding, list(noise), trials=trials,
                                    seed=0)
-    assert lanes == PACKED_CALLS[trials][sides]
+    assert lanes == PACKED_CALLS[trials][pairs]
     lanes.clear()
-    # a cap of one lane leaves every side a kernel call of its own
+    # a cap of one lane leaves every pair a kernel call of its own
     monkeypatch.setattr(tester, "_LANE_CAP", 1)
     alone = tester.test_mechanism(sk, binding, list(noise), trials=trials,
                                   seed=0)
-    assert lanes == [trials] * sides
+    assert lanes == [2 * trials] * pairs
     assert packed == alone
 
 
@@ -929,7 +988,7 @@ def test_packed_call_raises_the_fault_its_lanes_reach_first(monkeypatch):
     binding = {"eps": 0.5, "qlen": 5}
     with pytest.raises(RunError, match=r"^division by zero$"):
         tester.test_mechanism(sk, binding, [2.0], trials=1000, seed=0)
-    # one call per side runs pair 0 first
+    # one call per pair runs pair 0 first
     monkeypatch.setattr(tester, "_LANE_CAP", 1)
     with pytest.raises(RunError, match=r"^index 0 out of range 1\.\.5$"):
         tester.test_mechanism(sk, binding, [2.0], trials=1000, seed=0)
