@@ -178,13 +178,14 @@ class PresampleBank:
     run's weight depends only on its statistics row, so the bank weighs
     each distinct row once and counts runs and event hits per row;
     ``runs_grouped`` and ``stat_rows`` sum m and the row count over every
-    side the bank has run.  The bank keeps three caches: outputs and
-    statistics rows per side (``_runs``), event hits per side and event
-    set (``_counts``), and statistics rows per pattern of draw counts
-    (``_groups``, keyed by a digest of the kernel's (m, n) count matrix),
-    so sides that consumed identical draws share one :class:`StatRows`.
-    The joint groups of two sides are built where the standard error
-    reads them (:func:`_log_loss_se`).
+    side the bank has run.  The bank keeps three caches and no prefix
+    sums: outputs and statistics rows per side (``_runs``), event hits per
+    side and event set (``_counts``), and statistics rows per pattern of
+    draw counts (``_groups``, keyed by a digest of the kernel's (m, n)
+    count matrix), so sides that consumed identical draws share one
+    :class:`StatRows`; :meth:`_group` derives each run's magnitude sums
+    from ``draws`` for a new pattern only.  The joint groups of two sides
+    are built where the standard error reads them (:func:`_log_loss_se`).
 
     ``draws`` holds one read-only (m, cap) int64 matrix per hole: row i is
     the noise run i consumes, in order, on every side and off-mask."""
@@ -199,7 +200,6 @@ class PresampleBank:
         comp = np.random.default_rng([seed, 999]).integers(
             0, len(self.scales), size=(m, sketch.n_holes))
         draws = []
-        self._cum_abs = []      # per hole: (m, cap+1) int64 prefix sums of |v|
         self._mix_coeffs = []   # per hole: (2, K) coeffs against scales[0]
         for h, hole in enumerate(sketch.holes):
             cap = self.caps[h]
@@ -215,9 +215,6 @@ class PresampleBank:
             self._mix_coeffs.append(ab.T.copy())
             arr.flags.writeable = False
             draws.append(arr)
-            cum = np.zeros((m, cap + 1), dtype=np.int64)
-            np.cumsum(np.abs(arr), axis=1, out=cum[:, 1:])
-            self._cum_abs.append(cum)
         self.draws = tuple(draws)
         self.runs_grouped = 0
         self.stat_rows = 0
@@ -230,12 +227,12 @@ class PresampleBank:
         under this off-mask (one kernel call), plus their :class:`StatRows`.
 
         The statistics rows are a function of the runs' draw counts alone:
-        S reads the bank's prefix sums at the counts, M the bank's mixture
-        coefficients, and a switched-off hole consumes no draw.  Sides whose
-        kernel calls consumed identical counts therefore share one
-        :class:`StatRows` object, cached under its ``fp``, a digest of the
-        (m, n) count matrix, and only a new count pattern is grouped
-        (:meth:`_group`)."""
+        S sums the magnitudes of the draws the counts cover, M reads the
+        bank's mixture coefficients, and a switched-off hole consumes no
+        draw.  Sides whose kernel calls consumed identical counts therefore
+        share one :class:`StatRows` object, cached under its ``fp``, a
+        digest of the (m, n) count matrix, and only a new count pattern is
+        grouped (:meth:`_group`)."""
         key = (tuple(answers), mask)
         hit = self._runs.get(key)
         if hit is not None:
@@ -255,15 +252,17 @@ class PresampleBank:
         """``rows``, ``index`` and ``mult`` of the :class:`StatRows` of runs
         that consumed ``counts`` draws.
 
-        Runs are grouped by one ``lexsort`` over the integer (N, S) columns;
-        the mixture column M, a function of (N, S), is computed on the
-        distinct rows only."""
+        Run i's S for hole h is the exact integer sum of |v| over the first
+        ``counts[i, h]`` entries of its row of ``draws[h]``.  Runs are
+        grouped by one ``lexsort`` over the integer (N, S) columns; the
+        mixture column M, a function of (N, S), is computed on the distinct
+        rows only."""
         n = self.sketch.n_holes
         ns = np.empty((self.m, 2 * n), dtype=np.int64)
         ns[:, :n] = counts
-        runs = np.arange(self.m)
-        for h in range(n):
-            ns[:, n + h] = self._cum_abs[h][runs, counts[:, h]]
+        for h, draws in enumerate(self.draws):
+            taken = np.arange(self.caps[h]) < counts[:, h, None]
+            ns[:, n + h] = np.abs(draws).sum(axis=1, where=taken)
         order = np.lexsort(ns.T[::-1])
         ns = ns[order]
         first = np.empty(self.m, dtype=bool)

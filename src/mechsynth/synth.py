@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -282,16 +283,23 @@ def _verdict_json(verdict) -> dict:
     return out
 
 
-def rank_candidates(cands, bindings_data, gamma_binding: dict) -> list:
+def rank_candidates(cands, tests, gamma_binding: dict, bank_for) -> tuple:
     """Score every candidate at every binding and sort by the lexicographic
     key (violations asc, worst loss desc, magnitude asc, enumeration order).
 
-    ``bindings_data`` is a list of (binding, bank, examples); a violation is
-    an example whose loss is above e^eps at that binding's epsilon with
-    confidence: the lower confidence bound log(loss) - z * se, from the
-    estimate's delta-method standard error, exceeds eps.  The level is
-    ``VERIFY_ALPHA``, Bonferroni-corrected over every example a candidate
-    is scored on across all bindings.  Among equally private candidates the
+    ``tests`` is a list of (binding, examples).  ``bank_for(binding)``
+    builds the :class:`~mechsynth.search.PresampleBank` a binding's
+    candidates are scored on; it is called just before that binding is
+    scored, for bindings with examples only, and the bank is dropped right
+    after, so no two banks are alive together.  Returns the ranking and
+    the banks' work, a :class:`~collections.Counter` of ``bank_runs`` and
+    ``bank_stat_rows`` summed as each bank is dropped.
+
+    A violation is an example whose loss is above e^eps at that binding's
+    epsilon with confidence: the lower confidence bound log(loss) - z * se,
+    from the estimate's delta-method standard error, exceeds eps.  The
+    level is ``VERIFY_ALPHA``, Bonferroni-corrected over every example a
+    candidate is scored on across all bindings.  Among equally private candidates the
     higher worst loss marks the tighter (less over-noised) completion;
     losses within one ``LOSS_GRAIN`` of each other count as equal and defer
     to magnitude.  A private completion's true loss is at most e^eps, so an
@@ -299,9 +307,10 @@ def rank_candidates(cands, bindings_data, gamma_binding: dict) -> list:
     tightness reads it as e^eps, and noisier estimates cannot outrank the
     exact completion by landing higher.
     """
+    work = Counter()
     if not cands:
-        return []
-    n_tests = sum(len(examples) for _, _, examples in bindings_data)
+        return [], work
+    n_tests = sum(len(examples) for _, examples in tests)
     if not n_tests:
         raise ValueError("no test examples at any binding")
     z = -float(ndtri(VERIFY_ALPHA / n_tests))
@@ -310,13 +319,16 @@ def rank_candidates(cands, bindings_data, gamma_binding: dict) -> list:
     worst_loss = np.full(n_c, -np.inf)
     tight_loss = np.full(n_c, -np.inf)
     per_binding = [[] for _ in range(n_c)]
-    for binding, bank, examples in bindings_data:
+    for binding, examples in tests:
         if not examples:
             continue
         eps = float(binding["eps"])
         concrete = [gamma_vector(exprs, binding) for exprs in cands]
+        bank = bank_for(binding)
         losses, se = example_losses_with_se(
             bank, examples, concrete, z)                     # (C, n_ex)
+        work.update(bank_runs=bank.runs_grouped, bank_stat_rows=bank.stat_rows)
+        del bank        # before the next binding's bank is built
         violating = np.log(losses) - z * se > eps
         v = violating.sum(axis=1)
         worst = losses.max(axis=1)
@@ -338,7 +350,7 @@ def rank_candidates(cands, bindings_data, gamma_binding: dict) -> list:
         for i, exprs in enumerate(cands)
     ]
     ranked.sort(key=RankedCandidate.sort_key)
-    return ranked
+    return ranked, work
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +448,12 @@ def optimizer_bank(sketch: MechanismSketch, binding: dict,
 @contextmanager
 def _phase(name: str, timings: dict):
     """Time one synthesis phase into ``timings[name]``; any failure inside
-    it but a :class:`SynthError` becomes a ``SynthError`` of that phase."""
+    it but a :class:`SynthError` or a :class:`MemoryError` becomes a
+    ``SynthError`` of that phase."""
     t0 = time.perf_counter()
     try:
         yield
-    except SynthError:
+    except (SynthError, MemoryError):
         raise
     except Exception as exc:
         raise SynthError(name, str(exc)) from exc
@@ -455,11 +468,12 @@ class SynthOutcome:
     counters: dict
 
 
-def _counters(banks, memo) -> dict:
-    """Runs grouped and distinct statistics rows kept, over all ``banks``,
-    and the exact Fisher tables and thinned counts ``memo`` computed."""
-    return {"bank_runs": sum(b.runs_grouped for b in banks),
-            "bank_stat_rows": sum(b.stat_rows for b in banks),
+def _counters(work: Counter, memo) -> dict:
+    """The banks' ``work`` (runs grouped and distinct statistics rows kept,
+    summed over every bank) and the exact Fisher tables and thinned counts
+    ``memo`` computed."""
+    return {"bank_runs": work["bank_runs"],
+            "bank_stat_rows": work["bank_stat_rows"],
             "fisher_tables": memo.fisher_tables,
             "thinned_counts": memo.thinned_counts}
 
@@ -468,33 +482,42 @@ def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
     """End-to-end synthesis: fix the binding, discover examples, optimize the
     noise region, enumerate and prune expressions, rank across bindings, and
     verify the top candidates.  The returned report is reproducible byte for
-    byte at a fixed config; wall-clock numbers live in ``timings`` only."""
+    byte at a fixed config; wall-clock numbers live in ``timings`` only.
+
+    At most one presample bank is alive at a time: the optimizer's bank is
+    built when differential evolution starts and dropped once it returns
+    and the bank's work is counted; each test binding's bank is built and
+    dropped inside :func:`rank_candidates`.  Every bank seeds its draws
+    from ``cfg.seed`` alone, so the order in which they are built changes
+    no draw."""
     cfg.validate()
     timings = {}
     t_total = time.perf_counter()
 
-    # --- init: fixed binding, examples, primary bank
+    # --- init: fixed binding, examples
     with _phase("init", timings):
         gamma_binding = fix_params(sketch, cfg)
         memo = FisherMemo()     # one per operation: every tester call shares it
         examples = select_examples(
             sketch, gamma_binding, scale_grid=cfg.scale_grid,
             trials=cfg.trials, seed=cfg.seed, memo=memo)
-        primary_bank = optimizer_bank(sketch, gamma_binding, cfg)
 
     if not examples:
         timings["total"] = time.perf_counter() - t_total
         report = _report(sketch, cfg, examples, None, [], [], [], [],
                          note="no challenging examples found")
-        return SynthOutcome(report, timings, [],
-                            _counters([primary_bank], memo))
+        return SynthOutcome(report, timings, [], _counters(Counter(), memo))
 
     # --- opti: differential evolution over concrete noise vectors
     with _phase("opti", timings):
+        bank = optimizer_bank(sketch, gamma_binding, cfg)
         region = get_noise_region(
-            primary_bank, examples, float(cfg.epsilon),
+            bank, examples, float(cfg.epsilon),
             lam=cfg.lam, population=cfg.population,
             steps=cfg.steps_per_hole * sketch.n_holes, seed=cfg.seed)
+        work = Counter(bank_runs=bank.runs_grouped,
+                       bank_stat_rows=bank.stat_rows)
+        del bank
 
     # --- enum: prune grammar, build test examples, rank
     with _phase("enum", timings):
@@ -507,13 +530,13 @@ def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
         bindings = _bindings(sketch, cfg)
         test_examples = build_test_examples(
             sketch, examples, region.best()[0], bindings, cfg, memo)
-        bindings_data = [
-            (b, PresampleBank(sketch, b, m=cfg.presamples,
-                              scales=_mixture_at(cfg, b["eps"]),
-                              seed=cfg.seed),
-             test_examples[_binding_key(b)]) for b in bindings]
-        ranked = rank_candidates(cands, bindings_data, gamma_binding) \
-            if cands else []
+        ranked, rank_work = rank_candidates(
+            cands, [(b, test_examples[_binding_key(b)]) for b in bindings],
+            gamma_binding,
+            lambda b: PresampleBank(sketch, b, m=cfg.presamples,
+                                    scales=_mixture_at(cfg, b["eps"]),
+                                    seed=cfg.seed))
+        work.update(rank_work)
 
     # --- verify: statistical re-test of the top candidates
     with _phase("verify", timings):
@@ -525,9 +548,7 @@ def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:
     report = _report(sketch, cfg, examples, region, ranked, survivors,
                      verify_details, test_examples, note=note,
                      radius_used=radius_used)
-    counters = _counters(
-        [primary_bank] + [bank for _, bank, _ in bindings_data], memo)
-    return SynthOutcome(report, timings, survivors, counters)
+    return SynthOutcome(report, timings, survivors, _counters(work, memo))
 
 
 def _example_json(ex: Example) -> dict:

@@ -380,15 +380,21 @@ def test_unwritable_out_exits_2_before_any_work(runner, duo_path, tmp_path,
 
 
 @pytest.mark.parametrize("name,work", [("test", "test_mechanism"),
-                                       ("grid", "select_examples")])
+                                       ("grid", "select_examples"),
+                                       ("synth", "select_examples")])
 def test_allocation_failure_exits_3(runner, duo_path, monkeypatch, name,
                                     work):
-    # exit 1 would read as a violation (test) or as no challenging example
-    # (grid); the failure is raised, not caused, so nothing is allocated
+    # exit 1 would read as a violation (test), as no challenging example
+    # (grid) or as no survivor (synth); the failure is raised, not caused,
+    # so nothing is allocated.  synth raises it inside its init phase,
+    # which must not turn it into a phase error
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.45 GiB for an array with "
                           "shape (2, 500, 1000000) and data type float64")
-    monkeypatch.setattr(f"mechsynth.cli.{work}", out_of_memory)
+    # the package's ``synth`` attribute is the function, not the module
+    module = importlib.import_module(
+        "mechsynth.synth" if name == "synth" else "mechsynth.cli")
+    monkeypatch.setattr(module, work, out_of_memory)
     result = runner.invoke(main, [*COMMANDS[name], "--sketch", duo_path,
                                   *SMALL[name]])
     assert result.exit_code == 3

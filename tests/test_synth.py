@@ -8,6 +8,7 @@ whose loss at scale b is exactly e^(1/b).
 import hashlib
 import importlib
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -302,14 +303,19 @@ def rank_setup(micro_scalar):
                       event=HalfLineEvent(0, "le"), direction=(1,),
                       scale=1.0, p_value=0.5)
     binding = {"eps": Fraction(1, 2), "qlen": 5}
-    return [(binding, bank, [example])], binding
+    return [(binding, [example])], binding, bank
+
+
+def _rank(cands, setup):
+    """The ranking on the setup's prebuilt bank, without the work count."""
+    tests, binding, bank = setup
+    return rank_candidates(cands, tests, binding, lambda _: bank)[0]
 
 
 def test_rank_tighter_private_candidate_first(rank_setup):
-    bindings_data, binding = rank_setup
     # both candidates are private here; the tighter scale has higher loss
     cands = [(NoiseExpr(4, 0, 1),), (NoiseExpr(1, 0, 1),)]
-    ranked = rank_candidates(cands, bindings_data, binding)
+    ranked = _rank(cands, rank_setup)
     assert render_vector(ranked[0].exprs) == "(1/eps)"
     assert ranked[0].violations == ranked[1].violations == 0
     assert ranked[0].worst_loss > ranked[1].worst_loss
@@ -317,9 +323,8 @@ def test_rank_tighter_private_candidate_first(rank_setup):
 
 
 def test_rank_counts_violations_for_no_noise(rank_setup):
-    bindings_data, binding = rank_setup
     cands = [(None,), (NoiseExpr(1, 0, 1),)]
-    ranked = rank_candidates(cands, bindings_data, binding)
+    ranked = _rank(cands, rank_setup)
     assert render_vector(ranked[0].exprs) == "(1/eps)"
     bot = ranked[1]
     assert bot.violations == 1
@@ -330,14 +335,13 @@ def test_rank_counts_violations_for_no_noise(rank_setup):
 def test_rank_boundary_candidate_is_not_a_violation(rank_setup):
     # (1/eps) sits exactly on e^eps: its interval must cover the truth and
     # the estimate's noise alone must not count as a violation
-    bindings_data, binding = rank_setup
-    _, bank, examples = bindings_data[0]
+    [(_, examples)], _, bank = rank_setup
     z = -ndtri(VERIFY_ALPHA / len(examples))
     losses, se = example_losses_with_se(bank, examples, [(2.0,)], z)
     log_loss = math.log(losses[0, 0])
     assert log_loss - z * se[0, 0] <= 0.5 <= log_loss + z * se[0, 0]
     cands = [(NoiseExpr(1, 0, 1),), (None,)]
-    ranked = rank_candidates(cands, bindings_data, binding)
+    ranked = _rank(cands, rank_setup)
     assert [render_vector(r.exprs) for r in ranked] == ["(1/eps)", "(bot)"]
     assert [r.violations for r in ranked] == [0, 1]
 
@@ -366,8 +370,8 @@ def test_rank_dry_side_gets_a_one_sided_bound(micro_scalar):
     assert math.log(losses[0, 0]) - z * se[0, 0] <= 0.25
     # 4/eps reweights the same lone hit to a far larger estimate; neither is
     # a violation, so both read as "at the bound" and the lighter one wins
-    ranked = rank_candidates([(NoiseExpr(4, 0, 1),), (NoiseExpr(2, 0, 1),)],
-                             [(binding, bank, [example])], binding)
+    ranked = _rank([(NoiseExpr(4, 0, 1),), (NoiseExpr(2, 0, 1),)],
+                   ([(binding, [example])], binding, bank))
     assert [r.violations for r in ranked] == [0, 0]
     assert [render_vector(r.exprs) for r in ranked] == ["(2/eps)", "(4/eps)"]
     assert ranked[1].worst_loss > ranked[0].worst_loss
@@ -375,18 +379,16 @@ def test_rank_dry_side_gets_a_one_sided_bound(micro_scalar):
 
 
 def test_rank_equal_keys_fall_back_to_enumeration_order(rank_setup):
-    bindings_data, binding = rank_setup
     # identical concrete scale at this binding: all keys tie except the index
     cands = [(NoiseExpr(2, 0, 1),), (NoiseExpr(1, 0, 2),)]
-    ranked = rank_candidates(cands, bindings_data, binding)
+    ranked = _rank(cands, rank_setup)
     assert render_vector(ranked[0].exprs) == "(2/eps)"
     assert ranked[0].worst_loss == ranked[1].worst_loss
     assert ranked[0].magnitude == ranked[1].magnitude == 4
 
 
 def test_rank_records_per_binding_detail(rank_setup):
-    bindings_data, binding = rank_setup
-    ranked = rank_candidates([(NoiseExpr(1, 0, 1),)], bindings_data, binding)
+    ranked = _rank([(NoiseExpr(1, 0, 1),)], rank_setup)
     assert len(ranked[0].per_binding) == 1
     key, loss, viol = ranked[0].per_binding[0]
     assert key == "eps=1/2,qlen=5"
@@ -394,11 +396,26 @@ def test_rank_records_per_binding_detail(rank_setup):
     assert viol == 0
 
 
+def test_rank_builds_a_bank_only_for_bindings_with_examples(rank_setup):
+    tests, binding, bank = rank_setup
+    built = []
+
+    def bank_for(b):
+        built.append(b)
+        return bank
+
+    idle = dict(binding, qlen=10)
+    _, work = rank_candidates([(NoiseExpr(1, 0, 1),)], [(idle, []), *tests],
+                              binding, bank_for)
+    assert built == [binding]
+    assert work == {"bank_runs": bank.runs_grouped,
+                    "bank_stat_rows": bank.stat_rows}
+
+
 def test_rank_requires_examples(rank_setup):
-    (entry,), binding = rank_setup
+    [(binding, _)], _, bank = rank_setup
     with pytest.raises(ValueError):
-        rank_candidates([(NoiseExpr(1, 0, 1),)], [(entry[0], entry[1], [])],
-                        binding)
+        _rank([(NoiseExpr(1, 0, 1),)], ([(binding, [])], binding, bank))
 
 
 # ---------------------------------------------------------------------------
@@ -545,5 +562,41 @@ def test_synth_small_report_is_frozen(benchmarks):
     digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
     assert digest == ("be1bb024777c63ac564e596558156bb7"
                       "80f29ee89136263072fa6b4acf9f97cf")
+    assert outcome.counters == {"bank_runs": 264000, "bank_stat_rows": 10640,
+                                "fisher_tables": 5649,
+                                "thinned_counts": 24660}
+
+
+@pytest.mark.parametrize("name", ["noisymax1", "svt"])
+def test_synth_holds_one_presample_bank_at_a_time(benchmarks, monkeypatch,
+                                                  name):
+    # no bank is built while another is alive, and the sidecar's bank
+    # totals are the sum of every bank's own counters
+    live = weakref.WeakKeyDictionary()  # live bank -> its index in work
+    work = []        # per bank built: (runs grouped, stat rows) so far
+    overlaps = []    # banks alive as each bank is built
+    init, runs_for = PresampleBank.__init__, PresampleBank.runs_for
+
+    def tracked_init(self, *args, **kwargs):
+        overlaps.append(len(live))
+        init(self, *args, **kwargs)
+        live[self] = len(work)
+        work.append((0, 0))
+
+    def tracked_runs_for(self, *args, **kwargs):
+        out = runs_for(self, *args, **kwargs)
+        work[live[self]] = (self.runs_grouped, self.stat_rows)
+        return out
+
+    monkeypatch.setattr(PresampleBank, "__init__", tracked_init)
+    monkeypatch.setattr(PresampleBank, "runs_for", tracked_runs_for)
+    cfg = RunConfig(seed=0, trials=1000, presamples=2000, population=6,
+                    steps_per_hole=5)
+    outcome = synth(benchmarks[name], cfg)
+    assert outcome.report["candidate_count"] > 0
+    # the optimizer's bank and at least one test binding's
+    assert len(work) >= 2 and overlaps == [0] * len(work)
+    assert not live
+    runs, rows = (sum(col) for col in zip(*work))
     assert (outcome.counters["bank_runs"],
-            outcome.counters["bank_stat_rows"]) == (264000, 10640)
+            outcome.counters["bank_stat_rows"]) == (runs, rows)
