@@ -42,9 +42,9 @@ def main():
     failures = 0
     for name in names:
         sketch = load_sketch(name)
-        t0 = time.time()
+        t0 = time.perf_counter()
         outcome = synth(sketch, RunConfig(seed=args.seed))
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         write_outcome(outcome, str(outdir / f"{name}.json"))
         survivors = [s["completion"] for s in outcome.report["survivors"]]
         top = survivors[0] if survivors else "-- none --"

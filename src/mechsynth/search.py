@@ -12,7 +12,7 @@ Two phases feed the synthesizer:
 * ``get_noise_region`` minimizes an L0-regularized privacy-loss objective
   over concrete noise vectors with differential evolution (rand/1/bin).  All
   probability estimates ride on one shared :class:`PresampleBank`: noise is
-  drawn once, mechanism outputs are memoized per input side, and each
+  drawn once, each input side keeps only its runs' event hits, and each
   candidate vector is scored by importance-reweighting those runs.  Per run
   the log-weight for hole h is N*alpha + S*beta, where N counts consumed
   draws, S sums their magnitudes, and (alpha, beta) depend only on the
@@ -167,9 +167,9 @@ class StatRows(NamedTuple):
 
 
 class PresampleBank:
-    """m noise traces drawn once from a mixture of proposal ``scales``; runs
-    memoized per (input side, off-mask), grouped by their distinct
-    draw-statistics rows for reweighting.
+    """m noise traces drawn once from a mixture of proposal ``scales``; the
+    runs' event hits memoized per (input side, off-mask), grouped by their
+    distinct draw-statistics rows for reweighting.
 
     Each run draws every hole's trace from one uniformly chosen component,
     so a single scale is a one-component mixture that draws from that scale
@@ -178,11 +178,11 @@ class PresampleBank:
     run's weight depends only on its statistics row, so the bank weighs
     each distinct row once and counts runs and event hits per row;
     ``runs_grouped`` and ``stat_rows`` sum m and the row count over every
-    side the bank has run.  The bank keeps three caches and no prefix
-    sums: outputs and statistics rows per side (``_runs``), event hits per
-    side and event set (``_counts``), and statistics rows per pattern of
-    draw counts (``_groups``, keyed by a digest of the kernel's (m, n)
-    count matrix), so sides that consumed identical draws share one
+    side the bank has run.  The bank keeps two caches and no kernel
+    outputs: the event hits of each side's runs and their statistics rows
+    (``_runs``, see :meth:`runs_for`), and statistics rows per
+    pattern of draw counts (``_groups``, keyed by a digest of the kernel's
+    (m, n) count matrix), so sides that consumed identical draws share one
     :class:`StatRows`; :meth:`_group` derives each run's magnitude sums
     from ``draws`` for a new pattern only.  The joint groups of two sides
     are built where the standard error reads them (:func:`_log_loss_se`).
@@ -218,13 +218,14 @@ class PresampleBank:
         self.draws = tuple(draws)
         self.runs_grouped = 0
         self.stat_rows = 0
-        self._runs = {}         # (answers, mask) -> (Outputs, StatRows)
-        self._counts = {}       # (answers, mask, events) -> (E, u) hits
+        self._runs = {}         # (answers, mask, events) -> runs_for's triple
         self._groups = {}       # digest of (m, n) draw counts -> StatRows
 
-    def runs_for(self, answers: tuple, mask: tuple):
-        """The :class:`Outputs` of the m presampled runs on this input side
-        under this off-mask (one kernel call), plus their :class:`StatRows`.
+    def runs_for(self, answers: tuple, mask: tuple, events: tuple):
+        """The hits of ``events`` in the m presampled runs on this input side
+        under this off-mask, (E, m) bool per run, the runs' :class:`StatRows`
+        and the (E, u) hits per statistics row, cached per (side, off-mask,
+        events): one kernel call, whose outputs are dropped on return.
 
         The statistics rows are a function of the runs' draw counts alone:
         S sums the magnitudes of the draws the counts cover, M reads the
@@ -233,20 +234,25 @@ class PresampleBank:
         share one :class:`StatRows` object, cached under its ``fp``, a
         digest of the (m, n) count matrix, and only a new count pattern is
         grouped (:meth:`_group`)."""
-        key = (tuple(answers), mask)
+        key = (tuple(answers), mask, tuple(events))
         hit = self._runs.get(key)
         if hit is not None:
             return hit
         kernel = compile_sketch(self.sketch, mask)
         outputs, counts = kernel(self.args, answers, self.draws)
+        hits = event_hits(key[2], outputs)
         fp = hashlib.blake2b(counts.tobytes(), digest_size=16).digest()
         groups = self._groups.get(fp)
         if groups is None:
             groups = self._groups[fp] = StatRows(*self._group(counts), fp)
-        self._runs[key] = (outputs, groups)
+        u = len(groups.mult)
+        per_row = np.empty((len(hits), u))
+        for e, f in enumerate(hits):
+            per_row[e] = np.bincount(groups.index, weights=f, minlength=u)
+        hit = self._runs[key] = (hits, groups, per_row)
         self.runs_grouped += self.m
-        self.stat_rows += len(groups.mult)
-        return outputs, groups
+        self.stat_rows += u
+        return hit
 
     def _group(self, counts) -> tuple:
         """``rows``, ``index`` and ``mult`` of the :class:`StatRows` of runs
@@ -280,18 +286,6 @@ class PresampleBank:
             mix += logsumexp(per_comp, axis=1) - logk
         rows[:, 2 * n] = mix
         return rows, index, np.bincount(index, minlength=u).astype(np.float64)
-
-    def event_counts(self, answers: tuple, mask: tuple, events: tuple):
-        """(E, u) hits of each event per statistics row of this side."""
-        key = (tuple(answers), mask, events)
-        hit = self._counts.get(key)
-        if hit is None:
-            outputs, groups = self.runs_for(answers, mask)
-            u = len(groups.mult)
-            hit = self._counts[key] = np.stack([
-                np.bincount(groups.index, weights=f, minlength=u)
-                for f in event_hits(events, outputs)])
-        return hit
 
     def weight_coeffs(self, candidates) -> np.ndarray:
         """(2n + 1, B) coefficient matrix over the :class:`StatRows`
@@ -337,14 +331,13 @@ class PresampleBank:
         by_fp, weights, est = {}, {}, {}
         for side, events in side_events.items():
             events = tuple(events)
-            _, groups = self.runs_for(side, mask)
+            _, groups, counts = self.runs_for(side, mask, events)
             if groups.fp not in by_fp:
                 logw = groups.rows @ coeffs
                 logw -= logw.max(axis=0, keepdims=True)
                 w = np.exp(logw, out=logw)
                 by_fp[groups.fp] = (w, groups.mult @ w)
             w, den = weights[side] = by_fp[groups.fp]
-            counts = self.event_counts(side, mask, events)
             for event, row in zip(events, np.clip((counts @ w) / den, lo, hi)):
                 est[(side, event)] = row
         return est, weights
@@ -412,8 +405,8 @@ def _example_losses(bank, examples, candidates, z):
             cells = np.ix_(chunk, range(len(examples)))
             losses[cells] = loss_block.T
             if z is not None:
-                se_block = _log_loss_se(bank, examples, mask, weights,
-                                        r1, r2, z)
+                se_block = _log_loss_se(bank, examples, mask, side_events,
+                                        weights, r1, r2, z)
                 se[cells] = np.where(resolved, se_block, 0.0).T
     return losses, se
 
@@ -430,10 +423,12 @@ def _influence_dot(cab, ca, cb, mult, q, ra, rb) -> np.ndarray:
             + ra * rb * (mult @ q)) / (ra * rb)
 
 
-def _log_loss_se(bank, examples, mask, weights, r1, r2, z):
+def _log_loss_se(bank, examples, mask, side_events, weights, r1, r2, z):
     """Standard error of log(r1 / r2) per (example, candidate); see
-    :func:`example_losses_with_se`.  ``weights`` is the per-side weight
-    map of :meth:`PresampleBank.estimate`.
+    :func:`example_losses_with_se`.  ``side_events`` and ``weights`` are
+    the per-side event tuples and weight map of
+    :meth:`PresampleBank.estimate`; each example's hits on a side are its
+    event's row of the side's cached :meth:`PresampleBank.runs_for`.
 
     Draw i moves log r_k by a_ki = w_ki (f_ki - r_k) / (den_k r_k), so the
     variance of the difference is sum_i (a_1i - a_2i)^2 = v11 + v22 - 2 v12,
@@ -444,22 +439,26 @@ def _log_loss_se(bank, examples, mask, weights, r1, r2, z):
     ``mult[g]`` runs that share one row on d1 and one on d2, and each
     example's event hits are counted per group."""
     v11, v22, v12, ess1, ess2 = (np.zeros_like(r1) for _ in range(5))
+
+    def hits_of(side, event):
+        events = side_events[side]
+        hits, groups, _ = bank.runs_for(side, mask, events)
+        return hits[events.index(event)], groups
+
     blocks = {}
     for j, ex in enumerate(examples):
         w1, w2 = weights[ex.d1], weights[ex.d2]
         blocks.setdefault((id(w1), id(w2)), (w1, w2, []))[2].append(j)
     for (w1, den1), (w2, den2), js in blocks.values():
-        sides = [(bank.runs_for(examples[j].d1, mask),
-                  bank.runs_for(examples[j].d2, mask)) for j in js]
+        sides = [(hits_of(examples[j].d1, examples[j].event),
+                  hits_of(examples[j].d2, examples[j].event)) for j in js]
         (_, s1), (_, s2) = sides[0]
         _, first, inverse, mult = np.unique(
             s1.index * len(s2.mult) + s2.index, return_index=True,
             return_inverse=True, return_counts=True)
         mult = mult.astype(np.float64)
         c = []
-        for j, ((out1, _), (out2, _)) in zip(js, sides):
-            f1, f2 = (event_hits([examples[j].event], out)[0]
-                      for out in (out1, out2))
+        for (f1, _), (f2, _) in sides:
             c.append([np.bincount(inverse, weights=f, minlength=len(mult))
                       for f in (f1 & f2, f1, f2)])
         c12, c1, c2 = np.array(c).transpose(1, 0, 2)

@@ -15,12 +15,13 @@ from scipy.special import logsumexp, ndtr
 from mechsynth import search
 from mechsynth.config import PROPOSAL_SCALE as PROPOSAL, ZONE
 from mechsynth.dist import log_weight_coeffs, make_dist
-from mechsynth.lang import compile_sketch, parse_sketch
+from mechsynth.lang import Outputs, compile_sketch, parse_sketch
 from mechsynth.search import (BOX_MAX, SNAP_THRESHOLD, Example,
                               PresampleBank, batch_objective, directions,
                               example_losses, example_losses_with_se,
                               get_noise_region, select_examples, snap_vector)
-from mechsynth.tester import HalfLineEvent, ValueEvent, event_hits
+from mechsynth.tester import (HalfLineEvent, PrefixEvent, ValueEvent,
+                              event_hits)
 from tests.conftest import MICRO_SCALAR, load_benchmark
 
 EPS = 0.5
@@ -82,7 +83,8 @@ def test_estimate_center_mass_across_scales(bank):
 def test_estimate_at_proposal_equals_plain_frequency(bank, micro_scalar):
     # weight of the proposal against itself is one, so the estimate is the
     # raw frequency of the event among the memoized runs
-    outputs, _ = bank.runs_for(D1, (False,))
+    outputs, _ = compile_sketch(micro_scalar, (False,))(bank.args, D1,
+                                                        bank.draws)
     event = ValueEvent(0)
     freq = sum(event.contains(o) for o in outputs) / bank.m
     got = _estimate(bank, D1, event, (bank.scales[0],))
@@ -165,7 +167,7 @@ def test_one_component_bank_draws_the_single_scale_stream(seed):
 
 def test_one_component_bank_has_a_zero_mixture_column(bank):
     # the component is the reference, so the mixture's log-density is 0
-    _, groups = bank.runs_for(D1, (False,))
+    _, groups, _ = bank.runs_for(D1, (False,), ())
     stats = groups.rows[groups.index]
     assert stats.shape == (bank.m, 3)
     assert (stats[:, 2] == 0.0).all()
@@ -251,8 +253,9 @@ def test_log_loss_se_matches_spread_over_banks(micro_scalar, source, event,
         ses.append(se[0, 0])
     if source == "stop":
         mask = (False, False)
-        rows1 = bank.runs_for(D1, mask)[1].rows
-        assert not np.array_equal(rows1, bank.runs_for(D2, mask)[1].rows)
+        rows1 = bank.runs_for(D1, mask, (event,))[1].rows
+        assert not np.array_equal(
+            rows1, bank.runs_for(D2, mask, (event,))[1].rows)
     assert np.mean(ses) == pytest.approx(np.std(log_losses, ddof=1), rel=0.3)
 
 
@@ -376,7 +379,7 @@ def _assert_stat_rows_oracle(bank, answers, mask):
     """The side's :class:`StatRows` against its runs' own (N, S, M)."""
     sketch = bank.sketch
     n = sketch.n_holes
-    _, groups = bank.runs_for(answers, mask)
+    _, groups, _ = bank.runs_for(answers, mask, ())
     _, counts = compile_sketch(sketch, mask)(bank.args, answers, bank.draws)
     sums = np.stack([
         np.where(np.arange(d.shape[1]) < counts[:, h, None], np.abs(d),
@@ -429,9 +432,12 @@ def test_sides_with_equal_draw_counts_share_stat_rows():
     bank = PresampleBank(sketch, {"qlen": 5}, m=3000, scales=MIXTURE8,
                          seed=0)
     mask = (False,)
-    out1, g1 = bank.runs_for((1, 1, 1, 1, 1), mask)
+    kernel = compile_sketch(sketch, mask)
+    out1, _ = kernel(bank.args, (1, 1, 1, 1, 1), bank.draws)
+    _, g1, _ = bank.runs_for((1, 1, 1, 1, 1), mask, ())
     assert (bank.runs_grouped, bank.stat_rows) == (bank.m, len(g1.rows))
-    out2, g2 = bank.runs_for((2, 0, 1, 1, 0), mask)
+    out2, _ = kernel(bank.args, (2, 0, 1, 1, 0), bank.draws)
+    _, g2, _ = bank.runs_for((2, 0, 1, 1, 0), mask, ())
     assert not np.array_equal(out1.values, out2.values)
     assert g2 is g1
     # the counters grow per side, hit or miss
@@ -459,7 +465,7 @@ def test_grouping_runs_once_per_draw_count_pattern(monkeypatch):
     want = set()
     for mask in masks:
         for answers in sides:
-            bank.runs_for(answers, mask)
+            bank.runs_for(answers, mask, ())
             _, counts = compile_sketch(sketch, mask)(bank.args, answers,
                                                      bank.draws)
             want.add(counts.tobytes())
@@ -469,6 +475,49 @@ def test_grouping_runs_once_per_draw_count_pattern(monkeypatch):
     distinct_sides = len(masks) * (len(sides) - 1)
     assert len(patterns) == len(set(patterns)) == len(want) < distinct_sides
     assert bank.runs_grouped == bank.m * distinct_sides
+
+
+def _reachable(obj):
+    yield obj
+    items = obj.values() if isinstance(obj, dict) else obj
+    if isinstance(obj, (dict, tuple, list)):
+        for item in items:
+            yield from _reachable(item)
+
+
+def test_bank_keeps_event_hits_not_outputs(monkeypatch):
+    # a bank counts each side's hits once per off-mask, in the kernel call
+    # that makes them, and keeps the hits instead of the kernel's outputs
+    sketch = load_benchmark("svt")
+    bank = PresampleBank(sketch, {"qlen": 5, "T": 2, "N": 1}, m=2000,
+                         scales=MIXTURE8, seed=0)
+    d1, d2, d3 = (0, 0, 0, 0, 0), (1, 1, 0, 1, 1), (1, 1, 1, 1, 1)
+    events = [PrefixEvent((False,)), PrefixEvent((False, True)),
+              ValueEvent((False,) * 5), ValueEvent((True,))]
+    examples = [Example(d1=a, d2=b, event=e, direction=(1, 1), scale=1.0,
+                        p_value=0.5)
+                for e in events for a, b in ((d1, d2), (d2, d1), (d2, d3))]
+    cands = [(2.0, 4.0), (None, 4.0), (3.0, 6.0), (2.0, None)]
+    calls = []
+    real = search.event_hits
+
+    def counted(events, outputs):
+        calls.append(events)
+        return real(events, outputs)
+
+    monkeypatch.setattr(search, "event_hits", counted)
+    example_losses_with_se(bank, examples, cands, 2.0)
+    assert len(calls) == len(bank._runs) == 3 * 3    # sides x off-masks
+    for (answers, mask, events), (hits, groups, per_row) in bank._runs.items():
+        outputs, _ = compile_sketch(sketch, mask)(bank.args, answers,
+                                                  bank.draws)
+        want = real(events, outputs)
+        assert hits.dtype == bool and np.array_equal(hits, want)
+        assert np.array_equal(per_row, [
+            np.bincount(groups.index, weights=f, minlength=len(groups.mult))
+            for f in want])
+    assert not any(isinstance(obj, Outputs)
+                   for obj in _reachable(vars(bank)))
 
 
 def test_weight_coeffs_match_log_weight_coeffs_to_the_bit():
