@@ -63,7 +63,7 @@ def benchmark_names() -> list:
 def load_sketch(ref: str) -> MechanismSketch:
     """Load a sketch from a file path or a bundled benchmark name."""
     path = Path(ref)
-    if path.exists():
+    if path.is_file():
         return parse_sketch(path.read_text())
     name = ref.lower().removesuffix(".dpm")
     res = _corpus_dir() / f"{name}.dpm"

@@ -7,6 +7,14 @@ either as a concrete number or as a symbolic expression.  All randomness is
 externalized: running a sketch consumes pre-drawn integer noise values, which
 makes replay fully deterministic.
 
+:func:`parse_sketch` tokenizes each line once.  After the header lines,
+each line is one statement chosen by its first token (``skip``, ``break``,
+``return``, ``append``, ``prepend``, ``if``, ``while``, ``else``), or else
+an assignment ``x <- e``, which is noisy when it ends ``+ Lap(?N)`` (or
+``Exp``, ``LapVec``, ``ExpVec``).  A name is a letter, then letters, digits
+or underscores, and not a keyword: one rule for every target, the private
+input, each argument and each variable.
+
 Lists are 1-indexed (``a[1]`` is the first element) so that reported indices
 match the usual presentation of mechanisms like noisy-argmax.  Lists are
 values (assignment copies) and an element reads as an integer.  The checker
@@ -243,43 +251,43 @@ _KEYWORDS = {"if", "else", "while", "return", "break", "skip", "append",
 _NOISE_FAMS = {"Lap": ("lap", False), "Exp": ("exp", False),
                "LapVec": ("lap", True), "ExpVec": ("exp", True)}
 
-_TOKEN_RE = re.compile(r"""
-    (?P<num>\d+)
-  | (?P<name>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<arrow><-)
-  | (?P<op><=|>=|==|!=|[+\-*/<>(),:\[\]?])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
+# leading blanks, then a token (number, name, arrow, operator) or a stray character
+_TOKEN_RE = re.compile(
+    r"(\s*)(?:(\d+|[A-Za-z][A-Za-z0-9_]*|<-|[<>=!]=|[-+*/<>(),:\[\]?])|(\S))")
 
 
-def _tokenize(text: str, lineno: int):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", lineno, pos + 1)
-        if m.lastgroup != "ws":
-            tokens.append((m.group(), pos + 1))
-        pos = m.end()
+def _tokenize(text: str, lineno: int) -> list:
+    """(token, 1-based column) pairs of one line."""
+    tokens, col = [], 1
+    for blanks, tok, bad in _TOKEN_RE.findall(text):
+        col += len(blanks)
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", lineno, col)
+        tokens.append((tok, col))
+        col += len(tok)
     return tokens
+
+
+def _is_name(tok: str) -> bool:
+    """The one name rule: a letter first (the name token's form), not a keyword."""
+    return tok[:1].isalpha() and tok not in _KEYWORDS
 
 
 class _ExprParser:
     """Recursive-descent expression parser over a token list."""
 
     def __init__(self, tokens, lineno):
-        self.tokens = tokens
+        self.tokens = tokens + [(None, None)]  # the end of the expression
         self.lineno = lineno
         self.i = 0
 
     def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+        return self.tokens[self.i][0]
 
     def next(self):
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of expression", self.lineno)
         tok = self.tokens[self.i]
+        if tok[0] is None:
+            raise ParseError("unexpected end of expression", self.lineno)
         self.i += 1
         return tok
 
@@ -288,29 +296,26 @@ class _ExprParser:
         if got != tok:
             raise ParseError(f"expected {tok!r}, got {got!r}", self.lineno, col)
 
-    def done(self):
-        return self.i >= len(self.tokens)
-
     def parse(self) -> Expr:
         e = self.or_expr()
-        if not self.done():
-            tok, col = self.tokens[self.i]
+        tok, col = self.tokens[self.i]
+        if tok is not None:
             raise ParseError(f"trailing token {tok!r}", self.lineno, col)
         return e
 
-    def or_expr(self):
-        e = self.and_expr()
-        while self.peek() == "or":
-            self.next()
-            e = BinOp("or", e, self.and_expr())
+    def chain(self, ops, operand):
+        """A left-associative run of ``operand``s joined by any of ``ops``."""
+        e = operand()
+        while self.peek() in ops:
+            op, _ = self.next()
+            e = BinOp(op, e, operand())
         return e
 
+    def or_expr(self):
+        return self.chain(("or",), self.and_expr)
+
     def and_expr(self):
-        e = self.not_expr()
-        while self.peek() == "and":
-            self.next()
-            e = BinOp("and", e, self.not_expr())
-        return e
+        return self.chain(("and",), self.not_expr)
 
     def not_expr(self):
         if self.peek() == "not":
@@ -326,18 +331,10 @@ class _ExprParser:
         return e
 
     def additive(self):
-        e = self.multiplicative()
-        while self.peek() in ("+", "-"):
-            op, _ = self.next()
-            e = BinOp(op, e, self.multiplicative())
-        return e
+        return self.chain(("+", "-"), self.multiplicative)
 
     def multiplicative(self):
-        e = self.unary()
-        while self.peek() in ("*", "/", "mod"):
-            op, _ = self.next()
-            e = BinOp(op, e, self.unary())
-        return e
+        return self.chain(("*", "/", "mod"), self.unary)
 
     def unary(self):
         if self.peek() == "-":
@@ -379,38 +376,33 @@ class _ExprParser:
             if int(tok) > _I64_MAX:
                 raise ParseError(f"integer literal {tok} exceeds int64", self.lineno, col)
             return IntLit(int(tok))
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok) and tok not in _KEYWORDS:
+        if _is_name(tok):
             return Var(tok)
         raise ParseError(f"unexpected token {tok!r}", self.lineno, col)
 
 
-_NOISY_RE = re.compile(
-    r"^(?P<target>[A-Za-z][A-Za-z0-9_]*)\s*<-\s*(?P<expr>.*?)\s*\+\s*"
-    r"(?P<fam>Lap|Exp|LapVec|ExpVec)\(\s*\?(?P<hole>\d+)\s*\)\s*$")
-
-
 def _split_lines(source: str):
-    """Yield (lineno, indent, content) for non-blank, non-comment lines."""
+    """Yield (lineno, indent, line) for non-blank, non-comment lines; ``line``
+    keeps its indentation, so token columns count from the line start."""
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        if not line:
             continue
         if "\t" in raw[:len(raw) - len(raw.lstrip())]:
             raise ParseError("tabs are not allowed in indentation", lineno)
-        indent = len(line) - len(line.lstrip())
-        yield lineno, indent, line.strip()
+        yield lineno, len(line) - len(line.lstrip()), line
 
 
 class _BlockParser:
-    def __init__(self, lines, holes_seen):
-        self.lines = lines      # list of (lineno, indent, text)
+    def __init__(self, lines):
+        self.lines = lines      # list of (lineno, indent, tokens)
         self.pos = 0
-        self.holes_seen = holes_seen  # list of Hole in textual order
+        self.holes = []         # list of Hole in textual order
 
     def parse_block(self, indent) -> tuple:
         body = []
         while self.pos < len(self.lines):
-            lineno, ind, text = self.lines[self.pos]
+            lineno, ind, _ = self.lines[self.pos]
             if ind < indent:
                 break
             if ind > indent:
@@ -424,74 +416,78 @@ class _BlockParser:
         return self.parse_block(self.lines[self.pos][1])
 
     def statement(self, indent) -> Command:
-        lineno, _, text = self.lines[self.pos]
+        lineno, _, toks = self.lines[self.pos]
         self.pos += 1
+        words = [t for t, _ in toks]
+        head = words[0]
 
-        if text == "skip":
+        def expr(lo, hi=None) -> Expr:
+            return _ExprParser(toks[lo:hi], lineno).parse()
+
+        if words == ["skip"]:
             return Skip()
-        if text == "break":
+        if words == ["break"]:
             return Break()
-        if text.startswith("return"):
-            tokens = _tokenize(text[len("return"):], lineno)
-            return Return(_ExprParser(tokens, lineno).parse())
-        for kw, node in (("append", Append), ("prepend", Prepend)):
-            if text.startswith(kw + " "):
-                rest = text[len(kw) + 1:]
-                if "," not in rest:
-                    raise ParseError(f"{kw} takes a list variable and a value", lineno)
-                target, expr_text = rest.split(",", 1)
-                target = target.strip()
-                if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", target):
-                    raise ParseError(f"bad {kw} target {target!r}", lineno)
-                expr = _ExprParser(_tokenize(expr_text, lineno), lineno).parse()
-                return node(target, expr)
-        if text.startswith("if ") and text.endswith(":"):
-            cond = _ExprParser(_tokenize(text[3:-1], lineno), lineno).parse()
-            then_body = self._block_after_colon(indent, lineno)
+        if head == "return":
+            return Return(expr(1))
+        if head in ("append", "prepend"):
+            if words[2:3] != [","]:
+                raise ParseError(f"{head} takes a list variable and a value", lineno)
+            if not _is_name(words[1]):
+                raise ParseError(f"bad {head} target {words[1]!r}", lineno, toks[1][1])
+            return (Append if head == "append" else Prepend)(words[1], expr(3))
+        if head in ("if", "while") and words[-1] == ":":
+            cond = expr(1, -1)
+            body = self._block_after_colon(indent, lineno)
+            if head == "while":
+                return While(cond, body)
             else_body = ()
             if self.pos < len(self.lines):
-                nlineno, nind, ntext = self.lines[self.pos]
-                if nind == indent and ntext == "else:":
+                nlineno, nind, ntoks = self.lines[self.pos]
+                if nind == indent and [t for t, _ in ntoks] == ["else", ":"]:
                     self.pos += 1
                     else_body = self._block_after_colon(indent, nlineno)
-            return If(cond, then_body, else_body)
-        if text.startswith("while ") and text.endswith(":"):
-            cond = _ExprParser(_tokenize(text[6:-1], lineno), lineno).parse()
-            return While(cond, self._block_after_colon(indent, lineno))
-        if text == "else:":
+            return If(cond, body, else_body)
+        if head == "else":
             raise ParseError("else without matching if", lineno)
+        if "<-" not in words:
+            raise ParseError(f"cannot parse statement starting {head!r}", lineno, toks[0][1])
+        if words[1:2] != ["<-"] or not _is_name(head):
+            target = " ".join(words[:words.index("<-")])
+            raise ParseError(f"bad assignment target {target!r}", lineno, toks[0][1])
 
-        m = _NOISY_RE.match(text)
-        if m:
-            fam, vector = _NOISE_FAMS[m.group("fam")]
-            hole_num = int(m.group("hole"))
-            expected = len(self.holes_seen) + 1
-            for h in self.holes_seen:
-                if h.hole_id == hole_num - 1:
-                    raise ParseError(f"hole ?{hole_num} referenced twice", lineno)
-            if hole_num != expected:
-                raise ParseError(
-                    f"holes must be numbered in textual order; expected ?{expected}, got ?{hole_num}",
-                    lineno)
-            hole = Hole(hole_num - 1, fam, vector)
-            self.holes_seen.append(hole)
-            expr = _ExprParser(_tokenize(m.group("expr"), lineno), lineno).parse()
-            cls = VecNoisyAssign if vector else NoisyAssign
-            return cls(m.group("target"), expr, hole.hole_id)
-        if "<-" in text:
-            target, expr_text = text.split("<-", 1)
-            target = target.strip()
-            if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", target) or target in _KEYWORDS:
-                raise ParseError(f"bad assignment target {target!r}", lineno)
-            if target.startswith("_"):
-                raise ParseError("identifiers may not start with underscore", lineno)
-            expr = _ExprParser(_tokenize(expr_text, lineno), lineno).parse()
-            return Assign(target, expr)
-        raise ParseError(f"cannot parse statement {text!r}", lineno)
+        # NAME <- expr + Fam ( ? N ): a noisy assignment that opens hole N
+        tail = words[-6:]
+        if not (len(words) > 7 and tail[1] in _NOISE_FAMS and tail[4].isdigit()
+                and (tail[0], tail[2], tail[3], tail[5]) == ("+", "(", "?", ")")):
+            return Assign(head, expr(2))
+        hole_num, expected = int(tail[4]), len(self.holes) + 1
+        if 0 < hole_num < expected:
+            raise ParseError(f"hole ?{hole_num} referenced twice", lineno, toks[-2][1])
+        if hole_num != expected:
+            raise ParseError(
+                f"holes must be numbered in textual order; expected ?{expected}, got ?{hole_num}",
+                lineno, toks[-2][1])
+        hole = Hole(hole_num - 1, *_NOISE_FAMS[tail[1]])
+        self.holes.append(hole)
+        return (VecNoisyAssign if hole.vector else NoisyAssign)(head, expr(2, -6), hole.hole_id)
 
 
 def parse_sketch(source: str) -> MechanismSketch:
-    """Parse a ``.dpm`` sketch: a header block followed by the program body."""
+    """Parse a ``.dpm`` sketch: header lines, then one statement per line.
+
+    A header line's first word is ``mechanism`` (then one free-form word),
+    ``private`` (one name), ``args`` (distinct names, comma-separated, not
+    ``eps`` or ``qlen``) or ``adjacency`` (``one`` or ``all``), and it holds
+    no ``<-``.  A body line is tokenized once and chosen by its first token:
+    ``skip``; ``break``; ``return E``; ``append X, E``; ``prepend X, E``;
+    ``if E :``, ``while E :`` or ``else :``, each opening an indented block;
+    otherwise ``X <- E``, a noisy assignment to hole ``N`` when its last six
+    tokens are ``+ Lap|Exp|LapVec|ExpVec ( ? N )``, holes numbered 1, 2, ...
+    in textual order.  One rule, :func:`_is_name`, admits every name (X, the
+    private input, an argument, a variable read): a letter, then letters,
+    digits or underscores, and not a keyword.
+    """
     lines = list(_split_lines(source))
     if not lines:
         raise ParseError("empty sketch", 1)
@@ -501,23 +497,25 @@ def parse_sketch(source: str) -> MechanismSketch:
     while pos < len(lines):
         lineno, indent, text = lines[pos]
         first = text.split(None, 1)[0]
-        if first not in ("mechanism", "private", "args", "adjacency"):
+        if first not in ("mechanism", "private", "args", "adjacency") or "<-" in text:
             break
         if indent != 0:
             raise ParseError("header lines must not be indented", lineno)
-        rest = text[len(first):].strip()
+        rest = (text.split()[1:] if first in ("mechanism", "adjacency")
+                else [t for t, _ in _tokenize(text, lineno)[1:]])
         if first == "args":
-            names = tuple(n.strip() for n in rest.split(","))
-            if not all(re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", n) for n in names):
+            names = tuple(rest[::2])
+            if (not names or rest[1::2] != [","] * (len(names) - 1)
+                    or not all(map(_is_name, names)) or len(set(names)) < len(names)):
                 raise ParseError("bad argument list", lineno)
             if {"eps", "qlen"} & set(names):
                 raise ParseError("'eps' and 'qlen' are implicit, not arguments",
                                  lineno)
             header["args"] = names
         else:
-            if not rest or len(rest.split()) != 1:
+            if len(rest) != 1 or (first == "private" and not _is_name(rest[0])):
                 raise ParseError(f"'{first}' takes a single name", lineno)
-            header[first] = rest
+            header[first] = rest[0]
         pos += 1
 
     for key in ("mechanism", "private", "adjacency"):
@@ -526,12 +524,9 @@ def parse_sketch(source: str) -> MechanismSketch:
     if header["adjacency"] not in ("one", "all"):
         raise ParseError("adjacency must be 'one' or 'all'", lines[0][0])
 
-    holes_seen: list = []
-    bp = _BlockParser(lines[pos:], holes_seen)
+    bp = _BlockParser([(n, ind, _tokenize(text, n)) for n, ind, text in lines[pos:]])
     body = bp.parse_block(0)
-    if bp.pos != len(bp.lines):
-        raise ParseError("unparsed trailing statements", bp.lines[bp.pos][0])
-    if not holes_seen:
+    if not bp.holes:
         raise ParseError("sketch declares no noise holes", lines[0][0])
 
     sketch = MechanismSketch(
@@ -539,7 +534,7 @@ def parse_sketch(source: str) -> MechanismSketch:
         private_input=header["private"],
         args=header["args"],
         adjacency=header["adjacency"],
-        holes=tuple(holes_seen),
+        holes=tuple(bp.holes),
         body=body,
     )
     _check_sketch(sketch)

@@ -62,6 +62,12 @@ def test_load_sketch_by_name_and_path(micro_path):
     assert load_sketch(micro_path).name == "Micro"
 
 
+def test_directory_does_not_shadow_a_bundled_sketch(tmp_path, monkeypatch):
+    (tmp_path / "svt").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert load_sketch("svt").name == "SVT"
+
+
 def test_load_sketch_unknown_name_fails(runner):
     result = runner.invoke(main, ["test", "--sketch", "nope", "--noise", "1"])
     assert result.exit_code == 2

@@ -3,6 +3,7 @@
 Run oracles were hand-computed by stepping the programs on paper with fixed
 noise queues; the interpreter is in turn the oracle of the lane kernel."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mechsynth.lang import (MechanismSketch, NoiseTrace, ParseError, RunError,
-                            TypeCheckError, _lanes_at, compile_sketch,
-                            count_hole_draws, parse_sketch, run)
+from mechsynth.lang import (Assign, Index, IntLit, MechanismSketch, NoiseTrace,
+                            ParseError, RunError, TypeCheckError, Var,
+                            _lanes_at, compile_sketch, count_hole_draws,
+                            parse_sketch, run)
 from tests.conftest import (BENCHMARK_HOLES, MICRO_SCALAR, UNASSIGNED_SRC,
                             load_benchmark)
 
@@ -165,6 +167,72 @@ return ans
 
 def test_corpus_parses_with_expected_hole_counts(benchmarks):
     assert {k: v.n_holes for k, v in benchmarks.items()} == BENCHMARK_HOLES
+
+
+# SHA-256 of repr(parse_sketch(source)) per bundled sketch: a parser change
+# must leave every bundled AST, and so every report, as it was
+PINNED_ASTS = {
+    "abovet1": "e4ccee90813c08ac136fe76829b088056062f440e03b648a938ef0c98514c45e",
+    "abovet2": "d04ef768fb3f81d35c4aac4194064d743ff5aebc6d158b76431f84e47f3c3ad9",
+    "expnoisymax": "e26a0dda86e0362e6321f9e47aa645d47c7666723fef86a0f670651cb91bbff7",
+    "histogram": "9a27c8daa24f7ad8620590da36cb42ba4db50a6b06fced596f3fa90d12362ba1",
+    "noisymax1": "4d7cd9ecf4b87247486e88f1bbfd45b03c86d6bc75fa77f725db308a3c63b3cf",
+    "noisymax2": "4ea376acc86cb01c40a975b5386166805b883edbd6dbe93c9c8d98744ce1128d",
+    "smartsum": "2065acb45917063b8bad04a7e6f61cc563d08b93df0bf73d90f13199afead57d",
+    "sum": "414f4676995fbb2acbc1792d328f4e246843683b121bf43793268ed2e4e0e906",
+    "svt": "8238cc53ffc4ce0d0bdf5003a65ca430b09a15f7a641547eb3e58d488f9803c6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ASTS))
+def test_bundled_sketch_parses_to_pinned_ast(name):
+    digest = hashlib.sha256(repr(load_benchmark(name)).encode()).hexdigest()
+    assert digest == PINNED_ASTS[name]
+
+
+def test_names_that_start_with_a_keyword_are_names():
+    sk = _sketch("returned <- a[1]\nx <- returned + Lap(?1)\nreturn x\n")
+    assert sk.body[0] == Assign("returned", Index(Var("a"), IntLit(1)))
+    # and never a keyword plus a name: this is not "return s"
+    with pytest.raises(ParseError, match="cannot parse statement"):
+        _sketch("s <- a[1] + Lap(?1)\nreturns\n")
+
+
+@pytest.mark.parametrize("name", ["args", "private", "mechanism", "adjacency"])
+def test_first_statement_may_assign_a_header_word(name):
+    sk = _sketch(f"{name} <- 1\nx <- a[1] + {name} + Lap(?1)\nreturn x\n")
+    assert sk.body[0] == Assign(name, IntLit(1))
+
+
+@pytest.mark.parametrize("body", ["true <- a[1] + Lap(?1)\nreturn 1\n",
+                                  "mod <- a + LapVec(?1)\nreturn 1\n"])
+def test_noisy_assignment_target_follows_the_name_rule(body):
+    with pytest.raises(ParseError, match="bad assignment target"):
+        _sketch(body)
+
+
+@pytest.mark.parametrize("private,args", [("len", ""), ("a-b", ""),
+                                          ("a", "args len\n"),
+                                          ("a", "args T, T\n")])
+def test_header_names_follow_the_name_rule(private, args):
+    with pytest.raises(ParseError, match="single name|bad argument list"):
+        parse_sketch(f"mechanism M\nprivate {private}\n{args}adjacency one\n"
+                     "\nx <- 1 + Lap(?1)\nreturn x\n")
+
+
+def test_statement_keyword_may_touch_its_punctuation():
+    spaced = _sketch("x <- a[1] + Lap(?1)\nif x > 1:\n    x <- 1\n"
+                     "else:\n    x <- 2\nreturn x\n")
+    assert _sketch("x <- a[1] + Lap(?1)\nif(x > 1):\n    x <- 1\n"
+                   "else :\n    x <- 2\nreturn x\n") == spaced
+
+
+@pytest.mark.parametrize("body,col", [("return x 2", 10),
+                                      ("if x > 1:\n    return x 2", 14)])
+def test_parse_error_column_counts_from_line_start(body, col):
+    with pytest.raises(ParseError,
+                       match=rf"trailing token '2' \(line \d+, col {col}\)"):
+        _sketch(f"x <- a[1] + Lap(?1)\n{body}\nreturn x\n")
 
 
 # ---------------------------------------------------------------------------
