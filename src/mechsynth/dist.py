@@ -11,20 +11,26 @@ Both expose exact pmf/logpmf/tail (the oracles the samplers and the
 estimator are tested against) and vectorized sampling.  A draw is defined
 by numpy's ``Generator.geometric`` with p = 1 - q: a Laplace block of
 ``size`` is ``geometric(p, size) - geometric(p, size)``, an exponential
-block ``geometric(p, size) - 1``.  For p < 1/3 numpy computes each
-geometric value as ceil(-E / log1p(-p)) from one ``standard_exponential``
-E, so the samplers draw those exponentials in one call and finish the
-arithmetic on whole arrays (:func:`_geometric`): the same values and the
-same generator state afterwards, at about half the cost.  Closed-form
-importance-weight pieces reweight draws from one scale to another: per draw
-v the log weight is ``alpha + beta * |v|`` with coefficients depending only
-on the two scales.
+block ``geometric(p, size) - 1``.  The samplers replay both of numpy's
+algorithms on whole arrays (:class:`_Geometric`), with the same values and
+the same generator state afterwards.  Below p = 1/3 numpy computes each
+value as ceil(-E / log1p(-p)) from one ``standard_exponential`` E; from 1/3
+on it searches the cdf, comparing one ``next_double`` u per value against
+running sums of the pmf, which a guide table replays up to p = 3/4 (above
+it numpy's short search is called as is).  In one case numpy's search
+never ends: where the running sums stop growing below the largest u,
+1 - 2^-53 (at scale 2 they stop at 1 - 3 * 2^-53), a u above the last sum
+loops forever; the replay returns one more than the number of distinct
+sums there.  Closed-form importance-weight pieces reweight draws
+from one scale to another: per draw v the log weight is
+``alpha + beta * |v|`` with coefficients depending only on the two scales.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,9 +83,16 @@ class DiscreteLaplace:
         q = self.q
         return self.norm_const * q**k / (1.0 - q)
 
+    @cached_property
+    def _geometric(self):
+        return _Geometric(1.0 - self.q)
+
     def sample_array(self, rng: np.random.Generator, size) -> np.ndarray:
-        g = _geometric(rng, 1.0 - self.q, (2, *np.broadcast_shapes(size)))
-        return g[0] - g[1]
+        g = self._geometric(rng, (2, *np.broadcast_shapes(size)))
+        if not self._geometric.exact:
+            g = g.astype(np.int64)
+        # exact in float64 too: both operands are integers below 2^53
+        return (g[0] - g[1]).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -115,24 +128,85 @@ class DiscreteExponential:
             return 1.0
         return self.q**k
 
+    @cached_property
+    def _geometric(self):
+        return _Geometric(1.0 - self.q)
+
     def sample_array(self, rng: np.random.Generator, size) -> np.ndarray:
-        return _geometric(rng, 1.0 - self.q, size) - 1
+        return self._geometric(rng, size).astype(np.int64, copy=False) - 1
 
 
-def _geometric(rng: np.random.Generator, p: float, size) -> np.ndarray:
-    """``rng.geometric(p, size)`` as int64, value for value, leaving ``rng``
-    in the same state.  A leading axis splits the block into the draws of
-    consecutive ``geometric`` calls.
+# numpy's geometric searches the cdf from p = 1/3 on (the double nearest
+# it); the guide table replays that search below _TABLE_BELOW, above which
+# numpy's own search, about 1/p steps per value, is as fast: 5,000 values
+# cost 37 us from the table at every p, and from numpy 46 us at p = 0.76
+# and 34 us at p = 0.86 (best of 9x300, 2 shared vCPUs)
+_SEARCH_FROM = 1.0 / 3.0
+_TABLE_BELOW = 0.75
+_GUIDE = 256          # equal buckets of [0, 1) in the guide table
+# terms of the running sums: they stop growing once p q^j is at most 2^-54,
+# half an ulp of a sum near 1, within 90 terms from p = 1/3 on
+_SUM_TERMS = 128
+
+
+class _Geometric:
+    """``rng.geometric(p, size)``'s values, leaving ``rng`` in the same
+    state, as float64 below p = 1/3 and int64 from it on.  A leading axis
+    splits the block into the draws of consecutive ``geometric`` calls.
+    ``exact`` says whether every value lies below 2^53, where float64
+    differences of values are exact.
 
     Below p = 1/3 numpy draws ceil(-E / log1p(-p)) per value, E from
     ``standard_exponential`` (and clamps values from 2^63 on, which no
-    scale ``_check_scale`` admits reaches: p >= 2^-53 and E < 45); from
-    1/3 on it searches the cdf with one uniform per value and is called
-    as is."""
-    if p >= 1.0 / 3.0:
-        return rng.geometric(p, size).astype(np.int64)
-    return np.ceil(rng.standard_exponential(size) / -math.log1p(-p)) \
-        .astype(np.int64)
+    scale ``_check_scale`` admits reaches: p >= 2^-53 and E < 45), which
+    is replayed on the whole block in place.  From 1/3 on numpy draws one
+    u = ``next_double`` per value and returns the least j with
+    u <= s_j, the running sums s_1 = p, s_{j+1} = s_j + p q^j computed as
+    ``prod *= q; sum += prod``: that is 1 + #{sums < u}.  The replay
+    computes the sums by the same float operations (``cumprod`` and
+    ``cumsum`` accumulate in order) and the count through a guide table
+    (Chen & Asau 1974; Devroye 1986, III.2.4): ``_guide[b]`` is
+    1 + #{sums < b / _GUIDE}, and a bucket that holds at most one sum adds
+    1 when u passes it.  The few tail buckets that hold several sums, from
+    ``_tail`` on, are searched."""
+
+    def __init__(self, p: float):
+        self.p = p
+        self.exact = p >= _SEARCH_FROM or 45.0 / -math.log1p(-p) < 2.0**52
+        if not _SEARCH_FROM <= p < _TABLE_BELOW:
+            return
+        f = np.full(_SUM_TERMS, 1.0 - p)
+        f[0] = p
+        sums = np.cumsum(np.cumprod(f))
+        # up to the first sum that reaches the last, largest value
+        self._sums = sums[:np.searchsorted(sums, sums[-1]) + 1]
+        below = np.searchsorted(self._sums, np.arange(_GUIDE + 1) / _GUIDE)
+        self._guide = below[:-1] + 1
+        # _next[j] is sum j (1-based); j past the last sum reads 2 > u
+        self._next = np.concatenate(([0.0], self._sums, [2.0]))
+        crowded = np.flatnonzero(np.diff(below) > 1)
+        self._tail = crowded[0] / _GUIDE if len(crowded) else 1.0
+
+    def __call__(self, rng: np.random.Generator, size) -> np.ndarray:
+        p = self.p
+        if p >= _TABLE_BELOW:
+            return rng.geometric(p, size)
+        if p >= _SEARCH_FROM:
+            return self.search(rng.random(size))
+        e = rng.standard_exponential(size)
+        np.divide(e, -math.log1p(-p), out=e)
+        return np.ceil(e, out=e)
+
+    def search(self, u: np.ndarray) -> np.ndarray:
+        """1 + #{sums < u} per uniform of ``u``, for _SEARCH_FROM <= p <
+        _TABLE_BELOW: numpy's value for each u up to the last sum, and one
+        more than the number of sums above it."""
+        flat = u.ravel()
+        x = self._guide[(flat * _GUIDE).astype(np.intp)]
+        x += self._next[x] < flat
+        far = np.flatnonzero(flat >= self._tail)
+        x[far] = np.searchsorted(self._sums, flat[far]) + 1
+        return x.reshape(u.shape)
 
 
 _FAMILIES = {"lap": DiscreteLaplace, "exp": DiscreteExponential}

@@ -477,8 +477,9 @@ def parse_sketch(source: str) -> MechanismSketch:
     """Parse a ``.dpm`` sketch: header lines, then one statement per line.
 
     A header line's first word is ``mechanism`` (then one free-form word),
-    ``private`` (one name), ``args`` (distinct names, comma-separated, not
-    ``eps`` or ``qlen``) or ``adjacency`` (``one`` or ``all``), and it holds
+    ``private`` (one name, not ``eps``, ``qlen`` or an ``args`` entry),
+    ``args`` (distinct names, comma-separated, not ``eps`` or ``qlen``) or
+    ``adjacency`` (``one`` or ``all``), and it holds
     no ``<-``.  A body line is tokenized once and chosen by its first token:
     ``skip``; ``break``; ``return E``; ``append X, E``; ``prepend X, E``;
     ``if E :``, ``while E :`` or ``else :``, each opening an indented block;
@@ -493,6 +494,7 @@ def parse_sketch(source: str) -> MechanismSketch:
         raise ParseError("empty sketch", 1)
 
     header = {"args": ()}
+    private_line = None
     pos = 0
     while pos < len(lines):
         lineno, indent, text = lines[pos]
@@ -516,6 +518,8 @@ def parse_sketch(source: str) -> MechanismSketch:
             if len(rest) != 1 or (first == "private" and not _is_name(rest[0])):
                 raise ParseError(f"'{first}' takes a single name", lineno)
             header[first] = rest[0]
+            if first == "private":
+                private_line = lineno
         pos += 1
 
     for key in ("mechanism", "private", "adjacency"):
@@ -523,6 +527,13 @@ def parse_sketch(source: str) -> MechanismSketch:
             raise ParseError(f"missing '{key}' header line", lines[0][0])
     if header["adjacency"] not in ("one", "all"):
         raise ParseError("adjacency must be 'one' or 'all'", lines[0][0])
+    private = header["private"]
+    if private in ("eps", "qlen"):
+        raise ParseError("'eps' and 'qlen' are implicit, not the private "
+                         "input", private_line)
+    if private in header["args"]:
+        raise ParseError(f"'{private}' is both the private input and an "
+                         "argument", private_line)
 
     bp = _BlockParser([(n, ind, _tokenize(text, n)) for n, ind, text in lines[pos:]])
     body = bp.parse_block(0)

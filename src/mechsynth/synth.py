@@ -470,12 +470,13 @@ class SynthOutcome:
 
 def _counters(work: Counter, memo) -> dict:
     """The banks' ``work`` (runs grouped and distinct statistics rows kept,
-    summed over every bank) and the exact Fisher tables and thinned counts
-    ``memo`` computed."""
+    summed over every bank) and the exact Fisher tables, thinned counts
+    and screen-refined tables ``memo`` computed."""
     return {"bank_runs": work["bank_runs"],
             "bank_stat_rows": work["bank_stat_rows"],
             "fisher_tables": memo.fisher_tables,
-            "thinned_counts": memo.thinned_counts}
+            "thinned_counts": memo.thinned_counts,
+            "screen_refined": memo.screen_refined}
 
 
 def synth(sketch: MechanismSketch, cfg: RunConfig) -> SynthOutcome:

@@ -32,6 +32,11 @@ sampled once and tested in both orientations.  The workflow per input pair:
    ``limit``; one that reads a ``band`` of p gets the cells whose bounds
    overlap it.  The decision cells always get exact tails, the rest read
    p = inf, and each pick and p-value is the one exact p-values give.
+   The bounds come in two stages: every cell gets one-term bounds, and
+   only the cells whose verdict those leave open (lo at most the
+   segment's k-th least hi, or an interval across a band edge) get the
+   screen's refined ones.  Each one-term interval holds the refined one,
+   so the exact-tail set is the one refined bounds on every cell give.
 
 Small p-values indicate a likely violation at the tested epsilon.  All
 randomness derives from an explicit seed, so repeated calls are bit-stable.
@@ -359,12 +364,15 @@ class FisherMemo:
     sharing a memo changes no p-value.  ``thinned_counts`` and
     ``fisher_tables`` count the quantiles and the exact tails computed.
 
-    :meth:`screen` gives cheap, error-bounded p-values from the same
-    thinning rows and a table of ln j! for j <= 2n, computed per call; the
-    tester bounds exact p-values with them (see :func:`_screen_bounds`).
-    Screening values and tables are not kept: only exact tails are ever
-    reported.  Keep one memo per operation (one ``synth`` call, one
-    command), not per process.
+    The tester bounds exact p-values in two stages from the same thinning
+    rows and a table of ln j! for j <= 2n, computed per call (see
+    :func:`_screen_bounds`): :meth:`coarse` bounds every cell from the
+    first term of each table's tail, and :meth:`screen` gives the cells
+    those bounds leave open error-bounded p-values, refining each of their
+    tables to ``_SCREEN_RHO / 8`` of its tail; ``screen_refined`` counts
+    the tables it refines.  Screening values and tables are not kept: only
+    exact tails are ever reported.  Keep one memo per operation (one
+    ``synth`` call, one command), not per process.
     """
 
     def __init__(self):
@@ -372,6 +380,7 @@ class FisherMemo:
         self._tails = {}     # n -> (tables k * (2n + 1) + K, P[X >= k])
         self.thinned_counts = 0   # binomial quantiles computed
         self.fisher_tables = 0    # exact tails computed
+        self.screen_refined = 0   # tables the screen refined
 
     def thinned(self, counts, test_epsilon) -> np.ndarray:
         """The 20 thinned counts of each sorted distinct count; a NaN or
@@ -400,9 +409,31 @@ class FisherMemo:
         that :func:`hypothesis_test` returns, or NaN where
         :func:`_screen_tails` makes no claim."""
         tables, where = _thinned_tables(c1, c2, n, test_epsilon, self)
+        self.screen_refined += tables.size
         k, K = np.divmod(tables, 2 * n + 1)
         lf = gammaln(np.arange(1.0, 2 * n + 2))   # ln j!, j = 0 .. 2n
         return _screen_tails(k, K, n, lf)[where].mean(axis=-1)
+
+    def coarse(self, c1, c2, n: int, test_epsilon):
+        """Per cell (``c1``, ``c2``), bounds lo <= p <= hi on the p that
+        :func:`hypothesis_test` returns, from :func:`_coarse_tails`: each
+        bound's mean over the cell's 20 tables, widened by
+        10 * ``_SCREEN_RHO`` relative and 3 * ``_SCREEN_ALPHA``, so that
+        the interval also holds the one :func:`_screen_bounds` derives
+        from :meth:`screen`; -inf and inf where the screen makes no
+        claim.  A one-term bound costs less than finding the distinct
+        tables, so every table of every cell gets one."""
+        counts, which = np.unique(c1, return_inverse=True)
+        k = self.thinned(counts, test_epsilon)[which]
+        lf = gammaln(np.arange(1.0, 2 * n + 2))   # ln j!, j = 0 .. 2n
+        least, most = (t.reshape(k.shape).mean(axis=-1) for t in
+                       _coarse_tails(k.ravel(), (k + c2[:, None]).ravel(),
+                                     n, lf))
+        width = 10 * _SCREEN_RHO
+        lo = least * (1 - width) - 3 * _SCREEN_ALPHA
+        hi = most * (1 + width) + 3 * _SCREEN_ALPHA
+        return (np.where(np.isnan(lo), -np.inf, lo),
+                np.where(np.isnan(hi), np.inf, hi))
 
 
 def _binom_quantiles(counts, p: float) -> np.ndarray:
@@ -542,20 +573,11 @@ def _screen_tails(k, K, n: int, log_fact) -> np.ndarray:
     truncation allowance) and for the rounding of the comparisons that
     read the bound.
     """
-    rounding = (49 * float(log_fact[2 * n]) + 3 * (n + 1) + 27) \
-        * _UNIT_ROUNDOFF
-    if rounding > _SCREEN_RHO / 4:
+    if _screen_rounding(n, log_fact) > _SCREEN_RHO / 4:
         return np.full(k.shape, np.nan)
-    hi = np.minimum(K, n)
-    flip = 2 * k <= K
-    kk = np.where(flip, K - k + 1, k)
+    flip, kk, hi, live, pmf = _first_terms(k, K, n, log_fact)
     upper = np.zeros(k.shape)
-    live = np.flatnonzero(kk <= hi)
     kl, Kl = kk[live], K[live]
-    pmf = np.exp(log_fact[Kl] + log_fact[2 * n - Kl] + 2 * log_fact[n]
-                 - log_fact[2 * n]
-                 - (log_fact[kl] + log_fact[Kl - kl] + log_fact[n - kl]
-                    + log_fact[n - Kl + kl]))
     m = 1
     while len(live):
         # the support has hi - kk + 1 terms left: a sum over all of them
@@ -568,6 +590,50 @@ def _screen_tails(k, K, n: int, log_fact) -> np.ndarray:
         live, kl, Kl, pmf = (a[open_] for a in (live, kl, Kl, pmf))
         m *= 8
     return np.where(flip, 1.0 - upper, upper)
+
+
+def _screen_rounding(n: int, log_fact) -> float:
+    """The relative rounding bound of :func:`_screen_tails`' sums at this
+    n, without the truncation: 49u L + 3(n + 1)u + 27u."""
+    return (49 * float(log_fact[2 * n]) + 3 * (n + 1) + 27) * _UNIT_ROUNDOFF
+
+
+def _first_terms(k, K, n: int, log_fact):
+    """What :func:`_screen_tails` reads of each table before it sums:
+    whether the tail is flipped, k' = max(k, K - k + 1), the top of the
+    support min(K, n), the indices of the tables with k' inside it (the
+    rest have an upper tail of 0) and their pmf f(k')."""
+    hi = np.minimum(K, n)
+    flip = 2 * k <= K
+    kk = np.where(flip, K - k + 1, k)
+    live = np.flatnonzero(kk <= hi)
+    kl, Kl = kk[live], K[live]
+    pmf = np.exp(log_fact[Kl] + log_fact[2 * n - Kl] + 2 * log_fact[n]
+                 - log_fact[2 * n]
+                 - (log_fact[kl] + log_fact[Kl - kl] + log_fact[n - kl]
+                    + log_fact[n - Kl + kl]))
+    return flip, kk, hi, live, pmf
+
+
+def _coarse_tails(k, K, n: int, log_fact):
+    """Bounds lo <= t <= hi on each table's tail P[X >= k], as
+    :func:`_screen_tails` takes its arguments, from the first term alone:
+    the upper tail at k' lies in [f(k'), f(k') / (1 - r(k'))], the bound
+    on the terms after the first being :func:`_screen_tails`' remainder at
+    M = 1, and a flipped tail in [1 - f(k') / (1 - r(k')), 1 - f(k')].
+    The values carry :func:`_screen_tails`' rounding, which its caller
+    widens them by; both are NaN where :func:`_screen_tails` makes no
+    claim."""
+    if _screen_rounding(n, log_fact) > _SCREEN_RHO / 4:
+        return np.full(k.shape, np.nan), np.full(k.shape, np.nan)
+    flip, kk, _, live, pmf = _first_terms(k, K, n, log_fact)
+    kl, Kl = kk[live], K[live]
+    r = ((Kl - kl) * (n - kl)) / ((kl + 1) * (n - Kl + kl + 1))
+    least, most = np.zeros(k.shape), np.zeros(k.shape)
+    least[live] = pmf
+    most[live] = pmf / (1.0 - r)
+    return (np.where(flip, 1.0 - most, least),
+            np.where(flip, 1.0 - least, most))
 
 
 def _tail_sums(kk, K, n: int, m: int):
@@ -654,17 +720,12 @@ def counterexample_record(cx: Counterexample, seed) -> dict:
     }
 
 
-def _draw_matrices(sketch, scales, caps, n_runs: int, rng) -> list:
+def _draw_matrices(dists, caps, n_runs: int, rng) -> list:
     """Each hole's (n_runs, cap) noise from ``rng``, holes in order; a hole
-    without noise draws nothing and gets (n_runs, 0)."""
-    mats = []
-    for h, hole in enumerate(sketch.holes):
-        if scales[h] is None or caps[h] == 0:
-            mats.append(np.zeros((n_runs, 0), dtype=np.int64))
-        else:
-            d = make_dist(hole.family, float(scales[h]))
-            mats.append(d.sample_array(rng, (n_runs, caps[h])))
-    return mats
+    whose distribution is None draws nothing and gets (n_runs, 0)."""
+    return [np.zeros((n_runs, 0), dtype=np.int64) if d is None
+            else d.sample_array(rng, (n_runs, cap))
+            for d, cap in zip(dists, caps)]
 
 
 _EVENT_CAP = 64   # events per input pair kept after the pilot
@@ -679,17 +740,29 @@ def _count_floor(n_side: int) -> int:
     return max(20, math.ceil(0.003 * n_side))
 
 
-def _screen_bounds(c1, c2, n: int, test_epsilon, memo):
-    """Per cell, bounds lo <= p <= hi on its exact p from the screen
-    (:meth:`FisherMemo.screen`): |p~ - p| <= rho p + alpha gives
-    lo = (p~ - alpha) / (1 + rho) and hi = (p~ + alpha) / (1 - rho), and
-    where the screen makes no claim, lo = -inf and hi = inf."""
-    screen = memo.screen(c1, c2, n, test_epsilon)
-    known = ~np.isnan(screen)
-    lo = np.where(known, (screen - _SCREEN_ALPHA) / (1 + _SCREEN_RHO),
-                  -np.inf)
-    hi = np.where(known, (screen + _SCREEN_ALPHA) / (1 - _SCREEN_RHO),
-                  np.inf)
+def _screen_bounds(c1, c2, n: int, test_epsilon, memo, undecided):
+    """Per cell, bounds lo <= p <= hi on its exact p, in two stages.
+
+    Stage 1 bounds every cell from the first term of each of its tables
+    (:meth:`FisherMemo.coarse`).  ``undecided(lo, hi)`` marks the cells
+    whose verdict those bounds leave open, and stage 2 gives them the
+    screen's bounds (:meth:`FisherMemo.screen`): |p~ - p| <= rho p + alpha
+    gives lo = (p~ - alpha) / (1 + rho) and hi = (p~ + alpha) / (1 - rho),
+    and where the screen makes no claim, lo = -inf and hi = inf.  Each
+    stage-1 interval holds the cell's stage-2 one, so a rule that reads
+    the mixed bounds, and whose verdict on a cell ``undecided`` leaves
+    closed holds for any interval inside that cell's, gives the verdict it
+    would give on stage-2 bounds for every cell (see :func:`_may_rank`
+    and :func:`_final_p`)."""
+    lo, hi = memo.coarse(c1, c2, n, test_epsilon)
+    refine = np.flatnonzero(undecided(lo, hi))
+    if len(refine):
+        screen = memo.screen(c1[refine], c2[refine], n, test_epsilon)
+        known = ~np.isnan(screen)
+        lo[refine] = np.where(
+            known, (screen - _SCREEN_ALPHA) / (1 + _SCREEN_RHO), -np.inf)
+        hi[refine] = np.where(
+            known, (screen + _SCREEN_ALPHA) / (1 - _SCREEN_RHO), np.inf)
     return lo, hi
 
 
@@ -700,7 +773,16 @@ def _may_rank(lo, hi, starts, k: int) -> np.ndarray:
     least ``k`` cells.  With U its ``k``-th least hi, at least ``k`` cells
     have p <= U, so a cell with lo > U has p above the ``k``-th least p:
     the cells with lo <= U hold every cell at or below it, ties included,
-    and their exact p-values alone give the stable sort's first ``k``."""
+    and their exact p-values alone give the stable sort's first ``k``.
+
+    The rule also picks the cells whose stage-2 bounds need computing
+    (:func:`_screen_bounds`).  Stage-1 intervals hold stage-2 ones, so
+    their k-th least hi, U1, is at least U, and every cell with lo <= U on
+    stage-2 bounds has lo <= U1 on stage-1 ones.  On the mixed bounds the
+    k cells whose stage-2 hi are the k least are among those, and every
+    other hi is at least U, so U is again the k-th least; a cell left at
+    its stage-1 bounds has lo > U1 >= U.  Each cell is marked as stage-2
+    bounds throughout would mark it."""
     segment = np.repeat(np.arange(len(starts)),
                         np.diff(starts, append=len(hi)))
     bound = hi[np.lexsort((hi, segment))][starts + k - 1]
@@ -728,8 +810,11 @@ def _decision_events(pilots, n: int, test_epsilon, memo) -> list:
     starts = np.cumsum(widths) - widths
     # the (pair, orientation) of each cell
     segment = np.repeat(np.arange(len(widths)), widths)
-    near = np.flatnonzero(_may_rank(
-        *_screen_bounds(c1, c2, n, test_epsilon, memo), starts, 1))
+
+    def may_pick(lo, hi):
+        return _may_rank(lo, hi, starts, 1)
+    near = np.flatnonzero(may_pick(
+        *_screen_bounds(c1, c2, n, test_epsilon, memo, may_pick)))
     _, first_seen = np.unique(
         np.stack([segment[near], c1[near], c2[near]]), axis=1,
         return_index=True)
@@ -754,6 +839,18 @@ def _side_counts(events, outputs: Outputs, n: int) -> np.ndarray:
     return np.count_nonzero(hits, axis=2).T
 
 
+def _band_rules(band):
+    """Two rules on bounds lo <= p <= hi for ``band`` = (lo, hi): the cells
+    that overlap it, and of those the cells that straddle an edge, the only
+    ones whose verdict an interval inside theirs can change."""
+    def overlaps(lo, hi):
+        return (hi >= band[0]) & (lo <= band[1])
+
+    def straddles(lo, hi):
+        return overlaps(lo, hi) & ((lo < band[0]) | (hi > band[1]))
+    return overlaps, straddles
+
+
 def _final_p(c1, c2, decision, limit, band, n: int, test_epsilon,
              memo) -> np.ndarray:
     """The p-values of the final cells: all exact; with ``limit`` set and
@@ -765,16 +862,22 @@ def _final_p(c1, c2, decision, limit, band, n: int, test_epsilon,
     Exact tails go only to the decision cells and the cells that can be
     read: with ``limit``, those that :func:`_may_rank` among the ``limit``
     least p; with ``band``, those whose :func:`_screen_bounds` overlap
-    it, as a cell whose p lies in the band lies within its bounds."""
+    it, as a cell whose p lies in the band lies within its bounds.  Only
+    the cells whose stage-1 bounds straddle an edge of the band get
+    stage-2 bounds: an interval inside the band or clear of it holds only
+    intervals that are, so the overlap rule reads the same on them."""
     if band is None and (limit is None or len(c1) <= limit):
         return hypothesis_test(c1, c2, n, test_epsilon, memo=memo)
     exact = decision.copy()
     if band is not None or limit:
-        lo, hi = _screen_bounds(c1, c2, n, test_epsilon, memo)
         if band is None:
-            exact |= _may_rank(lo, hi, np.zeros(1, dtype=np.int64), limit)
+            def read(lo, hi):
+                return _may_rank(lo, hi, np.zeros(1, dtype=np.int64), limit)
+            undecided = read
         else:
-            exact |= (hi >= band[0]) & (lo <= band[1])
+            read, undecided = _band_rules(band)
+        exact |= read(*_screen_bounds(c1, c2, n, test_epsilon, memo,
+                                      undecided))
     p = np.full(len(c1), np.inf)
     p[exact] = hypothesis_test(c1[exact], c2[exact], n, test_epsilon,
                                memo=memo)
@@ -830,6 +933,10 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     n_half = trials // 2
     floor = _count_floor(n_half)
     caps = count_hole_draws(sketch, qlen)
+    # each hole's distribution, built once for every stream of the call
+    dists = [None if scale is None or cap == 0
+             else make_dist(hole.family, float(scale))
+             for hole, scale, cap in zip(sketch.holes, noise_vector, caps)]
 
     # Each pair runs in one block of 4 * n_half lanes: pilot d1, pilot d2,
     # final d1, final d2, each part from its own stream; whole pairs share
@@ -842,7 +949,7 @@ def test_mechanism(sketch: MechanismSketch, binding: dict, noise_vector, *,
     for at in range(0, len(pairs), per_call):
         batch = pairs[at:at + per_call]
         draws = [np.concatenate(m) for m in zip(*[_draw_matrices(
-            sketch, noise_vector, caps, n_half,
+            dists, caps, n_half,
             np.random.default_rng(seed_words + [at + i, s, phase]))
             for i in range(len(batch)) for phase in (0, 1) for s in (0, 1)])]
         rows = np.tile(np.array(batch, dtype=np.int64), (1, 2, 1))

@@ -348,7 +348,7 @@ def test_cmd_synth_writes_report_and_sidecar(runner, micro_path, tmp_path):
     # m runs per bank side, grouped into far fewer distinct statistics rows
     counters = sidecar["counters"]
     assert set(counters) == {"bank_runs", "bank_stat_rows", "fisher_tables",
-                             "thinned_counts"}
+                             "thinned_counts", "screen_refined"}
     assert counters["bank_runs"] > 0 and counters["bank_runs"] % 20000 == 0
     assert 0 < counters["bank_stat_rows"] < counters["bank_runs"] // 100
     # 20 thinnings per distinct count

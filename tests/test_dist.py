@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from mechsynth.dist import (DiscreteExponential, DiscreteLaplace,
+from mechsynth.dist import (DiscreteExponential, DiscreteLaplace, _Geometric,
                             log_norm_const, log_weight_coeffs, make_dist)
 
 SCALES = (0.5, 1.0, 2.0, 4.0)
@@ -126,26 +126,114 @@ def test_dexp_sampler_matches_pmf():
     assert p > 1e-3
 
 
+def _scale_of(p_target, below=False):
+    """Among the scales within 300 ulps of -1/log1p(-p_target), the one
+    whose p = 1 - e^(-1/scale) is the least at or above ``p_target``
+    (``below``: the greatest below it)."""
+    scale = -1.0 / math.log1p(-p_target)
+    steps = np.arange(-300, 301) * math.ulp(scale)
+    scales = [scale + step for step in steps.tolist()]
+    ps = [1.0 - math.exp(-1.0 / b) for b in scales]
+    if below:
+        return max((p, b) for p, b in zip(ps, scales) if p < p_target)[1]
+    return min((p, b) for p, b in zip(ps, scales) if p >= p_target)[1]
+
+
+def _numpy_block(family, p, size, rng):
+    if family == "lap":
+        return rng.geometric(p, size).astype(np.int64) - rng.geometric(p, size)
+    return rng.geometric(p, size).astype(np.int64) - 1
+
+
+def _assert_numpy_draws(scale, size, seed=9):
+    p = 1.0 - math.exp(-1.0 / scale)
+    for family in ("lap", "exp"):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = make_dist(family, scale).sample_array(ours, size)
+        want = _numpy_block(family, p, size, ref)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (family, scale, size)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
 # p = 1 - e^(-1/b) crosses 1/3, where numpy's geometric switches from
-# inversion to search, at b = 1/ln 1.5 ~ 2.4663
+# inversion to search, at b = 1/ln 1.5 ~ 2.4663, and 3/4, where the guide
+# table hands the search back to numpy, at b = 1/ln 4 ~ 0.7213; at b = 2
+# the running sums stop growing at 1 - 3 * 2^-53
 @pytest.mark.parametrize("scale", [0.5, 2.0, 2.466, 2.467, 4.0, 100.0, 1e6,
-                                   1e15])
-@pytest.mark.parametrize("size", [(500, 5), 7])
+                                   1e15, _scale_of(1 / 3),
+                                   _scale_of(1 / 3, below=True),
+                                   _scale_of(0.75),
+                                   _scale_of(0.75, below=True)])
+@pytest.mark.parametrize("size", [(500, 5), 7, 1, 100_000])
 def test_samplers_are_numpy_geometric_draws(scale, size):
     # a draw is defined by Generator.geometric, and a block leaves the
-    # generator where those calls leave it
-    p = 1.0 - math.exp(-1.0 / scale)
-    reference = {
-        "lap": lambda r: (r.geometric(p, size).astype(np.int64)
-                          - r.geometric(p, size)),
-        "exp": lambda r: r.geometric(p, size).astype(np.int64) - 1}
-    for family, draw in reference.items():
-        ours, ref = np.random.default_rng(9), np.random.default_rng(9)
-        got = make_dist(family, scale).sample_array(ours, size)
-        want = draw(ref)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-        assert ours.bit_generator.state == ref.bit_generator.state
+    # generator where those calls leave it; blocks of 10^5 values reach the
+    # guide table's searched tail buckets
+    _assert_numpy_draws(scale, size)
+
+
+def test_edge_scales_sit_on_both_sides_of_each_switch():
+    p = [1.0 - math.exp(-1.0 / _scale_of(t, below=b))
+         for t in (1 / 3, 0.75) for b in (False, True)]
+    assert p[1] < 1 / 3 <= p[0] and p[3] < 0.75 <= p[2]
+    # adjacent values of 1 - q, which is a multiple of 2^-53 there
+    assert p[0] - p[1] == p[2] - p[3] == 2.0 ** -53
+
+
+def test_samplers_replay_numpy_on_a_dense_grid_of_p():
+    grid = np.linspace(1 / 3, 1.0, 400, endpoint=False)
+    for i, p in enumerate(grid.tolist()):
+        scale = -1.0 / math.log1p(-p)
+        for size in [1, (500, 5)] + [100_000] * (i % 20 == 0):
+            _assert_numpy_draws(scale, size, seed=i)
+
+
+@pytest.mark.parametrize("p", [1 / 3, np.nextafter(1 / 3, 0.0),
+                               np.nextafter(1 / 3, 1.0), 0.75,
+                               np.nextafter(0.75, 0.0)])
+@pytest.mark.parametrize("size", [1, 100_000])
+def test_geometric_replays_numpy_at_the_switches(p, size):
+    # the double nearest 1/3 is no scale's p, so the sampler is called with
+    # it directly
+    ours, ref = np.random.default_rng(4), np.random.default_rng(4)
+    got = _Geometric(float(p))(ours, size)
+    assert np.array_equal(got, ref.geometric(p, size))
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _numpy_search(p, u, steps):
+    """numpy's ``random_geometric_search`` for one uniform, transcribed,
+    or None when it has not ended after ``steps`` steps."""
+    q = 1.0 - p
+    x, prod, total = 1, p, p
+    while u > total:
+        if x > steps:
+            return None
+        prod *= q
+        total += prod
+        x += 1
+    return x
+
+
+def test_search_past_the_last_running_sum():
+    # at scale 2 the running sums stop growing at 1 - 3 * 2^-53, so
+    # numpy's loop never ends for the two larger uniforms; the replay
+    # returns one more than the number of distinct sums there
+    g = DiscreteLaplace(2.0)._geometric
+    sums = g._sums
+    assert sums[-1] == 1 - 3 * 2.0 ** -53
+    assert (np.diff(sums) > 0).all()
+    u = np.array([sums[-1], 1 - 2 * 2.0 ** -53, 1 - 2.0 ** -53])
+    assert g.search(u).tolist() == [len(sums), len(sums) + 1, len(sums) + 1]
+    assert _numpy_search(g.p, u[0], 10_000) == len(sums)
+    assert _numpy_search(g.p, u[1], 10_000) is None
+    # and numpy's value everywhere else, the searched tail buckets included
+    rest = np.concatenate([np.random.default_rng(1).random(2000),
+                           1 - np.arange(3, 3000) * 2.0 ** -53, sums,
+                           np.nextafter(sums, 0.0), [0.0]])
+    assert g.search(rest).tolist() == [_numpy_search(g.p, v, 10_000)
+                                       for v in rest.tolist()]
 
 
 def test_sampling_is_deterministic_per_seed():

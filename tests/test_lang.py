@@ -220,6 +220,39 @@ def test_header_names_follow_the_name_rule(private, args):
                      "\nx <- 1 + Lap(?1)\nreturn x\n")
 
 
+def _private_header(private, args, args_first):
+    lines = [f"private {private}", f"args {args}"]
+    if args_first:
+        lines.reverse()
+    return ("mechanism M\n" + "\n".join(lines)
+            + "\nadjacency one\n\nx <- T + Lap(?1)\nreturn x\n")
+
+
+@pytest.mark.parametrize("args_first", [False, True])
+def test_private_input_may_not_be_eps(args_first):
+    src = _private_header("eps", "T", args_first)
+    line = 3 if args_first else 2
+    with pytest.raises(ParseError, match=rf"implicit.*\(line {line}\)"):
+        parse_sketch(src)
+
+
+@pytest.mark.parametrize("args_first", [False, True])
+def test_private_input_may_not_be_qlen(args_first):
+    src = _private_header("qlen", "T", args_first)
+    line = 3 if args_first else 2
+    with pytest.raises(ParseError, match=rf"implicit.*\(line {line}\)"):
+        parse_sketch(src)
+
+
+@pytest.mark.parametrize("args_first", [False, True])
+def test_private_input_may_not_be_an_argument(args_first):
+    src = _private_header("T", "N, T", args_first)
+    line = 3 if args_first else 2
+    with pytest.raises(ParseError, match=rf"'T' is both the private input "
+                       rf"and an argument \(line {line}\)"):
+        parse_sketch(src)
+
+
 def test_statement_keyword_may_touch_its_punctuation():
     spaced = _sketch("x <- a[1] + Lap(?1)\nif x > 1:\n    x <- 1\n"
                      "else:\n    x <- 2\nreturn x\n")

@@ -253,6 +253,33 @@ def test_banks_at_the_target_epsilon_use_the_configured_scales(
     assert _mixture_at(cfg, cfg.epsilon) == cfg.scale_grid
 
 
+def _draws_digest(bank) -> str:
+    h = hashlib.sha256()
+    for draws in bank.draws:
+        h.update(repr(draws.shape).encode())
+        h.update(draws.tobytes())
+    return h.hexdigest()
+
+
+def test_bank_draws_are_frozen(benchmarks):
+    # a scoring bank whose mixture (1/6 .. 4) spans both of the sampler's
+    # geometric branches, and the optimizer's one-component bank at scale
+    # 4: sampler speed-ups must leave every draw as it is
+    sketch = benchmarks["noisymax1"]
+    cfg = RunConfig(seed=0, presamples=3000)
+    binding = dict(fix_params(sketch, cfg), eps=Fraction(3, 2), qlen=5)
+    scales = _mixture_at(cfg, binding["eps"])
+    assert min(scales) == pytest.approx(1 / 6) and max(scales) == 4
+    scoring = PresampleBank(sketch, binding, m=cfg.presamples, scales=scales,
+                            seed=cfg.seed)
+    assert _draws_digest(scoring) == ("b38351ab718704b5290e9c41d6d138a1"
+                                      "819a59d0408b7021e19ef526b3c8573f")
+    optimizer = optimizer_bank(sketch, fix_params(sketch, cfg), cfg)
+    assert optimizer.scales == (4.0,)
+    assert _draws_digest(optimizer) == ("a339010bd3bd9be594992cedcc05a2f3"
+                                        "b87fef7b8eb729e625dfb47eb36f9d3e")
+
+
 def test_report_config_block_names_every_field(micro_scalar):
     # every setting, RunConfig field or module constant, under the key and
     # in the form reports have always printed it
@@ -518,7 +545,8 @@ def test_synth_without_examples_returns_an_empty_report(micro_scalar,
     assert report["survivors"] == [] and outcome.survivors == []
     assert report["candidate_count"] == 0
     assert outcome.counters == {"bank_runs": 0, "bank_stat_rows": 0,
-                                "fisher_tables": 0, "thinned_counts": 0}
+                                "fisher_tables": 0, "thinned_counts": 0,
+                                "screen_refined": 0}
 
 
 def test_synth_doubles_the_radius_when_nothing_survives_pruning(
@@ -564,7 +592,8 @@ def test_synth_small_report_is_frozen(benchmarks):
                       "80f29ee89136263072fa6b4acf9f97cf")
     assert outcome.counters == {"bank_runs": 264000, "bank_stat_rows": 10640,
                                 "fisher_tables": 5649,
-                                "thinned_counts": 24660}
+                                "thinned_counts": 24660,
+                                "screen_refined": 14038}
 
 
 @pytest.mark.parametrize("name", ["noisymax1", "svt"])

@@ -260,6 +260,69 @@ def test_screen_makes_no_claim_beyond_its_rounding_bound():
     assert np.isnan(got).all()
 
 
+def _precise_bounds(c1, c2, n, eps):
+    # the screen's bounds on every cell, with no first stage
+    screen = tester.FisherMemo().screen(c1, c2, n, eps)
+    rho, alpha = tester._SCREEN_RHO, tester._SCREEN_ALPHA
+    known = ~np.isnan(screen)
+    return (np.where(known, (screen - alpha) / (1 + rho), -np.inf),
+            np.where(known, (screen + alpha) / (1 - rho), np.inf))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_two_stage_screen_marks_the_cells_the_precise_one_marks(data):
+    n = data.draw(st.one_of(st.integers(1, 5000),
+                            st.sampled_from([1, 2, 500, 2000])))
+    eps = data.draw(st.sampled_from([0.0, 0.2, 0.5, 1.5, 3.0]))
+    count = st.one_of(st.integers(0, n), st.sampled_from([0, 1, n - 1, n]),
+                      st.integers(max(0, n // 2 - 20), min(n, n // 2 + 20)))
+    cells = data.draw(st.lists(st.tuples(count, count), min_size=1,
+                               max_size=60))
+    c1 = np.array([a for a, _ in cells], dtype=np.int64)
+    c2 = np.array([b for _, b in cells], dtype=np.int64)
+    lo, hi = _precise_bounds(c1, c2, n, eps)
+    # each stage-1 interval holds the precise one
+    least, most = tester.FisherMemo().coarse(c1, c2, n, eps)
+    assert (least <= lo).all() and (most >= hi).all()
+
+    # segments of the decision pick, each at least one cell
+    starts = np.array([0] + sorted(data.draw(
+        st.sets(st.integers(1, len(cells) - 1)))) if len(cells) > 1 else [0])
+    limit = data.draw(st.integers(1, len(cells)))
+    exact = hypothesis_test(c1, c2, n, eps)
+    # band edges on cells' exact p-values, and near them: between their
+    # stage-2 and stage-1 bounds (5e-7), and past both
+    near_p = st.builds(lambda p, f: p * f, st.sampled_from(exact.tolist()),
+                       st.sampled_from([1.0, 1 - 5e-7, 1 + 5e-7, 1 - 1e-4,
+                                        1 + 1e-4]))
+    edges = sorted(data.draw(st.lists(st.one_of(near_p, st.floats(0.0, 1.0)),
+                                      min_size=2, max_size=2)))
+
+    def pick(lo, hi):
+        return tester._may_rank(lo, hi, starts, 1)
+
+    def first(lo, hi):
+        return tester._may_rank(lo, hi, np.zeros(1, dtype=np.int64), limit)
+
+    for read, undecided in ((pick, pick), (first, first),
+                            tester._band_rules(edges)):
+        memo = tester.FisherMemo()
+        mixed = tester._screen_bounds(c1, c2, n, eps, memo, undecided)
+        assert np.array_equal(read(*mixed), read(lo, hi))
+        # each marked cell's exact p lies in its mixed bounds
+        assert ((mixed[0] <= exact) & (exact <= mixed[1])).all()
+
+
+def test_first_stage_makes_no_claim_where_the_screen_makes_none():
+    n = 200_000
+    c1, c2 = np.array([n, n // 2, 0]), np.array([0, n // 2, n])
+    memo = tester.FisherMemo()
+    assert np.isnan(memo.screen(c1, c2, n, 0.5)).all()
+    lo, hi = memo.coarse(c1, c2, n, 0.5)
+    assert (lo == -np.inf).all() and (hi == np.inf).all()
+
+
 def _exact_picks(pilots, n, eps):
     return [[int(np.argmin(hypothesis_test(pc[o], pc[1 - o], n, eps)))
              for o in (0, 1)] for pc in pilots]
