@@ -407,7 +407,11 @@ class FisherMemo:
         """Screening p-values of the cells (``c1``, ``c2``), 1-d count
         arrays: each within ``_SCREEN_RHO * p + _SCREEN_ALPHA`` of the p
         that :func:`hypothesis_test` returns, or NaN where
-        :func:`_screen_tails` makes no claim."""
+        :func:`_screen_tails` makes no claim.  This is the second stage of
+        :func:`_screen_bounds`, which passes only the cells that the
+        one-term bounds of :meth:`coarse` leave open; since those bounds
+        hold the ones derived here, the cells it reads exactly are the ones
+        it would read with this screen on every cell."""
         tables, where = _thinned_tables(c1, c2, n, test_epsilon, self)
         self.screen_refined += tables.size
         k, K = np.divmod(tables, 2 * n + 1)
@@ -421,14 +425,15 @@ class FisherMemo:
         10 * ``_SCREEN_RHO`` relative and 3 * ``_SCREEN_ALPHA``, so that
         the interval also holds the one :func:`_screen_bounds` derives
         from :meth:`screen`; -inf and inf where the screen makes no
-        claim.  A one-term bound costs less than finding the distinct
-        tables, so every table of every cell gets one."""
-        counts, which = np.unique(c1, return_inverse=True)
-        k = self.thinned(counts, test_epsilon)[which]
+        claim.  That interval lies within about 1.5 rho of the cell's
+        p (the screen's rho / 2, see :func:`_screen_tails`, and the rho
+        of its bounds) and the one-term bounds carry the screen's pmf
+        rounding, below rho / 4, so 10 rho holds it with room."""
+        tables, where = _thinned_tables(c1, c2, n, test_epsilon, self)
+        k, K = np.divmod(tables, 2 * n + 1)
         lf = gammaln(np.arange(1.0, 2 * n + 2))   # ln j!, j = 0 .. 2n
-        least, most = (t.reshape(k.shape).mean(axis=-1) for t in
-                       _coarse_tails(k.ravel(), (k + c2[:, None]).ravel(),
-                                     n, lf))
+        least, most = (t[where].mean(axis=-1)
+                       for t in _coarse_tails(k, K, n, lf))
         width = 10 * _SCREEN_RHO
         lo = least * (1 - width) - 3 * _SCREEN_ALPHA
         hi = most * (1 + width) + 3 * _SCREEN_ALPHA
