@@ -16,9 +16,8 @@ algorithms on whole arrays (:class:`_Geometric`), with the same values and
 the same generator state afterwards.  Below p = 1/3 numpy computes each
 value as ceil(-E / log1p(-p)) from one ``standard_exponential`` E; from 1/3
 on it searches the cdf, comparing one ``next_double`` u per value against
-running sums of the pmf, which a guide table replays up to p = 3/4 (above
-it numpy's short search is called as is).  In one case numpy's search
-never ends: where the running sums stop growing below the largest u,
+running sums of the pmf, which a guide table replays.  In one case numpy's
+search never ends: where the running sums stop growing below the largest u,
 1 - 2^-53 (at scale 2 they stop at 1 - 3 * 2^-53), a u above the last sum
 loops forever; the replay returns one more than the number of distinct
 sums there.  Closed-form importance-weight pieces reweight draws
@@ -89,10 +88,7 @@ class DiscreteLaplace:
 
     def sample_array(self, rng: np.random.Generator, size) -> np.ndarray:
         g = self._geometric(rng, (2, *np.broadcast_shapes(size)))
-        if not self._geometric.exact:
-            g = g.astype(np.int64)
-        # exact in float64 too: both operands are integers below 2^53
-        return (g[0] - g[1]).astype(np.int64, copy=False)
+        return g[0] - g[1]
 
 
 @dataclass(frozen=True)
@@ -133,16 +129,11 @@ class DiscreteExponential:
         return _Geometric(1.0 - self.q)
 
     def sample_array(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self._geometric(rng, size).astype(np.int64, copy=False) - 1
+        return self._geometric(rng, size) - 1
 
 
-# numpy's geometric searches the cdf from p = 1/3 on (the double nearest
-# it); the guide table replays that search below _TABLE_BELOW, above which
-# numpy's own search, about 1/p steps per value, is as fast: 5,000 values
-# cost 37 us from the table at every p, and from numpy 46 us at p = 0.76
-# and 34 us at p = 0.86 (best of 9x300, 2 shared vCPUs)
+# numpy's geometric searches the cdf from p = 1/3 on (the double nearest it)
 _SEARCH_FROM = 1.0 / 3.0
-_TABLE_BELOW = 0.75
 _GUIDE = 256          # equal buckets of [0, 1) in the guide table
 # terms of the running sums: they stop growing once p q^j is at most 2^-54,
 # half an ulp of a sum near 1, within 90 terms from p = 1/3 on
@@ -150,11 +141,9 @@ _SUM_TERMS = 128
 
 
 class _Geometric:
-    """``rng.geometric(p, size)``'s values, leaving ``rng`` in the same
-    state, as float64 below p = 1/3 and int64 from it on.  A leading axis
-    splits the block into the draws of consecutive ``geometric`` calls.
-    ``exact`` says whether every value lies below 2^53, where float64
-    differences of values are exact.
+    """``rng.geometric(p, size)`` as int64, value for value, leaving
+    ``rng`` in the same state.  A leading axis splits the block into the
+    draws of consecutive ``geometric`` calls.
 
     Below p = 1/3 numpy draws ceil(-E / log1p(-p)) per value, E from
     ``standard_exponential`` (and clamps values from 2^63 on, which no
@@ -172,8 +161,7 @@ class _Geometric:
 
     def __init__(self, p: float):
         self.p = p
-        self.exact = p >= _SEARCH_FROM or 45.0 / -math.log1p(-p) < 2.0**52
-        if not _SEARCH_FROM <= p < _TABLE_BELOW:
+        if p < _SEARCH_FROM:
             return
         f = np.full(_SUM_TERMS, 1.0 - p)
         f[0] = p
@@ -189,18 +177,16 @@ class _Geometric:
 
     def __call__(self, rng: np.random.Generator, size) -> np.ndarray:
         p = self.p
-        if p >= _TABLE_BELOW:
-            return rng.geometric(p, size)
         if p >= _SEARCH_FROM:
             return self.search(rng.random(size))
         e = rng.standard_exponential(size)
         np.divide(e, -math.log1p(-p), out=e)
-        return np.ceil(e, out=e)
+        return np.ceil(e, out=e).astype(np.int64)
 
     def search(self, u: np.ndarray) -> np.ndarray:
-        """1 + #{sums < u} per uniform of ``u``, for _SEARCH_FROM <= p <
-        _TABLE_BELOW: numpy's value for each u up to the last sum, and one
-        more than the number of sums above it."""
+        """1 + #{sums < u} per uniform of ``u``, for p >= _SEARCH_FROM:
+        numpy's value for each u up to the last sum, and one more than the
+        number of sums above it."""
         flat = u.ravel()
         x = self._guide[(flat * _GUIDE).astype(np.intp)]
         x += self._next[x] < flat

@@ -364,15 +364,15 @@ class FisherMemo:
     sharing a memo changes no p-value.  ``thinned_counts`` and
     ``fisher_tables`` count the quantiles and the exact tails computed.
 
-    The tester bounds exact p-values in two stages from the same thinning
-    rows and a table of ln j! for j <= 2n, computed per call (see
-    :func:`_screen_bounds`): :meth:`coarse` bounds every cell from the
-    first term of each table's tail, and :meth:`screen` gives the cells
-    those bounds leave open error-bounded p-values, refining each of their
-    tables to ``_SCREEN_RHO / 8`` of its tail; ``screen_refined`` counts
-    the tables it refines.  Screening values and tables are not kept: only
-    exact tails are ever reported.  Keep one memo per operation (one
-    ``synth`` call, one command), not per process.
+    The tester bounds exact p-values in two stages (see
+    :func:`_screen_bounds`) from the same thinning rows and a table of
+    ln j! for j <= 2n, computed once per call: every cell gets one-term
+    bounds, and :meth:`refine` gives the cells those leave open
+    error-bounded p-values, refining each of their tables to
+    ``_SCREEN_RHO / 8`` of its tail; ``screen_refined`` counts the tables
+    it refines.  Screening values and tables are not kept: only exact
+    tails are ever reported.  Keep one memo per operation (one ``synth``
+    call, one command), not per process.
     """
 
     def __init__(self):
@@ -407,38 +407,21 @@ class FisherMemo:
         """Screening p-values of the cells (``c1``, ``c2``), 1-d count
         arrays: each within ``_SCREEN_RHO * p + _SCREEN_ALPHA`` of the p
         that :func:`hypothesis_test` returns, or NaN where
-        :func:`_screen_tails` makes no claim.  This is the second stage of
-        :func:`_screen_bounds`, which passes only the cells that the
-        one-term bounds of :meth:`coarse` leave open; since those bounds
-        hold the ones derived here, the cells it reads exactly are the ones
-        it would read with this screen on every cell."""
-        tables, where = _thinned_tables(c1, c2, n, test_epsilon, self)
-        self.screen_refined += tables.size
-        k, K = np.divmod(tables, 2 * n + 1)
-        lf = gammaln(np.arange(1.0, 2 * n + 2))   # ln j!, j = 0 .. 2n
-        return _screen_tails(k, K, n, lf)[where].mean(axis=-1)
+        :func:`_screen_tails` makes no claim; :meth:`refine` on every
+        cell."""
+        k, K, where, log_fact = _screen_setup(c1, c2, n, test_epsilon, self)
+        return self.refine(k, K, where, n, log_fact)
 
-    def coarse(self, c1, c2, n: int, test_epsilon):
-        """Per cell (``c1``, ``c2``), bounds lo <= p <= hi on the p that
-        :func:`hypothesis_test` returns, from :func:`_coarse_tails`: each
-        bound's mean over the cell's 20 tables, widened by
-        10 * ``_SCREEN_RHO`` relative and 3 * ``_SCREEN_ALPHA``, so that
-        the interval also holds the one :func:`_screen_bounds` derives
-        from :meth:`screen`; -inf and inf where the screen makes no
-        claim.  That interval lies within about 1.5 rho of the cell's
-        p (the screen's rho / 2, see :func:`_screen_tails`, and the rho
-        of its bounds) and the one-term bounds carry the screen's pmf
-        rounding, below rho / 4, so 10 rho holds it with room."""
-        tables, where = _thinned_tables(c1, c2, n, test_epsilon, self)
-        k, K = np.divmod(tables, 2 * n + 1)
-        lf = gammaln(np.arange(1.0, 2 * n + 2))   # ln j!, j = 0 .. 2n
-        least, most = (t[where].mean(axis=-1)
-                       for t in _coarse_tails(k, K, n, lf))
-        width = 10 * _SCREEN_RHO
-        lo = least * (1 - width) - 3 * _SCREEN_ALPHA
-        hi = most * (1 + width) + 3 * _SCREEN_ALPHA
-        return (np.where(np.isnan(lo), -np.inf, lo),
-                np.where(np.isnan(hi), np.inf, hi))
+    def refine(self, k, K, where, n: int, log_fact) -> np.ndarray:
+        """:meth:`screen`'s values of the cells whose 20 tables are the
+        rows of ``where``, indices into the tables (``k``, ``K``) that
+        :func:`_screen_setup` returns.  This is the second stage of
+        :func:`_screen_bounds`, which passes the rows of the cells that
+        the first stage leaves open."""
+        used, at = np.unique(where, return_inverse=True)
+        self.screen_refined += used.size
+        tails = _screen_tails(k[used], K[used], n, log_fact)
+        return tails[at.reshape(where.shape)].mean(axis=-1)
 
 
 def _binom_quantiles(counts, p: float) -> np.ndarray:
@@ -517,6 +500,16 @@ def _thinned_tables(c1, c2, n: int, test_epsilon, memo):
     tables, where = np.unique(thin * span + thin + c2.reshape(-1, 1),
                               return_inverse=True)
     return tables, where.reshape(thin.shape)
+
+
+def _screen_setup(c1, c2, n: int, test_epsilon, memo):
+    """What both screening stages read of the cells (``c1``, ``c2``): the
+    distinct thinned tables as arrays k and K, per cell the index of each
+    of its 20 tables among them (:func:`_thinned_tables`), and ln j! for
+    j = 0 .. 2n."""
+    tables, where = _thinned_tables(c1, c2, n, test_epsilon, memo)
+    k, K = np.divmod(tables, 2 * n + 1)
+    return k, K, where, gammaln(np.arange(1.0, 2 * n + 2))
 
 
 # The screen's error bound: |p~ - p| <= _SCREEN_RHO * p + _SCREEN_ALPHA.
@@ -746,23 +739,35 @@ def _count_floor(n_side: int) -> int:
 
 
 def _screen_bounds(c1, c2, n: int, test_epsilon, memo, undecided):
-    """Per cell, bounds lo <= p <= hi on its exact p, in two stages.
+    """Per cell, bounds lo <= p <= hi on its exact p, in two stages that
+    share the cells' tables (:func:`_screen_setup`).
 
     Stage 1 bounds every cell from the first term of each of its tables
-    (:meth:`FisherMemo.coarse`).  ``undecided(lo, hi)`` marks the cells
-    whose verdict those bounds leave open, and stage 2 gives them the
-    screen's bounds (:meth:`FisherMemo.screen`): |p~ - p| <= rho p + alpha
-    gives lo = (p~ - alpha) / (1 + rho) and hi = (p~ + alpha) / (1 - rho),
-    and where the screen makes no claim, lo = -inf and hi = inf.  Each
-    stage-1 interval holds the cell's stage-2 one, so a rule that reads
-    the mixed bounds, and whose verdict on a cell ``undecided`` leaves
-    closed holds for any interval inside that cell's, gives the verdict it
+    (:func:`_coarse_tails`): each bound's mean over the cell's 20 tables,
+    widened by 10 rho relative and 3 alpha.  ``undecided(lo, hi)`` marks
+    the cells whose verdict those bounds leave open, and stage 2 gives
+    them the screen's bounds (:meth:`FisherMemo.refine`):
+    |p~ - p| <= rho p + alpha gives lo = (p~ - alpha) / (1 + rho) and
+    hi = (p~ + alpha) / (1 - rho).  Where the screen makes no claim, both
+    stages give lo = -inf and hi = inf.  The stage-2 interval lies within
+    about 1.5 rho of the cell's p (the screen's rho / 2, see
+    :func:`_screen_tails`, and the rho of its bounds), and the one-term
+    bounds carry the screen's pmf rounding, below rho / 4, so the widened
+    stage-1 interval holds the stage-2 one.  A rule that reads the mixed
+    bounds, and whose verdict on a cell ``undecided`` leaves closed holds
+    for any interval inside that cell's, therefore gives the verdict it
     would give on stage-2 bounds for every cell (see :func:`_may_rank`
     and :func:`_final_p`)."""
-    lo, hi = memo.coarse(c1, c2, n, test_epsilon)
+    k, K, where, log_fact = _screen_setup(c1, c2, n, test_epsilon, memo)
+    least, most = (t[where].mean(axis=-1)
+                   for t in _coarse_tails(k, K, n, log_fact))
+    width = 10 * _SCREEN_RHO
+    lo = least * (1 - width) - 3 * _SCREEN_ALPHA
+    hi = most * (1 + width) + 3 * _SCREEN_ALPHA
+    lo[np.isnan(lo)], hi[np.isnan(hi)] = -np.inf, np.inf
     refine = np.flatnonzero(undecided(lo, hi))
     if len(refine):
-        screen = memo.screen(c1[refine], c2[refine], n, test_epsilon)
+        screen = memo.refine(k, K, where[refine], n, log_fact)
         known = ~np.isnan(screen)
         lo[refine] = np.where(
             known, (screen - _SCREEN_ALPHA) / (1 + _SCREEN_RHO), -np.inf)

@@ -157,14 +157,11 @@ def _assert_numpy_draws(scale, size, seed=9):
 
 
 # p = 1 - e^(-1/b) crosses 1/3, where numpy's geometric switches from
-# inversion to search, at b = 1/ln 1.5 ~ 2.4663, and 3/4, where the guide
-# table hands the search back to numpy, at b = 1/ln 4 ~ 0.7213; at b = 2
-# the running sums stop growing at 1 - 3 * 2^-53
-@pytest.mark.parametrize("scale", [0.5, 2.0, 2.466, 2.467, 4.0, 100.0, 1e6,
-                                   1e15, _scale_of(1 / 3),
-                                   _scale_of(1 / 3, below=True),
-                                   _scale_of(0.75),
-                                   _scale_of(0.75, below=True)])
+# inversion to search, at b = 1/ln 1.5 ~ 2.4663; at b = 2 the running sums
+# stop growing at 1 - 3 * 2^-53, and at b = 1e-3 p rounds to 1
+@pytest.mark.parametrize("scale", [1e-3, 0.1, 0.5, 2.0, 2.466, 2.467, 4.0,
+                                   100.0, 1e6, 1e15, _scale_of(1 / 3),
+                                   _scale_of(1 / 3, below=True)])
 @pytest.mark.parametrize("size", [(500, 5), 7, 1, 100_000])
 def test_samplers_are_numpy_geometric_draws(scale, size):
     # a draw is defined by Generator.geometric, and a block leaves the
@@ -173,12 +170,12 @@ def test_samplers_are_numpy_geometric_draws(scale, size):
     _assert_numpy_draws(scale, size)
 
 
-def test_edge_scales_sit_on_both_sides_of_each_switch():
-    p = [1.0 - math.exp(-1.0 / _scale_of(t, below=b))
-         for t in (1 / 3, 0.75) for b in (False, True)]
-    assert p[1] < 1 / 3 <= p[0] and p[3] < 0.75 <= p[2]
+def test_edge_scales_sit_on_both_sides_of_the_switch():
+    above, below = (1.0 - math.exp(-1.0 / _scale_of(1 / 3, below=b))
+                    for b in (False, True))
+    assert below < 1 / 3 <= above
     # adjacent values of 1 - q, which is a multiple of 2^-53 there
-    assert p[0] - p[1] == p[2] - p[3] == 2.0 ** -53
+    assert above - below == 2.0 ** -53
 
 
 def test_samplers_replay_numpy_on_a_dense_grid_of_p():
@@ -190,14 +187,15 @@ def test_samplers_replay_numpy_on_a_dense_grid_of_p():
 
 
 @pytest.mark.parametrize("p", [1 / 3, np.nextafter(1 / 3, 0.0),
-                               np.nextafter(1 / 3, 1.0), 0.75,
-                               np.nextafter(0.75, 0.0)])
+                               np.nextafter(1 / 3, 1.0),
+                               np.nextafter(1.0, 0.0), 1.0])
 @pytest.mark.parametrize("size", [1, 100_000])
-def test_geometric_replays_numpy_at_the_switches(p, size):
+def test_geometric_replays_numpy_at_the_ends_of_the_search(p, size):
     # the double nearest 1/3 is no scale's p, so the sampler is called with
-    # it directly
+    # it directly; at p = 1 every sum is 1 and numpy still draws a uniform
     ours, ref = np.random.default_rng(4), np.random.default_rng(4)
     got = _Geometric(float(p))(ours, size)
+    assert got.dtype == np.int64
     assert np.array_equal(got, ref.geometric(p, size))
     assert ours.bit_generator.state == ref.bit_generator.state
 

@@ -269,6 +269,12 @@ def _precise_bounds(c1, c2, n, eps):
             np.where(known, (screen + alpha) / (1 - rho), np.inf))
 
 
+def _stage_one_bounds(c1, c2, n, eps):
+    # the two-stage bounds with no cell left open
+    return tester._screen_bounds(c1, c2, n, eps, tester.FisherMemo(),
+                                 lambda lo, hi: np.zeros(len(lo), bool))
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_two_stage_screen_marks_the_cells_the_precise_one_marks(data):
@@ -283,7 +289,7 @@ def test_two_stage_screen_marks_the_cells_the_precise_one_marks(data):
     c2 = np.array([b for _, b in cells], dtype=np.int64)
     lo, hi = _precise_bounds(c1, c2, n, eps)
     # each stage-1 interval holds the precise one
-    least, most = tester.FisherMemo().coarse(c1, c2, n, eps)
+    least, most = _stage_one_bounds(c1, c2, n, eps)
     assert (least <= lo).all() and (most >= hi).all()
 
     # segments of the decision pick, each at least one cell
@@ -317,9 +323,8 @@ def test_two_stage_screen_marks_the_cells_the_precise_one_marks(data):
 def test_first_stage_makes_no_claim_where_the_screen_makes_none():
     n = 200_000
     c1, c2 = np.array([n, n // 2, 0]), np.array([0, n // 2, n])
-    memo = tester.FisherMemo()
-    assert np.isnan(memo.screen(c1, c2, n, 0.5)).all()
-    lo, hi = memo.coarse(c1, c2, n, 0.5)
+    assert np.isnan(tester.FisherMemo().screen(c1, c2, n, 0.5)).all()
+    lo, hi = _stage_one_bounds(c1, c2, n, 0.5)
     assert (lo == -np.inf).all() and (hi == np.inf).all()
 
 
@@ -365,6 +370,11 @@ def test_decision_events_match_the_argmin_on_random_pilots(data):
             == _exact_picks(pilots, n, eps))
 
 
+def _exact_refine(k, K, where, n):
+    # the exact p of the cells that FisherMemo.refine is given
+    return tester._fisher_sf(k, K, n)[where].mean(axis=-1)
+
+
 def test_decision_events_hold_for_a_screen_at_the_edge_of_its_bound(
         monkeypatch):
     # a coarse bound and a screen that reads each cell's p as far from it
@@ -386,12 +396,12 @@ def test_decision_events_hold_for_a_screen_at_the_edge_of_its_bound(
     rho = 0.2
     monkeypatch.setattr(tester, "_SCREEN_RHO", rho)
     for sign in (1.0, -1.0):
-        def screen(self, c1, c2, n, test_epsilon):
-            exact = hypothesis_test(c1, c2, n, test_epsilon)
+        def refine(self, k, K, where, n, log_fact):
+            exact = _exact_refine(k, K, where, n)
             side = sign * (-1.0) ** np.arange(len(exact))
             return (exact * (1 + side * rho * (1 - 1e-9))
                     + side * tester._SCREEN_ALPHA)
-        monkeypatch.setattr(tester.FisherMemo, "screen", screen)
+        monkeypatch.setattr(tester.FisherMemo, "refine", refine)
         for pilots, n, eps in runs:
             assert (tester._decision_events(pilots, n, eps,
                                             tester.FisherMemo())
@@ -877,10 +887,10 @@ def test_limit_holds_for_any_screen_within_its_bound(monkeypatch):
     rho = 0.2
     monkeypatch.setattr(tester, "_SCREEN_RHO", rho)
 
-    def screen(self, c1, c2, n, test_epsilon):
-        p = hypothesis_test(c1, c2, n, test_epsilon)
+    def refine(self, k, K, where, n, log_fact):
+        p = _exact_refine(k, K, where, n)
         return p * (1 + 0.99 * rho * (-1.0) ** np.arange(len(p)))
-    monkeypatch.setattr(tester.FisherMemo, "screen", screen)
+    monkeypatch.setattr(tester.FisherMemo, "refine", refine)
     sk = load_benchmark("smartsum")
     binding = {"eps": RunConfig().epsilon, "qlen": 5,
                **{a: FIXED_ARGS[a] for a in sk.args}}
@@ -940,11 +950,11 @@ def test_band_holds_for_a_screen_at_the_edge_of_its_bound(monkeypatch):
                                  seed=0)
     p = sorted({cx.p_value for cx in full})
     for sign in (1.0, -1.0):
-        def screen(self, c1, c2, n, test_epsilon):
-            exact = hypothesis_test(c1, c2, n, test_epsilon)
+        def refine(self, k, K, where, n, log_fact):
+            exact = _exact_refine(k, K, where, n)
             return (exact * (1 + sign * rho * (1 - 1e-9))
                     + sign * tester._SCREEN_ALPHA)
-        monkeypatch.setattr(tester.FisherMemo, "screen", screen)
+        monkeypatch.setattr(tester.FisherMemo, "refine", refine)
         for band in ((p[10], p[-10]), (p[len(p) // 2], p[len(p) // 2])):
             part = tester.test_mechanism(sk, binding, [2.0, 2.0],
                                          trials=1000, seed=0, band=band)
