@@ -954,21 +954,6 @@ class Outputs:
     def __iter__(self):
         return (self[j] for j in range(len(self)))
 
-    @classmethod
-    def from_values(cls, values) -> "Outputs":
-        """Pack outputs in the form :func:`run` returns them."""
-        values = list(values)
-        if values and isinstance(values[0], tuple):
-            arr = np.zeros((len(values), max(len(v) for v in values)),
-                           dtype=np.int64)
-            for j, v in enumerate(values):
-                arr[j, :len(v)] = v
-            flat = [x for v in values for x in v]
-            return cls(arr, np.array([len(v) for v in values], dtype=np.int64),
-                       bool(flat) and all(isinstance(x, bool) for x in flat))
-        return cls(np.array(values, dtype=np.int64).reshape(len(values)), None,
-                   bool(values) and all(isinstance(x, bool) for x in values))
-
 
 # ---------------------------------------------------------------------------
 # The lane kernel: compile_sketch emits numpy code that runs every lane in

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -21,12 +22,14 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
+from scipy.special._ufuncs import _hypergeom_sf
 from scipy.stats import binom, hypergeom
 
 from mechsynth import tester
 from mechsynth.cli import main
 from mechsynth.config import FIXED_ARGS, ZONE, RunConfig
 from mechsynth.lang import Outputs, RunError, parse_sketch
+from mechsynth.synth import report_to_json, synth
 from mechsynth.tester import (CoordEvent, HalfLineEvent, PrefixEvent,
                               ValueEvent, counterexample_record, decision_p,
                               event_hits, gen_events, gen_input_pairs,
@@ -100,6 +103,13 @@ def test_hypothesis_test_in_unit_interval(n, f1, f2, eps):
     assert 0.0 <= p <= 1.0
 
 
+def screen_values(c1, c2, n, eps):
+    """The screen's refined p-values of every cell, with no first stage."""
+    memo = tester.FisherMemo()
+    k, K, where, log_fact = tester._screen_setup(c1, c2, n, eps, memo)
+    return memo.refine(k, K, where, n, log_fact)
+
+
 def test_hypothesis_test_validation():
     with pytest.raises(ValueError):
         hypothesis_test(1, 1, 0, 0.5)
@@ -121,8 +131,7 @@ def test_hypothesis_test_validation():
             hypothesis_test(np.array([], dtype=np.int64),
                             np.array([], dtype=np.int64), 100, eps)
         with pytest.raises(ValueError, match="test epsilon"):
-            tester.FisherMemo().screen(np.array([30]), np.array([10]), 100,
-                                       eps)
+            screen_values(np.array([30]), np.array([10]), 100, eps)
 
 
 def test_batched_hypothesis_test_equals_one_call_per_cell(micro_scalar):
@@ -262,7 +271,7 @@ def test_screen_makes_no_claim_beyond_its_rounding_bound():
 
 def _precise_bounds(c1, c2, n, eps):
     # the screen's bounds on every cell, with no first stage
-    screen = tester.FisherMemo().screen(c1, c2, n, eps)
+    screen = screen_values(c1, c2, n, eps)
     rho, alpha = tester._SCREEN_RHO, tester._SCREEN_ALPHA
     known = ~np.isnan(screen)
     return (np.where(known, (screen - alpha) / (1 + rho), -np.inf),
@@ -323,7 +332,7 @@ def test_two_stage_screen_marks_the_cells_the_precise_one_marks(data):
 def test_first_stage_makes_no_claim_where_the_screen_makes_none():
     n = 200_000
     c1, c2 = np.array([n, n // 2, 0]), np.array([0, n // 2, n])
-    assert np.isnan(tester.FisherMemo().screen(c1, c2, n, 0.5)).all()
+    assert np.isnan(screen_values(c1, c2, n, 0.5)).all()
     lo, hi = _stage_one_bounds(c1, c2, n, 0.5)
     assert (lo == -np.inf).all() and (hi == np.inf).all()
 
@@ -540,9 +549,24 @@ def test_event_membership_semantics():
     assert not CoordEvent(3, 5, "ge").contains((0, 7))
 
 
+def packed_outputs(values) -> Outputs:
+    """Pack outputs in the form ``lang.run`` returns them."""
+    values = list(values)
+    if values and isinstance(values[0], tuple):
+        arr = np.zeros((len(values), max(len(v) for v in values)),
+                       dtype=np.int64)
+        for j, v in enumerate(values):
+            arr[j, :len(v)] = v
+        flat = [x for v in values for x in v]
+        return Outputs(arr, np.array([len(v) for v in values], dtype=np.int64),
+                       bool(flat) and all(isinstance(x, bool) for x in flat))
+    return Outputs(np.array(values, dtype=np.int64).reshape(len(values)), None,
+                   bool(values) and all(isinstance(x, bool) for x in values))
+
+
 def test_gen_events_integer_outputs():
     outs = [0, 0, 1, 1, 1, 2, 5, -3]
-    events = gen_events(Outputs.from_values(outs))
+    events = gen_events(packed_outputs(outs))
     kinds = {type(e) for e in events}
     assert kinds == {ValueEvent, HalfLineEvent}
     assert ValueEvent(1) in events
@@ -555,7 +579,7 @@ def test_gen_events_integer_outputs():
 
 def test_gen_events_boolean_tuple_outputs():
     outs = [(False, True), (True,), (False, False, True)]
-    events = gen_events(Outputs.from_values(outs))
+    events = gen_events(packed_outputs(outs))
     prefixes = [e for e in events if isinstance(e, PrefixEvent)]
     # every true/false pattern of lengths one through three appears
     assert len(prefixes) == 2 + 4 + 8
@@ -566,7 +590,7 @@ def test_gen_events_boolean_tuple_outputs():
 
 def test_gen_events_integer_tuple_outputs():
     outs = [(0, 9), (1, 4), (2, 6), (0, 5)]
-    events = gen_events(Outputs.from_values(outs))
+    events = gen_events(packed_outputs(outs))
     coords = [e for e in events if isinstance(e, CoordEvent)]
     assert coords
     assert {e.coord for e in coords} == {0, 1}
@@ -584,7 +608,7 @@ def test_gen_events_integer_tuple_outputs():
 def test_gen_events_are_distinct(outs):
     # each kind of event is derived from distinct values, and events of two
     # kinds never compare equal, so no event repeats
-    events = gen_events(Outputs.from_values(outs))
+    events = gen_events(packed_outputs(outs))
     assert len(set(events)) == len(events)
 
 
@@ -603,7 +627,7 @@ def test_value_event_describe_shape(value, text):
 
 def test_gen_events_requires_samples():
     with pytest.raises(ValueError):
-        gen_events(Outputs.from_values([]))
+        gen_events(packed_outputs([]))
 
 
 @pytest.mark.parametrize("outs", [
@@ -614,7 +638,7 @@ def test_gen_events_requires_samples():
 def test_gen_events_singletons_follow_counter_order(outs):
     # ties keep the order of first appearance, as Counter.most_common does
     want = [v for v, _ in Counter(outs).most_common()]
-    events = gen_events(Outputs.from_values(outs))
+    events = gen_events(packed_outputs(outs))
     got = [e.value for e in events if isinstance(e, ValueEvent)]
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
@@ -634,7 +658,7 @@ def test_event_hits_match_contains():
           ValueEvent((False,))]),
     ]
     for outs, events in cases:
-        packed = Outputs.from_values(outs)
+        packed = packed_outputs(outs)
         assert list(packed) == outs
         got = event_hits(events, packed).tolist()
         assert got == [[e.contains(o) for o in outs] for e in events]
@@ -665,7 +689,7 @@ def test_event_hits_equal_contains_on_every_class(data):
                           st.builds(CoordEvent, st.integers(0, 6),
                                     _SMALL_INTS, _OPS))
     events = data.draw(st.lists(event, max_size=10))
-    packed = Outputs.from_values(outs)
+    packed = packed_outputs(outs)
     with mock.patch.object(tester, "_COUNT_CHUNK",
                            data.draw(st.sampled_from([1, 13, 1 << 18]))):
         got = event_hits(events, packed)
@@ -682,7 +706,7 @@ def test_gen_events_singletons_follow_counter_order_on_random_outputs(data):
         [item, st.lists(item, max_size=3).map(tuple)]))
     outs = data.draw(st.lists(value, min_size=1, max_size=30))
     want = [v for v, _ in Counter(outs).most_common(tester._SINGLETON_CAP)]
-    events = gen_events(Outputs.from_values(outs))
+    events = gen_events(packed_outputs(outs))
     assert [e.value for e in events if isinstance(e, ValueEvent)] == want
 
 
@@ -1102,3 +1126,164 @@ def test_decision_events_are_the_argmin_on_tester_pilots(name, noise,
     assert picks == _exact_picks(pilots, n, eps)
     # each segment given exact tails sends at least two cells
     assert tested[0] < 2 * 2 * len(pilots)
+
+
+# ---------------------------------------------------------------------------
+# Kernel passes spread over threads
+# ---------------------------------------------------------------------------
+
+def _direct_fisher_sf(k, K, n):
+    # one unsplit boost call inside the support, scipy.stats' edge rule
+    # around it
+    out = np.where(k - 1 < np.maximum(0, K - n), 1.0, 0.0)
+    inside = (k - 1 >= np.maximum(0, K - n)) & (k - 1 < np.minimum(K, n))
+    out[inside] = np.clip(_hypergeom_sf(k[inside] - 1, K[inside], n, 2 * n),
+                          0, 1)
+    return out
+
+
+@pytest.fixture
+def split_everything(monkeypatch):
+    # cut every pass of two or more elements into up to 3 chunks
+    monkeypatch.setattr(tester, "_FISHER_CHUNK", 1)
+    monkeypatch.setattr(tester, "_THIN_CHUNK", 1)
+    monkeypatch.setattr(tester, "_WORKERS", 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
+def test_spread_tails_are_the_direct_ones_on_every_table(split_everything,
+                                                         n):
+    k, K = np.divmod(np.arange((n + 2) * (2 * n + 1)), 2 * n + 1)
+    assert _same_bits(tester._fisher_sf(k, K, n), _direct_fisher_sf(k, K, n))
+
+
+def test_spread_tails_are_the_direct_ones_where_cuts_meet_edge_cells(
+        split_everything):
+    n = 2000
+    rng = np.random.default_rng(26)
+    k = rng.integers(0, n + 2, 200_000)
+    K = rng.integers(0, 2 * n + 1, 200_000)
+    inside = (k - 1 >= np.maximum(0, K - n)) & (k - 1 < np.minimum(K, n))
+    # k = 0 moves the last 0-2 cells inside the support below it, leaving
+    # a multiple of 3 inside
+    k[np.flatnonzero(inside)[inside.sum() // 3 * 3:]] = 0
+    inside &= k > 0
+    # three equal runs of the cells inside the support, each mixed with
+    # cells outside it and followed by more of them, so that both cuts of
+    # the 3-way pass fall where edge-rule cells sit between two chunks
+    blocks = []
+    for run, edge in zip(np.array_split(np.flatnonzero(inside), 3),
+                         np.array_split(np.flatnonzero(~inside), 3)):
+        half = len(edge) // 2
+        blocks += [rng.permutation(np.concatenate([run, edge[:half]])),
+                   edge[half:]]
+    order = np.concatenate(blocks)
+    assert len(order) == 200_000
+    k, K = k[order], K[order]
+    at = np.flatnonzero(inside[order])
+    for cut in (len(at) // 3, 2 * len(at) // 3):
+        assert at[cut] - at[cut - 1] > 1
+    got = tester._fisher_sf(k, K, n)
+    assert _same_bits(got, _direct_fisher_sf(k, K, n))
+    assert (got == 1.0).any() and (got == 0.0).any()
+
+
+def test_spread_tails_of_no_table(split_everything):
+    none = np.array([], dtype=np.int64)
+    got = tester._fisher_sf(none, none, 100)
+    assert got.shape == (0,) and got.dtype == np.float64
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.5, 1.5])
+def test_spread_thinnings_are_the_unsplit_ones(monkeypatch, eps):
+    counts = np.arange(20_001)
+    monkeypatch.setattr(tester, "_WORKERS", 0)
+    want = tester._binom_quantiles(counts, math.exp(-eps))
+    monkeypatch.setattr(tester, "_THIN_CHUNK", 1)
+    monkeypatch.setattr(tester, "_WORKERS", 2)
+    assert np.array_equal(tester._binom_quantiles(counts, math.exp(-eps)),
+                          want)
+
+
+TEST_MIX = [("noisymax1", "4"), ("noisymax1", "bot"), ("svt", "4,8"),
+            ("svt", "bot,bot"), ("smartsum", "2,2"),
+            ("smartsum", "bot,bot"), ("abovet2", "4,8,4")]
+
+
+def test_test_mix_output_does_not_depend_on_the_worker_count(monkeypatch):
+    # perfbench's test-mix calls, whose larger Fisher and thinning passes
+    # are split at the module's own size rules
+    monkeypatch.setattr(tester, "_pool", None)
+    outputs = []
+    for workers in (0, 1, 2):
+        monkeypatch.setattr(tester, "_WORKERS", workers)
+        out = []
+        for sketch, noise in TEST_MIX:
+            result = CliRunner().invoke(main, [
+                "test", "--sketch", sketch, "--noise", noise, "--trials",
+                "4000", "--epsilon", "1/2", "--qlen", "5", "--seed", "0"])
+            # exit 1 reports a violation
+            assert result.exit_code in (0, 1), result.output
+            out.append((result.exit_code, result.output))
+        outputs.append(out)
+        # with no worker nothing is split, and with one the pool exists
+        assert (tester._pool is None) == (workers == 0)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_synth_small_does_not_depend_on_the_worker_count(benchmarks,
+                                                         monkeypatch):
+    # the synth-small call with every pass split, against the unsplit one
+    cfg = RunConfig(seed=0, epsilon=Fraction(1, 2), qlen=5, trials=1000,
+                    presamples=4000, population=20, steps_per_hole=30)
+    runs = []
+    for workers, least in ((0, None), (1, 1), (2, 1)):
+        monkeypatch.setattr(tester, "_WORKERS", workers)
+        if least:
+            monkeypatch.setattr(tester, "_FISHER_CHUNK", least)
+            monkeypatch.setattr(tester, "_THIN_CHUNK", least)
+        outcome = synth(benchmarks["noisymax1"], cfg)
+        report = dict(outcome.report)
+        del report["config"]
+        runs.append((report_to_json(report), outcome.counters))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def _fresh_python(code: str) -> str:
+    """The stdout of ``code`` run by a fresh interpreter that imports
+    mechsynth from this checkout."""
+    src = os.path.dirname(os.path.dirname(tester.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+def test_cli_import_starts_no_thread():
+    # the pool starts with the first split pass, not at import
+    out = _fresh_python("import threading, mechsynth.cli, mechsynth.tester "
+                        "as t; print(threading.active_count(), t._pool)")
+    assert out.split() == ["1", "None"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_splits_on_its_own_pool():
+    # the parent's pool threads do not exist in a forked child; a child
+    # that used that pool would wait for them forever (the alarm ends it)
+    out = _fresh_python("""if True:
+        import os, signal, threading, numpy as np
+        from mechsynth import tester
+        tester._WORKERS, tester._FISHER_CHUNK = 2, 1
+        k, K = np.arange(1, 11), np.arange(10, 20)
+        for _ in range(20):
+            want = tester._fisher_sf(k, K, 10)
+        # both pool threads run, so the pool would start no other
+        assert threading.active_count() == 3
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)
+            os._exit(int(not np.array_equal(tester._fisher_sf(k, K, 10),
+                                            want)))
+        print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """)
+    assert out.strip() == "0"
