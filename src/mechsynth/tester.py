@@ -71,7 +71,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -392,6 +391,9 @@ def _spread(kernel, least: int, *args) -> np.ndarray:
     global _pool
     with _pool_lock:
         if _pool is None:
+            # imported here: a process that never splits loads no more
+            # modules than before
+            from concurrent.futures import ThreadPoolExecutor
             _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="tester")
     out = np.empty(size)
     cuts = [size * i // parts for i in range(parts + 1)]
