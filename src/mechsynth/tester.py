@@ -37,11 +37,11 @@ sampled once and tested in both orientations.  The workflow per input pair:
    segment's k-th least hi, or an interval across a band edge) get the
    screen's refined ones.  Each one-term interval holds the refined one,
    so the exact-tail set is the one refined bounds on every cell give.
-   Two kernel passes may run on several threads (:func:`_spread`): each
-   exact-tail pass of at least two ``_FISHER_CHUNK`` tables and the first
-   cdf pass of each stepping direction with at least two ``_THIN_CHUNK``
-   values, cut into contiguous chunks over the process's CPUs.  Both
-   kernels are elementwise, so a value does not depend on the cut.
+   One kernel pass may run on several threads (:func:`_spread`): an
+   exact-tail pass of at least two ``_FISHER_CHUNK`` tables is cut into
+   contiguous chunks over the process's CPUs, on threads started and
+   joined within that pass.  The kernel is elementwise, so a value does
+   not depend on the cut.
 
 Small p-values indicate a likely violation at the tested epsilon.  All
 randomness derives from an explicit seed, so repeated calls are bit-stable.
@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,70 +353,45 @@ _THINNING_U = np.clip(np.random.default_rng(20200817).random(_N_THINNINGS),
                       1e-12, 1 - 1e-12)
 _THINNING_Z = ndtri(_THINNING_U)
 
-# Threads besides the caller's that may share one kernel pass: one fewer
-# than the CPUs the process may run on.
+# Threads besides the caller's that may share one exact-tail pass: one
+# fewer than the CPUs the process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1) - 1
-# Least elements of one chunk of a shared pass, per kernel.  numpy runs a
-# ufunc loop without the GIL only over more than 500 elements, so a smaller
-# chunk runs no faster beside another.  One Fisher tail costs 7.8 us at
-# n = 500 (the tester's least), so a 501-table chunk far outweighs handing
-# it to a thread.  One cdf value costs 0.3-0.9 us, more at larger counts.
-# Cut in two, the cdf passes of 1,024-2,180 values at counts up to 500
-# took 8.2 ms of a 1,000-trial synth operation instead of 6.6 (slower in
-# 10 of 12 alternations), and those of 2,300-2,940 values at counts near
-# 2,000 took 6.1 ms of a 4,000-trial test pass instead of 8.0 (faster in
-# 8 of 10).
+# Least tables of one chunk of a split exact-tail pass.  numpy runs a ufunc
+# loop without the GIL only over more than 500 elements, so a smaller chunk
+# runs no faster beside another.  One Fisher tail costs 7.8 us at n = 500
+# (the tester's least), so a 501-table chunk far outweighs starting a
+# thread for it.
 _FISHER_CHUNK = 501
-_THIN_CHUNK = 1 << 10
-_pool = None
-_pool_lock = threading.Lock()
 
 
-def _spread(kernel, least: int, *args) -> np.ndarray:
-    """``kernel(*args)`` for an elementwise float64 ufunc whose array
-    arguments are 1-d of one length, the others scalars.
+def _spread(x, K, n: int) -> np.ndarray:
+    """``_hypergeom_sf(x, K, n, 2n)`` for 1-d int64 ``x`` and ``K`` of one
+    length.
 
-    With c CPUs and at least 2 * ``least`` elements, the elements are cut
-    into min(c, elements // ``least``) contiguous chunks, and each chunk
-    is evaluated into its slice of one result (``out=``): the first by the
-    calling thread, the others by a process-wide pool of c - 1 threads,
-    created on the first split pass.  Each value is the kernel's on that
-    element alone, so it is the same whichever chunk holds it."""
-    size = max(len(a) for a in args if isinstance(a, np.ndarray))
-    parts = min(_WORKERS + 1, size // least)
+    With c CPUs and at least 2 * ``_FISHER_CHUNK`` tables, the tables are
+    cut into min(c, tables // ``_FISHER_CHUNK``) contiguous chunks, and each
+    chunk is evaluated into its slice of one result (``out=``): the first
+    by the calling thread, the others by threads started for this pass and
+    joined before it returns or raises.  Each value is the kernel's on that
+    table alone, so it is the same whichever chunk holds it."""
+    parts = min(_WORKERS + 1, len(x) // _FISHER_CHUNK)
     if parts < 2:
-        return kernel(*args)
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here: a process that never splits loads no more
-            # modules than before
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="tester")
-    out = np.empty(size)
-    cuts = [size * i // parts for i in range(parts + 1)]
+        return _hypergeom_sf(x, K, n, 2 * n)
+    # imported here: a process that never splits loads no more modules
+    from concurrent.futures import ThreadPoolExecutor
+    out = np.empty(len(x))
+    cuts = [len(x) * i // parts for i in range(parts + 1)]
 
     def run(lo, hi):
-        kernel(*(a[lo:hi] if isinstance(a, np.ndarray) else a for a in args),
-               out=out[lo:hi])
-    rest = [_pool.submit(run, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-    try:
+        _hypergeom_sf(x[lo:hi], K[lo:hi], n, 2 * n, out=out[lo:hi])
+    with ThreadPoolExecutor(parts - 1) as pool:
+        rest = [pool.submit(run, lo, hi)
+                for lo, hi in zip(cuts[1:-1], cuts[2:])]
         run(cuts[0], cuts[1])
-    finally:
         for chunk in rest:
             chunk.result()
     return out
-
-
-def _forget_pool():
-    """A forked child has none of the pool's threads: it starts its own."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class FisherMemo:
@@ -435,13 +409,12 @@ class FisherMemo:
     top), each computed from the same arguments as a fresh computation, so
     sharing a memo changes no p-value.  ``thinned_counts`` and
     ``fisher_tables`` count the quantiles and the exact tails computed.
-    An exact-tail pass of at least two ``_FISHER_CHUNK`` tables, and a
-    stepping direction's first cdf pass of at least two ``_THIN_CHUNK``
-    values, is cut into contiguous chunks, at most one per CPU the process
-    may run on, that threads evaluate into one result (:func:`_spread`);
-    smaller passes, and every pass in a one-CPU process, run on the
-    calling thread.  Each value is the kernel's on its own arguments, so
-    the cut changes none.
+    An exact-tail pass of at least two ``_FISHER_CHUNK`` tables is cut
+    into contiguous chunks, at most one per CPU the process may run on,
+    that threads started and joined within the pass evaluate into one
+    result (:func:`_spread`); smaller passes, every pass in a one-CPU
+    process and every thinning pass run on the calling thread.  Each
+    value is the kernel's on its own arguments, so the cut changes none.
 
     The tester bounds exact p-values in two stages (see
     :func:`_screen_bounds`) from the same thinning rows and a table of
@@ -516,15 +489,13 @@ def _binom_quantiles(counts, p: float) -> np.ndarray:
     k = np.clip(np.ceil(mean + np.sqrt(mean * (1 - p)) * z
                         + (1 - 2 * p) * (z * z - 1) / 6 - 0.5), 0, n)
     live = np.flatnonzero(k > 0)
-    live = live[_spread(_binom_cdf, _THIN_CHUNK, k[live] - 1, n[live], p)
-                >= u[live]]
+    live = live[_binom_cdf(k[live] - 1, n[live], p) >= u[live]]
     while len(live):
         k[live] -= 1
         live = live[k[live] > 0]
         live = live[_binom_cdf(k[live] - 1, n[live], p) >= u[live]]
     live = np.flatnonzero(k < n)
-    live = live[_spread(_binom_cdf, _THIN_CHUNK, k[live], n[live], p)
-                < u[live]]
+    live = live[_binom_cdf(k[live], n[live], p) < u[live]]
     while len(live):
         k[live] += 1
         live = live[k[live] < n[live]]
@@ -540,8 +511,7 @@ def _fisher_sf(k, K, n: int) -> np.ndarray:
     lo, hi = np.maximum(0, K - n), np.minimum(K, n)
     out = np.where(k - 1 < lo, 1.0, 0.0)
     inside = (k - 1 >= lo) & (k - 1 < hi)
-    out[inside] = np.clip(_spread(_hypergeom_sf, _FISHER_CHUNK,
-                                  k[inside] - 1, K[inside], n, 2 * n), 0, 1)
+    out[inside] = np.clip(_spread(k[inside] - 1, K[inside], n), 0, 1)
     return out
 
 

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -1144,9 +1145,8 @@ def _direct_fisher_sf(k, K, n):
 
 @pytest.fixture
 def split_everything(monkeypatch):
-    # cut every pass of two or more elements into up to 3 chunks
+    # cut every exact-tail pass of two or more tables into up to 3 chunks
     monkeypatch.setattr(tester, "_FISHER_CHUNK", 1)
-    monkeypatch.setattr(tester, "_THIN_CHUNK", 1)
     monkeypatch.setattr(tester, "_WORKERS", 2)
 
 
@@ -1194,15 +1194,33 @@ def test_spread_tails_of_no_table(split_everything):
     assert got.shape == (0,) and got.dtype == np.float64
 
 
-@pytest.mark.parametrize("eps", [0.2, 0.5, 1.5])
-def test_spread_thinnings_are_the_unsplit_ones(monkeypatch, eps):
-    counts = np.arange(20_001)
-    monkeypatch.setattr(tester, "_WORKERS", 0)
-    want = tester._binom_quantiles(counts, math.exp(-eps))
-    monkeypatch.setattr(tester, "_THIN_CHUNK", 1)
-    monkeypatch.setattr(tester, "_WORKERS", 2)
-    assert np.array_equal(tester._binom_quantiles(counts, math.exp(-eps)),
-                          want)
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("chunk", [0, 1, 2])
+def test_spread_tails_raise_and_leave_no_thread(split_everything,
+                                                monkeypatch, chunk):
+    # 9 tables inside the support, cut 3/3/3: chunk 0 runs on the calling
+    # thread, chunks 1 and 2 on the pass's own threads
+    n = 10
+    k, K = np.arange(1, 10), np.arange(10, 19)
+    before = threading.active_count()
+    want = tester._fisher_sf(k, K, n)
+    assert threading.active_count() == before
+
+    def faulty(x, *args, **kw):
+        if x[0] == 3 * chunk:
+            raise Boom(chunk)
+        return _hypergeom_sf(x, *args, **kw)
+    monkeypatch.setattr(tester, "_hypergeom_sf", faulty)
+    with pytest.raises(Boom) as caught:
+        tester._fisher_sf(k, K, n)
+    assert caught.value.args == (chunk,)
+    assert threading.active_count() == before
+    monkeypatch.setattr(tester, "_hypergeom_sf", _hypergeom_sf)
+    assert _same_bits(tester._fisher_sf(k, K, n), want)
+    assert threading.active_count() == before
 
 
 TEST_MIX = [("noisymax1", "4"), ("noisymax1", "bot"), ("svt", "4,8"),
@@ -1211,9 +1229,8 @@ TEST_MIX = [("noisymax1", "4"), ("noisymax1", "bot"), ("svt", "4,8"),
 
 
 def test_test_mix_output_does_not_depend_on_the_worker_count(monkeypatch):
-    # perfbench's test-mix calls, whose larger Fisher and thinning passes
-    # are split at the module's own size rules
-    monkeypatch.setattr(tester, "_pool", None)
+    # perfbench's test-mix calls, whose larger Fisher passes are split at
+    # the module's own size rule
     outputs = []
     for workers in (0, 1, 2):
         monkeypatch.setattr(tester, "_WORKERS", workers)
@@ -1226,8 +1243,6 @@ def test_test_mix_output_does_not_depend_on_the_worker_count(monkeypatch):
             assert result.exit_code in (0, 1), result.output
             out.append((result.exit_code, result.output))
         outputs.append(out)
-        # with no worker nothing is split, and with one the pool exists
-        assert (tester._pool is None) == (workers == 0)
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -1241,7 +1256,6 @@ def test_synth_small_does_not_depend_on_the_worker_count(benchmarks,
         monkeypatch.setattr(tester, "_WORKERS", workers)
         if least:
             monkeypatch.setattr(tester, "_FISHER_CHUNK", least)
-            monkeypatch.setattr(tester, "_THIN_CHUNK", least)
         outcome = synth(benchmarks["noisymax1"], cfg)
         report = dict(outcome.report)
         del report["config"]
@@ -1260,16 +1274,18 @@ def _fresh_python(code: str) -> str:
 
 
 def test_cli_import_starts_no_thread():
-    # the pool starts with the first split pass, not at import
-    out = _fresh_python("import threading, mechsynth.cli, mechsynth.tester "
-                        "as t; print(threading.active_count(), t._pool)")
-    assert out.split() == ["1", "None"]
+    # threads start with a split pass, and their module with the first one
+    out = _fresh_python("import sys, threading, mechsynth.cli; "
+                        "print(threading.active_count(), "
+                        "'concurrent.futures.thread' in sys.modules)")
+    assert out.split() == ["1", "False"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_splits_on_its_own_pool():
-    # the parent's pool threads do not exist in a forked child; a child
-    # that used that pool would wait for them forever (the alarm ends it)
+    # a forked child of a process that has split passes starts threads of
+    # its own for its pass, gets the same bits and ends with its one thread
+    # (the alarm ends a child that waits for a thread it does not have)
     out = _fresh_python("""if True:
         import os, signal, threading, numpy as np
         from mechsynth import tester
@@ -1277,13 +1293,18 @@ def test_forked_child_splits_on_its_own_pool():
         k, K = np.arange(1, 11), np.arange(10, 20)
         for _ in range(20):
             want = tester._fisher_sf(k, K, 10)
-        # both pool threads run, so the pool would start no other
-        assert threading.active_count() == 3
         pid = os.fork()
         if pid == 0:
             signal.alarm(30)
-            os._exit(int(not np.array_equal(tester._fisher_sf(k, K, 10),
-                                            want)))
+            kernel, ran = tester._hypergeom_sf, set()
+
+            def traced(*args, **kw):
+                ran.add(threading.get_ident())
+                return kernel(*args, **kw)
+            tester._hypergeom_sf = traced
+            same = np.array_equal(tester._fisher_sf(k, K, 10), want)
+            os._exit(int(not (same and len(ran) > 1
+                              and threading.active_count() == 1)))
         print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     """)
     assert out.strip() == "0"
